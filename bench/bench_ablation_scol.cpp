@@ -61,9 +61,9 @@ int main(int argc, char** argv) {
 
     const auto start = std::chrono::steady_clock::now();
     SnapshotTable decoded;
-    std::string error;
-    if (!decode_scol(image, &decoded, &error)) {
-      std::fprintf(stderr, "decode failed: %s\n", error.c_str());
+    const Status s = decode_scol(image, &decoded, ScolOptions{});
+    if (!s.ok()) {
+      std::fprintf(stderr, "decode failed: %s\n", s.to_string().c_str());
       return 1;
     }
     const double ms =

@@ -85,9 +85,10 @@ RunResult run_once(const std::string& series_dir, const Resolver& resolver,
                    ThreadPool& pool, const std::string& ckpt_path,
                    bool resume) {
   DirectorySeries series;
-  std::string error;
-  if (!series.open(series_dir, &error)) {
-    std::fprintf(stderr, "open %s: %s\n", series_dir.c_str(), error.c_str());
+  const Status opened = series.open(series_dir);
+  if (!opened.ok()) {
+    std::fprintf(stderr, "open %s: %s\n", series_dir.c_str(),
+                 opened.to_string().c_str());
     std::exit(1);
   }
   DeltaStudy study(resolver);
@@ -135,11 +136,11 @@ int main(int argc, char** argv) {
   const fs::path work =
       fs::temp_directory_path() / "spider_bench_checkpoint_series";
   fs::remove_all(work);
-  std::string error;
   std::size_t total_rows = 0;
   {
-    if (!save_series(*env.generator, work.string(), &error)) {
-      std::fprintf(stderr, "save_series: %s\n", error.c_str());
+    const Status saved = save_series(*env.generator, work.string());
+    if (!saved.ok()) {
+      std::fprintf(stderr, "save_series: %s\n", saved.to_string().c_str());
       return 1;
     }
     env.generator->visit([&](std::size_t, const Snapshot& snap) {

@@ -1,7 +1,7 @@
 // Diff join strategy benchmark: the radix-partitioned join (DESIGN.md §11)
-// and the tuned hash/sort-merge strategies versus the PRE-REWRITE
-// diff_snapshots, vendored below as `legacy` so the baseline doesn't move
-// when the library improves.
+// and the tuned hash join versus the PRE-REWRITE diff_snapshots, vendored
+// below as `legacy` so the baseline doesn't move when the library
+// improves.
 //
 // For each of two scale factors the harness generates one adjacent weekly
 // snapshot pair and times build / probe / sweep per strategy at several
@@ -307,15 +307,6 @@ int main(int argc, char** argv) {
             return diff_snapshots(prev, cur, &pool, phases);
           });
       setting.strategies.push_back({"hash", hash});
-
-      if (threads == 1) {
-        // Sort-merge is serial; one setting is enough.
-        const Timing sortmerge =
-            time_strategy(reps, reference, [&](DiffBreakdown* phases) {
-              return diff_snapshots_sortmerge(prev, cur, phases);
-            });
-        setting.strategies.push_back({"sortmerge", sortmerge});
-      }
 
       const Timing partitioned =
           time_strategy(reps, reference, [&](DiffBreakdown* phases) {

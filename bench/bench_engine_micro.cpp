@@ -128,7 +128,7 @@ void BM_ScolDecode(benchmark::State& state) {
   const auto image = encode_scol(fixture_table());
   for (auto _ : state) {
     SnapshotTable t;
-    benchmark::DoNotOptimize(decode_scol(image, &t));
+    benchmark::DoNotOptimize(decode_scol(image, &t, ScolOptions{}).ok());
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations()) *
@@ -158,18 +158,6 @@ void BM_DiffHashJoin(benchmark::State& state) {
       static_cast<std::int64_t>(prev.size() + cur.size()));
 }
 BENCHMARK(BM_DiffHashJoin);
-
-void BM_DiffSortMerge(benchmark::State& state) {
-  const SnapshotTable& prev = fixture_table();
-  const SnapshotTable& cur = mutated_table();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(diff_snapshots_sortmerge(prev, cur));
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(prev.size() + cur.size()));
-}
-BENCHMARK(BM_DiffSortMerge);
 
 void BM_PartitionedIndexBuild(benchmark::State& state) {
   const SnapshotTable& t = fixture_table();

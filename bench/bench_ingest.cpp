@@ -95,9 +95,9 @@ int main(int argc, char** argv) {
   SnapshotTable psv_serial_out;
   const double psv_serial_s = best_seconds([&] {
     SnapshotTable t;
-    std::string error;
-    if (!read_psv_buffer(psv_text, &t, &error, &one)) {
-      std::fprintf(stderr, "psv parse failed: %s\n", error.c_str());
+    const Status s = read_psv_buffer(psv_text, &t, PsvOptions{}, nullptr, &one);
+    if (!s.ok()) {
+      std::fprintf(stderr, "psv parse failed: %s\n", s.to_string().c_str());
       std::exit(1);
     }
     psv_serial_out = std::move(t);
@@ -105,9 +105,10 @@ int main(int argc, char** argv) {
   SnapshotTable psv_wide_out;
   const double psv_wide_s = best_seconds([&] {
     SnapshotTable t;
-    std::string error;
-    if (!read_psv_buffer(psv_text, &t, &error, &wide)) {
-      std::fprintf(stderr, "psv parse failed: %s\n", error.c_str());
+    const Status s =
+        read_psv_buffer(psv_text, &t, PsvOptions{}, nullptr, &wide);
+    if (!s.ok()) {
+      std::fprintf(stderr, "psv parse failed: %s\n", s.to_string().c_str());
       std::exit(1);
     }
     psv_wide_out = std::move(t);
@@ -134,9 +135,9 @@ int main(int argc, char** argv) {
   SnapshotTable dec_serial_out;
   const double dec_serial_s = best_seconds([&] {
     SnapshotTable t;
-    std::string error;
-    if (!decode_scol(image, &t, &error, &one)) {
-      std::fprintf(stderr, "decode failed: %s\n", error.c_str());
+    const Status s = decode_scol(image, &t, ScolOptions{}, nullptr, &one);
+    if (!s.ok()) {
+      std::fprintf(stderr, "decode failed: %s\n", s.to_string().c_str());
       std::exit(1);
     }
     dec_serial_out = std::move(t);
@@ -144,9 +145,9 @@ int main(int argc, char** argv) {
   SnapshotTable dec_wide_out;
   const double dec_wide_s = best_seconds([&] {
     SnapshotTable t;
-    std::string error;
-    if (!decode_scol(image, &t, &error, &wide)) {
-      std::fprintf(stderr, "decode failed: %s\n", error.c_str());
+    const Status s = decode_scol(image, &t, ScolOptions{}, nullptr, &wide);
+    if (!s.ok()) {
+      std::fprintf(stderr, "decode failed: %s\n", s.to_string().c_str());
       std::exit(1);
     }
     dec_wide_out = std::move(t);

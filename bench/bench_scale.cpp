@@ -133,9 +133,9 @@ int measure_study(const std::string& stats_path, const std::string& series_dir,
                   const FacilityConfig& config, std::size_t burst_min,
                   unsigned threads, std::size_t budget) {
   DirectorySeries series;
-  std::string error;
-  if (!series.open(series_dir, &error)) {
-    std::fprintf(stderr, "open failed: %s\n", error.c_str());
+  const Status opened = series.open(series_dir);
+  if (!opened.ok()) {
+    std::fprintf(stderr, "open failed: %s\n", opened.to_string().c_str());
     return 1;
   }
   FacilityGenerator generator(config);  // only for the resolver's plan
@@ -144,7 +144,6 @@ int measure_study(const std::string& stats_path, const std::string& series_dir,
   FullStudy study(resolver, burst_min);
   StudyOptions options;
   options.pool = &pool;
-  options.streaming = budget > 0;
   options.memory_budget = budget;
   const auto start = std::chrono::steady_clock::now();
   study.run(series, options);
@@ -245,9 +244,9 @@ int main(int argc, char** argv) {
     std::uint64_t rows_total = 0, max_week_rows = 0;
     {
       DirectorySeries listing;
-      std::string error;
-      if (!listing.open(series_dir, &error)) {
-        std::fprintf(stderr, "FAIL: %s\n", error.c_str());
+      const Status opened = listing.open(series_dir);
+      if (!opened.ok()) {
+        std::fprintf(stderr, "FAIL: %s\n", opened.to_string().c_str());
         rc = 1;
         break;
       }

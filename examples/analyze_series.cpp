@@ -38,9 +38,9 @@ int main(int argc, char** argv) {
   }
 
   DirectorySeries series;
-  std::string error;
-  if (!series.open(dir, &error)) {
-    std::cerr << "cannot open series: " << error << "\n";
+  const Status opened = series.open(dir);
+  if (!opened.ok()) {
+    std::cerr << "cannot open series: " << opened.to_string() << "\n";
     return 1;
   }
   const std::string salvage = args.get("salvage", "");

@@ -18,7 +18,7 @@ double fraction(std::size_t part, std::size_t whole) {
 /// depend on the pool width.
 constexpr std::size_t kDiffGrain = 8192;
 
-/// How many rows ahead the hash strategy's probe loop issues the
+/// How many rows ahead the hash join's probe loop issues the
 /// slot-line prefetch. The probe is a chain of independent random
 /// lookups, so overlapping ~16 in-flight misses hides most of the
 /// latency; the value is uncritical (8..32 measure alike) and does not
@@ -55,8 +55,8 @@ void classify_dir(const SnapshotTable& prev, const SnapshotTable& cur,
 }
 
 /// Ascending regular-file rows of `table`, gathered serially (the build
-/// side of the hash strategy; the partitioned index gathers its own copy
-/// in parallel).
+/// side of the hash join; the partitioned index gathers its own copy in
+/// parallel).
 std::vector<std::uint32_t> file_rows_of(const SnapshotTable& table) {
   std::vector<std::uint32_t> rows;
   rows.reserve(table.file_count());
@@ -390,173 +390,6 @@ DiffResult diff_snapshots_partitioned(const SnapshotTable& prev,
                 &extras);
   if (breakdown) breakdown->sweep_s = seconds_since(mark);
   return result;
-}
-
-namespace {
-
-/// Sorts `rows` of one table by (path hash, path).
-std::vector<std::uint32_t> sorted_by_path(const SnapshotTable& table,
-                                          std::vector<std::uint32_t> rows) {
-  std::sort(rows.begin(), rows.end(),
-            [&table](std::uint32_t a, std::uint32_t b) {
-              if (table.path_hash(a) != table.path_hash(b)) {
-                return table.path_hash(a) < table.path_hash(b);
-              }
-              return table.path(a) < table.path(b);
-            });
-  return rows;
-}
-
-void classify_pair(const SnapshotTable& prev, const SnapshotTable& cur,
-                   std::uint32_t prev_row, std::uint32_t cur_row,
-                   bool record_prev, DiffResult& result) {
-  const bool atime_same = cur.atime(cur_row) == prev.atime(prev_row);
-  const bool mtime_same = cur.mtime(cur_row) == prev.mtime(prev_row);
-  const bool ctime_same = cur.ctime(cur_row) == prev.ctime(prev_row);
-  if (mtime_same && ctime_same && atime_same) {
-    result.untouched_rows.push_back(cur_row);
-    if (record_prev) result.untouched_prev_rows.push_back(prev_row);
-  } else if (mtime_same && ctime_same) {
-    result.readonly_rows.push_back(cur_row);
-    if (record_prev) result.readonly_prev_rows.push_back(prev_row);
-  } else {
-    result.updated_rows.push_back(cur_row);
-    if (record_prev) result.updated_prev_rows.push_back(prev_row);
-  }
-}
-
-/// Restores the hash join's ascending-cur-row contract for a matched class
-/// while keeping the prev list index-parallel. Cur rows are unique, so the
-/// pair sort is a sort by cur row.
-void co_sort_by_cur(std::vector<std::uint32_t>& cur_rows,
-                    std::vector<std::uint32_t>& prev_rows) {
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
-  pairs.reserve(cur_rows.size());
-  for (std::size_t i = 0; i < cur_rows.size(); ++i) {
-    pairs.emplace_back(cur_rows[i], prev_rows[i]);
-  }
-  std::sort(pairs.begin(), pairs.end());
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    cur_rows[i] = pairs[i].first;
-    prev_rows[i] = pairs[i].second;
-  }
-}
-
-}  // namespace
-
-DiffResult diff_snapshots_sortmerge(const SnapshotTable& prev,
-                                    const SnapshotTable& cur,
-                                    DiffBreakdown* breakdown,
-                                    const DiffOptions& options) {
-  DiffResult result;
-  result.prev_files = prev.file_count();
-  result.cur_files = cur.file_count();
-  result.has_prev_rows = options.prev_rows;
-
-  auto mark = std::chrono::steady_clock::now();
-  const std::vector<std::uint32_t> lhs =
-      sorted_by_path(prev, file_rows_of(prev));
-  const std::vector<std::uint32_t> rhs =
-      sorted_by_path(cur, file_rows_of(cur));
-  if (breakdown) {
-    breakdown->build_s = seconds_since(mark);
-    mark = std::chrono::steady_clock::now();
-  }
-
-  std::size_t i = 0, j = 0;
-  auto key_less = [&](std::uint32_t a, std::uint32_t b) {
-    if (prev.path_hash(a) != cur.path_hash(b)) {
-      return prev.path_hash(a) < cur.path_hash(b);
-    }
-    return prev.path(a) < cur.path(b);
-  };
-  while (i < lhs.size() && j < rhs.size()) {
-    const std::uint32_t a = lhs[i];
-    const std::uint32_t b = rhs[j];
-    if (key_less(a, b)) {
-      result.deleted_rows.push_back(a);
-      ++i;
-    } else if (prev.path_hash(a) == cur.path_hash(b) &&
-               prev.path(a) == cur.path(b)) {
-      classify_pair(prev, cur, a, b, options.prev_rows, result);
-      ++i;
-      ++j;
-    } else {
-      result.new_rows.push_back(b);
-      ++j;
-    }
-  }
-  for (; i < lhs.size(); ++i) result.deleted_rows.push_back(lhs[i]);
-  for (; j < rhs.size(); ++j) result.new_rows.push_back(rhs[j]);
-
-  if (options.dirs) {
-    result.has_dir_diff = true;
-    const std::vector<std::uint32_t> dl =
-        sorted_by_path(prev, dir_rows_of(prev));
-    const std::vector<std::uint32_t> dr =
-        sorted_by_path(cur, dir_rows_of(cur));
-    std::size_t p = 0, q = 0;
-    while (p < dl.size() && q < dr.size()) {
-      const std::uint32_t a = dl[p];
-      const std::uint32_t b = dr[q];
-      if (key_less(a, b)) {
-        result.deleted_dir_rows.push_back(a);
-        ++p;
-      } else if (prev.path_hash(a) == cur.path_hash(b) &&
-                 prev.path(a) == cur.path(b)) {
-        classify_dir(prev, cur, a, b, result.changed_dir_rows,
-                     result.changed_dir_prev_rows);
-        ++p;
-        ++q;
-      } else {
-        result.new_dir_rows.push_back(b);
-        ++q;
-      }
-    }
-    for (; p < dl.size(); ++p) result.deleted_dir_rows.push_back(dl[p]);
-    for (; q < dr.size(); ++q) result.new_dir_rows.push_back(dr[q]);
-  }
-  if (breakdown) {
-    breakdown->probe_s = seconds_since(mark);
-    mark = std::chrono::steady_clock::now();
-  }
-
-  // Restore the hash join's row-order contract.
-  std::sort(result.new_rows.begin(), result.new_rows.end());
-  std::sort(result.deleted_rows.begin(), result.deleted_rows.end());
-  if (options.prev_rows) {
-    co_sort_by_cur(result.readonly_rows, result.readonly_prev_rows);
-    co_sort_by_cur(result.updated_rows, result.updated_prev_rows);
-    co_sort_by_cur(result.untouched_rows, result.untouched_prev_rows);
-  } else {
-    for (auto* rows : {&result.readonly_rows, &result.updated_rows,
-                       &result.untouched_rows}) {
-      std::sort(rows->begin(), rows->end());
-    }
-  }
-  if (options.dirs) {
-    std::sort(result.new_dir_rows.begin(), result.new_dir_rows.end());
-    std::sort(result.deleted_dir_rows.begin(), result.deleted_dir_rows.end());
-    co_sort_by_cur(result.changed_dir_rows, result.changed_dir_prev_rows);
-  }
-  if (breakdown) breakdown->sweep_s = seconds_since(mark);
-  return result;
-}
-
-DiffResult diff_snapshots_with(DiffStrategy strategy,
-                               const SnapshotTable& prev,
-                               const SnapshotTable& cur, ThreadPool* pool,
-                               DiffBreakdown* breakdown,
-                               const DiffOptions& options) {
-  switch (strategy) {
-    case DiffStrategy::kSortMerge:
-      return diff_snapshots_sortmerge(prev, cur, breakdown, options);
-    case DiffStrategy::kPartitioned:
-      return diff_snapshots_partitioned(prev, cur, pool, breakdown, options);
-    case DiffStrategy::kHash:
-      break;
-  }
-  return diff_snapshots(prev, cur, pool, breakdown, options);
 }
 
 }  // namespace spider

@@ -11,10 +11,12 @@
 // updated, untouched are fractions of the previous week's file count; new
 // is a fraction of the current week's.
 //
-// Three join strategies share this contract (README "join strategies",
-// DESIGN.md §11): a single hash index (the reference), sort-merge, and the
-// radix-partitioned join. All produce byte-identical DiffResults at any
+// Two in-memory joins share this contract (README "join strategies",
+// DESIGN.md §11): a single hash index (the reference the tests compare
+// against) and the radix-partitioned join, which the study runner fuses
+// into its weekly scan. Both produce byte-identical DiffResults at any
 // thread count; bench/bench_diff.cpp measures them against each other.
+// The out-of-core spill join (engine/spill.h) honors the same contract.
 #pragma once
 
 #include <atomic>
@@ -75,8 +77,8 @@ struct DiffResult {
   double new_fraction() const;
 };
 
-/// Optional diff outputs beyond the five file-row lists. Every strategy
-/// honors both flags with identical results.
+/// Optional diff outputs beyond the five file-row lists. Every join honors
+/// both flags with identical results.
 struct DiffOptions {
   /// Record the matched previous-week row alongside each readonly /
   /// updated / untouched current-week row.
@@ -85,17 +87,9 @@ struct DiffOptions {
   bool dirs = false;
 };
 
-/// Which join implementation computes the diff (CLI: snapshot_tool diff
-/// --strategy; benchmarked by bench/bench_diff.cpp).
-enum class DiffStrategy {
-  kHash,
-  kSortMerge,
-  kPartitioned,
-};
-
-/// Per-phase wall-clock of one diff, for the strategy benchmark.
+/// Per-phase wall-clock of one diff, for the join benchmark.
 struct DiffBreakdown {
-  double build_s = 0;  // index build / sort of the previous week
+  double build_s = 0;  // index build over the previous week
   double probe_s = 0;  // classify the current week against it
   double sweep_s = 0;  // splice partials + deleted sweep / final sorts
 };
@@ -103,7 +97,7 @@ struct DiffBreakdown {
 /// One scan chunk's classification of current-week rows, each list in
 /// ascending row order. The concatenation across chunks (in chunk order)
 /// of each class is globally ascending — the mechanism behind the
-/// bit-identity of every strategy and of the fused kernel.
+/// bit-identity of every join and of the fused kernel.
 struct DiffChunkRows {
   static constexpr int kNew = 0;
   static constexpr int kReadonly = 1;
@@ -131,14 +125,6 @@ DiffResult diff_snapshots(const SnapshotTable& prev, const SnapshotTable& cur,
                           DiffBreakdown* breakdown = nullptr,
                           const DiffOptions& options = {});
 
-/// Sort-merge alternative to the hash join: both sides are sorted by
-/// (path hash, path) and merged. Same result contract as diff_snapshots;
-/// exists for the join-strategy ablation benchmark. Serial.
-DiffResult diff_snapshots_sortmerge(const SnapshotTable& prev,
-                                    const SnapshotTable& cur,
-                                    DiffBreakdown* breakdown = nullptr,
-                                    const DiffOptions& options = {});
-
 /// The radix-partitioned join (DESIGN.md §11): build side partitioned once
 /// by the top bits of the path hash, per-partition shards built fully in
 /// parallel with no atomics, parallel probe, parallel deleted sweep.
@@ -149,20 +135,12 @@ DiffResult diff_snapshots_partitioned(const SnapshotTable& prev,
                                       DiffBreakdown* breakdown = nullptr,
                                       const DiffOptions& options = {});
 
-/// Dispatches on `strategy` (kSortMerge ignores the pool).
-DiffResult diff_snapshots_with(DiffStrategy strategy,
-                               const SnapshotTable& prev,
-                               const SnapshotTable& cur,
-                               ThreadPool* pool = nullptr,
-                               DiffBreakdown* breakdown = nullptr,
-                               const DiffOptions& options = {});
-
 // --- Fused-kernel building blocks -----------------------------------------
 // The study runner computes the diff as a kernel on the shared weekly scan
 // (study/runner.cc) instead of as a separate pass: each scan chunk probes
 // its own rows via diff_probe_range, and the kernel's merge assembles the
 // DiffResult via diff_finalize. Exposed here so the kernel, the standalone
-// strategies, and the tests share one implementation.
+// joins, and the tests share one implementation.
 
 /// Directory side of the probe (DiffOptions::dirs): an index over the
 /// previous week's directory rows plus its match flags, one per indexed

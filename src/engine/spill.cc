@@ -345,8 +345,8 @@ std::vector<std::uint32_t> sorted_kind(const SpillRecords& records,
   return order;
 }
 
-/// Same matched-row classification as engine/diff.cc's classify_pair, on
-/// spilled timestamps.
+/// The matched-row classification of engine/diff.cc's joins, on spilled
+/// timestamps.
 void classify_records(const SpillRecords& prev, const SpillRecords& cur,
                       std::uint32_t pi, std::uint32_t ci, bool record_prev,
                       DiffResult& result) {
@@ -378,9 +378,8 @@ void classify_dir_records(const SpillRecords& prev, const SpillRecords& cur,
   }
 }
 
-/// The sortmerge walk of diff_snapshots_sortmerge over one partition's
-/// records of one kind. The four per-class closures let the file and
-/// directory walks share the loop.
+/// The sort-merge walk over one partition's records of one kind. The
+/// per-class closures let the file and directory walks share the loop.
 template <typename OnDeleted, typename OnNew, typename OnMatched>
 void merge_walk(const SpillRecords& prev, const SpillRecords& cur,
                 const std::vector<std::uint32_t>& lhs,
@@ -414,7 +413,8 @@ void merge_walk(const SpillRecords& prev, const SpillRecords& cur,
 }
 
 /// Restores the hash join's ascending-cur-row contract for a matched
-/// class, keeping the prev list index-parallel (diff.cc's co_sort_by_cur).
+/// class, keeping the prev list index-parallel. Cur rows are unique, so
+/// the pair sort is a sort by cur row.
 void co_sort_by_cur(std::vector<std::uint32_t>& cur_rows,
                     std::vector<std::uint32_t>& prev_rows) {
   std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
@@ -477,8 +477,8 @@ Status spill_diff_join(const SpilledSide& prev, const SpilledSide& cur,
     }
   }
 
-  // Restore the hash join's row-order contract, exactly as the sortmerge
-  // strategy does after its own walk.
+  // Restore the hash join's row-order contract: every class ascending by
+  // current-week row.
   std::sort(out->new_rows.begin(), out->new_rows.end());
   std::sort(out->deleted_rows.begin(), out->deleted_rows.end());
   if (options.prev_rows) {

@@ -326,31 +326,4 @@ Status read_psv_file(const std::string& file, SnapshotTable* table,
   return read_psv_buffer(text, table, options, report).with_context(file);
 }
 
-bool read_psv(std::istream& is, SnapshotTable* table, std::string* error) {
-  const Status s = read_psv(is, table, PsvOptions{});
-  if (!s.ok() && error) *error = s.to_string();
-  return s.ok();
-}
-
-bool read_psv_buffer(std::string_view text, SnapshotTable* table,
-                     std::string* error, ThreadPool* pool) {
-  const Status s = read_psv_buffer(text, table, PsvOptions{}, nullptr, pool);
-  if (!s.ok() && error) *error = s.to_string();
-  return s.ok();
-}
-
-bool write_psv_file(const SnapshotTable& table, const std::string& file,
-                    std::string* error) {
-  const Status s = write_psv_file(table, file, PsvOptions{});
-  if (!s.ok() && error) *error = s.to_string();
-  return s.ok();
-}
-
-bool read_psv_file(const std::string& file, SnapshotTable* table,
-                   std::string* error) {
-  const Status s = read_psv_file(file, table, PsvOptions{});
-  if (!s.ok() && error) *error = s.to_string();
-  return s.ok();
-}
-
 }  // namespace spider

@@ -98,15 +98,4 @@ Status read_psv_file(const std::string& file, SnapshotTable* table,
                      const PsvOptions& options,
                      PsvReadReport* report = nullptr);
 
-/// Legacy shims (pre-Status convention), strict ingest only. Retained for
-/// one PR; new callers use the Status overloads.
-bool read_psv(std::istream& is, SnapshotTable* table,
-              std::string* error = nullptr);
-bool read_psv_buffer(std::string_view text, SnapshotTable* table,
-                     std::string* error = nullptr, ThreadPool* pool = nullptr);
-bool write_psv_file(const SnapshotTable& table, const std::string& file,
-                    std::string* error = nullptr);
-bool read_psv_file(const std::string& file, SnapshotTable* table,
-                   std::string* error = nullptr);
-
 }  // namespace spider

@@ -755,13 +755,6 @@ Status decode_scol(std::span<const std::uint8_t> bytes, SnapshotTable* table,
   return Status::corruption("bad magic");
 }
 
-bool decode_scol(std::span<const std::uint8_t> bytes, SnapshotTable* table,
-                 std::string* error, ThreadPool* pool) {
-  const Status s = decode_scol(bytes, table, ScolOptions{}, nullptr, pool);
-  if (!s.ok() && error) *error = s.to_string();
-  return s.ok();
-}
-
 Status scol_group_column_sizes(std::span<const std::uint8_t> group,
                                ScolColumnSizes* sizes) {
   *sizes = ScolColumnSizes{};
@@ -835,20 +828,6 @@ Status read_scol_file(const std::string& file, SnapshotTable* table,
   Status s = read_file(file, &bytes);
   if (!s.ok()) return s;
   return decode_scol(bytes, table, options, report).with_context(file);
-}
-
-bool write_scol_file(const SnapshotTable& table, const std::string& file,
-                     std::string* error, const ScolOptions& options) {
-  const Status s = write_scol_file(table, file, options);
-  if (!s.ok() && error) *error = s.to_string();
-  return s.ok();
-}
-
-bool read_scol_file(const std::string& file, SnapshotTable* table,
-                    std::string* error) {
-  const Status s = read_scol_file(file, table, ScolOptions{});
-  if (!s.ok() && error) *error = s.to_string();
-  return s.ok();
 }
 
 // ---- streaming group reader ----------------------------------------------

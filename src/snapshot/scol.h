@@ -172,11 +172,6 @@ Status decode_scol(std::span<const std::uint8_t> bytes, SnapshotTable* table,
                    const ScolOptions& options, SalvageReport* report = nullptr,
                    ThreadPool* pool = nullptr);
 
-/// Legacy shim (pre-Status convention), strict decode only. Retained for
-/// one PR; new callers use the Status overload.
-bool decode_scol(std::span<const std::uint8_t> bytes, SnapshotTable* table,
-                 std::string* error = nullptr, ThreadPool* pool = nullptr);
-
 /// Encoded column sizes of a table under the given options (encodes into a
 /// scratch buffer; used by benchmarks and the format tool). Sizes are
 /// whole-table (v1-style) so knob contributions are comparable across
@@ -201,13 +196,6 @@ Status write_scol_file(const SnapshotTable& table, const std::string& file,
 Status read_scol_file(const std::string& file, SnapshotTable* table,
                       const ScolOptions& options,
                       SalvageReport* report = nullptr);
-
-/// Legacy shims (pre-Status convention). Retained for one PR.
-bool write_scol_file(const SnapshotTable& table, const std::string& file,
-                     std::string* error = nullptr,
-                     const ScolOptions& options = {});
-bool read_scol_file(const std::string& file, SnapshotTable* table,
-                    std::string* error = nullptr);
 
 /// Streaming group-at-a-time reader — the out-of-core half of the codec
 /// (DESIGN.md §15). open() maps the file (or borrows an in-memory image)

@@ -152,12 +152,6 @@ Status DirectorySeries::open(const std::string& directory) {
   return Status();
 }
 
-bool DirectorySeries::open(const std::string& directory, std::string* error) {
-  const Status s = open(directory);
-  if (!s.ok() && error) *error = s.to_string();
-  return s.ok();
-}
-
 void SnapshotSource::visit_move(const SnapshotMoveVisitor& visitor) {
   // Fallback for sources that only implement visit(): hand over a deep
   // copy. Overridden by every source that builds a per-week snapshot it
@@ -292,28 +286,19 @@ void DirectorySeries::visit_streaming(
             });
 }
 
-bool save_series(SnapshotSource& source, const std::string& directory,
-                 std::string* error) {
+Status save_series(SnapshotSource& source, const std::string& directory) {
   std::error_code ec;
   fs::create_directories(directory, ec);
-  if (ec) {
-    if (error) *error = "cannot create directory: " + directory;
-    return false;
-  }
-  bool ok = true;
-  std::string first_error;
+  if (ec) return Status::io_error("cannot create directory: " + directory);
+  Status first_error;
   source.visit([&](std::size_t, const Snapshot& snap) {
     const std::string file =
         (fs::path(directory) / ("snap_" + date_tag(snap.taken_at) + ".scol"))
             .string();
-    std::string why;
-    if (!write_scol_file(snap.table, file, &why) && ok) {
-      ok = false;
-      first_error = why;
-    }
+    const Status s = write_scol_file(snap.table, file, ScolOptions{});
+    if (!s.ok() && first_error.ok()) first_error = s;
   });
-  if (!ok && error) *error = first_error;
-  return ok;
+  return first_error;
 }
 
 }  // namespace spider

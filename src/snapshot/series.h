@@ -196,8 +196,6 @@ class DirectorySeries : public SnapshotSource {
   /// Lists matching files; fails when the directory cannot be read or
   /// contains no snapshots.
   Status open(const std::string& directory);
-  /// Legacy shim (pre-Status convention). Retained for one PR.
-  bool open(const std::string& directory, std::string* error);
 
   /// Decode options for visit(), e.g. a salvage policy so that a week
   /// with localized damage is visited with its surviving rows instead of
@@ -301,8 +299,8 @@ class StridedSource : public SnapshotSource {
 
 /// Writes every snapshot of a source into `directory` as .scol files named
 /// snap_<YYYYMMDD>.scol. Creates the directory if needed. Each file is
-/// written via temp file + atomic rename (util/io.h).
-bool save_series(SnapshotSource& source, const std::string& directory,
-                 std::string* error = nullptr);
+/// written via temp file + atomic rename (util/io.h); a failed write does
+/// not stop the others, and the first failure is returned.
+Status save_series(SnapshotSource& source, const std::string& directory);
 
 }  // namespace spider

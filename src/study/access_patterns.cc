@@ -8,7 +8,7 @@
 
 namespace spider {
 
-void AccessPatternsAnalyzer::observe(const WeekObservation& obs) {
+void AccessPatternsAnalyzer::record(const WeekObservation& obs) {
   if (obs.gap_before) ++result_.gap_pairs_skipped;
   if (obs.diff == nullptr) return;
   AccessPatternWeek week;

@@ -31,18 +31,20 @@ class AccessPatternsAnalyzer : public StudyAnalyzer {
   bool wants_diff() const override { return true; }
   /// Week-level only: everything it reads comes from the shared diff (the
   /// runner adds the diff's columns), so no per-row scan work and no
-  /// chunk state — the default merge() forwards to observe() once a week.
-  /// Merge-time reads are safe under the fused diff kernel too: the
-  /// kernel's merge runs first (registration order) and completes
-  /// obs.diff before this analyzer's merge sees it.
+  /// chunk state — merge() records one week at a time. Merge-time reads
+  /// are safe under the fused diff kernel too: the kernel's merge runs
+  /// first (registration order) and completes obs.diff before this
+  /// analyzer's merge sees it.
   ColumnMask columns_needed() const override { return kColMaskNone; }
-  void observe(const WeekObservation& obs) override;
+  void merge(const WeekObservation& obs, ScanStateList) override {
+    record(obs);
+  }
   /// Consumes only the week's DiffResult — already O(1) in snapshot size —
-  /// so the delta port is observe() itself; on delta weeks obs.diff is
+  /// so the delta port records the same week; on delta weeks obs.diff is
   /// final by the time apply_delta runs.
   bool supports_delta() const override { return true; }
   void apply_delta(const WeekObservation& obs, const WeekDelta&) override {
-    observe(obs);
+    record(obs);
   }
   void finish() override;
 
@@ -54,6 +56,8 @@ class AccessPatternsAnalyzer : public StudyAnalyzer {
   std::string render() const;
 
  private:
+  void record(const WeekObservation& obs);
+
   AccessPatternsResult result_;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <span>
 #include <sstream>
-#include <unordered_map>
 
 #include "engine/flat_map.h"
 #include "util/table.h"
@@ -17,26 +16,6 @@ BurstinessAnalyzer::BurstinessAnalyzer(const Resolver& resolver,
       min_files_(min_files),
       write_samples_(domain_count()),
       read_samples_(domain_count()) {}
-
-void BurstinessAnalyzer::collect(const SnapshotTable& table,
-                                 const std::vector<std::uint32_t>& rows,
-                                 bool use_atime, std::int64_t window_start,
-                                 std::vector<std::vector<double>>& out) {
-  // Group timestamps by project (gid), offsets from the window start.
-  std::unordered_map<std::uint32_t, StreamingStats> by_gid;
-  for (const std::uint32_t row : rows) {
-    const std::int64_t t = use_atime ? table.atime(row) : table.mtime(row);
-    const double offset = static_cast<double>(t - window_start);
-    if (offset < 0) continue;  // moved-in files predating the window
-    by_gid[table.gid(row)].add(offset);
-  }
-  for (const auto& [gid, stats] : by_gid) {
-    if (stats.count() < min_files_) continue;
-    const int domain = resolver_.domain_of_gid(gid);
-    if (domain < 0) continue;
-    out[static_cast<std::size_t>(domain)].push_back(stats.cv());
-  }
-}
 
 namespace {
 
@@ -109,8 +88,9 @@ void BurstinessAnalyzer::observe_chunk(ScanChunkState* state,
                     /*use_atime=*/true, window_start, chunk->read_by_gid);
     return;
   }
-  // Unfused (and streaming): obs.diff is complete before the scan, so
-  // each chunk takes its own global-row slice of the ascending lists.
+  // Spill-joined diff (streamed weeks and their successors): obs.diff is
+  // complete before the scan, so each chunk takes its own global-row slice
+  // of the ascending lists.
   accumulate_range(m, obs.diff->new_rows, /*use_atime=*/false, window_start,
                    chunk->write_by_gid);
   accumulate_range(m, obs.diff->readonly_rows, /*use_atime=*/true,
@@ -121,15 +101,17 @@ void BurstinessAnalyzer::merge(const WeekObservation& obs,
                                ScanStateList states) {
   if (obs.gap_before) ++result_.gap_pairs_skipped;
   if (obs.diff == nullptr || obs.prev == nullptr) return;
+  // Gap-spanning intervals (maintenance weeks) cover several activity
+  // cycles and would smear multiple campaigns into one cv sample; the
+  // paper's metric is strictly week-over-week.
   if (obs.snap->taken_at - obs.prev->taken_at > 8 * kSecondsPerDay) {
     ++result_.gap_pairs_skipped;
     return;
   }
   // Fold each project's chunk-local stats in chunk order — the fold order
   // is then a pure function of the row order, so the cv values are
-  // identical at every thread count. Sample push order may differ from the
-  // serial path's hash-iteration order, but five_number_summary and
-  // percentile sort their inputs, so rendered results don't depend on it.
+  // identical at every thread count. five_number_summary and percentile
+  // sort their inputs, so the sample push order never reaches the output.
   auto fold = [&](bool read_side, std::vector<std::vector<double>>& out) {
     GidStatsMap by_gid;
     for (const auto& state : states) {
@@ -148,23 +130,6 @@ void BurstinessAnalyzer::merge(const WeekObservation& obs,
   };
   fold(/*read_side=*/false, write_samples_);
   fold(/*read_side=*/true, read_samples_);
-}
-
-void BurstinessAnalyzer::observe(const WeekObservation& obs) {
-  if (obs.gap_before) ++result_.gap_pairs_skipped;
-  if (obs.diff == nullptr || obs.prev == nullptr) return;
-  // Gap-spanning intervals (maintenance weeks) cover several activity
-  // cycles and would smear multiple campaigns into one cv sample; the
-  // paper's metric is strictly week-over-week.
-  if (obs.snap->taken_at - obs.prev->taken_at > 8 * kSecondsPerDay) {
-    ++result_.gap_pairs_skipped;
-    return;
-  }
-  const std::int64_t window_start = obs.prev->taken_at;
-  collect(obs.snap->table, obs.diff->new_rows, /*use_atime=*/false,
-          window_start, write_samples_);
-  collect(obs.snap->table, obs.diff->readonly_rows, /*use_atime=*/true,
-          window_start, read_samples_);
 }
 
 void BurstinessAnalyzer::finish() {

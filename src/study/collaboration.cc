@@ -12,9 +12,12 @@ void CollaborationAnalyzer::finish() {
   const auto& plan = resolver_.plan();
   const int stf = domain_index("stf");
 
-  // Member lists with Staff projects blanked out.
+  // Member lists with Staff projects blanked out. Participation sizes the
+  // lists in its own finish(); until that ran they are empty, and so is
+  // the collaboration result.
   std::vector<std::vector<std::uint32_t>> members =
       participation_.result().project_members;
+  members.resize(plan.projects.size());
   std::vector<std::uint32_t> project_domain(plan.projects.size(), 0);
   for (std::size_t p = 0; p < plan.projects.size(); ++p) {
     project_domain[p] = static_cast<std::uint32_t>(plan.projects[p].domain);

@@ -28,7 +28,6 @@ class CollaborationAnalyzer : public StudyAnalyzer {
   /// Pure post-processing of participation's membership: reads no columns
   /// itself (participation requests what it needs).
   ColumnMask columns_needed() const override { return kColMaskNone; }
-  void observe(const WeekObservation&) override {}  // pure post-processing
   void finish() override;
 
   const CollaborationResult& result() const { return result_; }

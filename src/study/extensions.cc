@@ -34,19 +34,15 @@ std::uint64_t count_at(const std::vector<std::uint64_t>& counts,
 struct ExtensionsCandidate {
   std::uint64_t hash = 0;
   std::int32_t domain = -1;
-  std::int32_t ext_id = -1;  // flat path: chunk-local id; -1 = extensionless
-  std::string ext;           // legacy path; empty = extensionless
+  std::int32_t ext_id = -1;  // chunk-local id; -1 = extensionless
 };
 
 struct ExtensionsChunk : ScanChunkState {
-  bool flat = false;
-  // Flat path: each distinct extension in the chunk is interned ONCE into
-  // the chunk-local dictionary; every other row with that extension is a
+  // Each distinct extension in the chunk is interned ONCE into the
+  // chunk-local dictionary; every other row with that extension is a
   // dense array increment. No per-row std::string, no per-row map probe.
   StringDict dict;
   std::vector<std::uint64_t> counts;  // [local id], every file row
-  // Legacy path (obs.flat_agg == false): the reference string-keyed map.
-  CountMap<std::string> weekly;
   std::uint64_t files = 0;
   std::uint64_t none = 0;
   std::vector<ExtensionsCandidate> candidates;  // row order
@@ -60,10 +56,9 @@ std::unique_ptr<ScanChunkState> ExtensionsAnalyzer::make_chunk_state() const {
 }
 
 void ExtensionsAnalyzer::observe_chunk(ScanChunkState* state,
-                                       const WeekObservation& obs,
+                                       const WeekObservation&,
                                        const ScanMorsel& m) {
   auto* chunk = static_cast<ExtensionsChunk*>(state);
-  chunk->flat = obs.flat_agg;
   const SnapshotTable& table = *m.table;
   // Rows are path-sorted, so runs of files share an extension; memoizing
   // the previous row's intern skips the hash + probe (the memo copies into
@@ -79,7 +74,7 @@ void ExtensionsAnalyzer::observe_chunk(ScanChunkState* state,
     std::int32_t ext_id = -1;
     if (ext.empty()) {
       ++chunk->none;
-    } else if (chunk->flat) {
+    } else {
       if (!have_last || ext != last_ext) {
         last_id = chunk->dict.intern(ext);
         last_ext = ext;
@@ -88,20 +83,14 @@ void ExtensionsAnalyzer::observe_chunk(ScanChunkState* state,
       }
       ++chunk->counts[last_id];
       ext_id = static_cast<std::int32_t>(last_id);
-    } else {
-      ++chunk->weekly[std::string(ext)];
     }
     const std::uint64_t hash = table.path_hash(r);
     if (distinct_.contains(hash) || !chunk->local.insert(hash)) continue;
     ExtensionsCandidate cand;
     cand.hash = hash;
-    if (chunk->flat) {
-      cand.ext_id = ext_id;
-    } else {
-      cand.ext = std::string(ext);
-    }
+    cand.ext_id = ext_id;
     if (!ext.empty()) cand.domain = resolver_.domain_of_gid(table.gid(r));
-    chunk->candidates.push_back(std::move(cand));
+    chunk->candidates.push_back(cand);
   }
 }
 
@@ -117,65 +106,22 @@ void ExtensionsAnalyzer::merge(const WeekObservation& obs,
     // Chunks fold in chunk order and the chunk layout is thread-count
     // invariant, so the global id assignment is too.
     std::vector<std::uint32_t> local_to_global(chunk->dict.size());
-    if (chunk->flat) {
-      for (std::uint32_t lid = 0; lid < chunk->dict.size(); ++lid) {
-        local_to_global[lid] = dict_.intern(chunk->dict.name(lid));
-        bump(weekly, local_to_global[lid], chunk->counts[lid]);
-      }
-    } else {
-      for (const auto& [ext, count] : chunk->weekly) {
-        bump(weekly, dict_.intern(ext), count);
-      }
+    for (std::uint32_t lid = 0; lid < chunk->dict.size(); ++lid) {
+      local_to_global[lid] = dict_.intern(chunk->dict.name(lid));
+      bump(weekly, local_to_global[lid], chunk->counts[lid]);
     }
     for (const ExtensionsCandidate& cand : chunk->candidates) {
       if (!distinct_.insert(cand.hash)) continue;
       ++result_.unique_files;
-      const bool has_ext = chunk->flat ? cand.ext_id >= 0 : !cand.ext.empty();
-      if (!has_ext) {
+      if (cand.ext_id < 0) {
         ++result_.unique_no_extension;
         continue;
       }
       const std::uint32_t id =
-          chunk->flat ? local_to_global[static_cast<std::uint32_t>(cand.ext_id)]
-                      : dict_.intern(cand.ext);
+          local_to_global[static_cast<std::uint32_t>(cand.ext_id)];
       bump(unique_global_, id, 1);
       if (cand.domain >= 0) {
         bump(unique_by_domain_[static_cast<std::size_t>(cand.domain)], id, 1);
-      }
-    }
-  }
-  result_.snapshot_dates.push_back(obs.snap->taken_at);
-  weekly_counts_.push_back(std::move(weekly));
-  weekly_files_.push_back(files);
-  weekly_none_.push_back(none);
-}
-
-void ExtensionsAnalyzer::observe(const WeekObservation& obs) {
-  const SnapshotTable& table = obs.snap->table;
-  std::vector<std::uint64_t> weekly;
-  std::uint64_t files = 0, none = 0;
-  for (std::size_t i = 0; i < table.size(); ++i) {
-    if (table.is_dir(i)) continue;
-    const std::string_view ext = path_extension(table.path(i));
-    ++files;
-    std::int64_t id = -1;
-    if (ext.empty()) {
-      ++none;
-    } else {
-      id = dict_.intern(ext);
-      bump(weekly, static_cast<std::uint32_t>(id), 1);
-    }
-    if (distinct_.insert(table.path_hash(i))) {
-      ++result_.unique_files;
-      if (id < 0) {
-        ++result_.unique_no_extension;
-      } else {
-        bump(unique_global_, static_cast<std::uint32_t>(id), 1);
-        const int domain = resolver_.domain_of_gid(table.gid(i));
-        if (domain >= 0) {
-          bump(unique_by_domain_[static_cast<std::size_t>(domain)],
-               static_cast<std::uint32_t>(id), 1);
-        }
       }
     }
   }

@@ -47,8 +47,6 @@ class ExtensionsAnalyzer : public StudyAnalyzer {
                      const ScanMorsel& m) override;
   void merge(const WeekObservation& obs, ScanStateList states) override;
 
-  /// Serial reference path (bench baseline; see DESIGN.md §10).
-  void observe(const WeekObservation& obs) override;
   /// Delta port: matched rows keep their paths (hence extensions), so the
   /// week's counts are the previous week's counts minus deleted files plus
   /// new files, and first-seen/intern work touches only new rows. New

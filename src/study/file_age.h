@@ -37,8 +37,6 @@ class FileAgeAnalyzer : public StudyAnalyzer {
                      const ScanMorsel& m) override;
   void merge(const WeekObservation& obs, ScanStateList states) override;
 
-  /// Serial reference path (bench baseline; see DESIGN.md §10).
-  void observe(const WeekObservation& obs) override;
   /// Delta port: age (atime - mtime) is frozen for untouched rows, so the
   /// week's age population is last week's sorted multiset minus the ages
   /// of deleted/readonly/updated prev rows plus the ages of new/readonly/

@@ -8,7 +8,7 @@
 
 namespace spider {
 
-void GrowthAnalyzer::observe(const WeekObservation& obs) {
+void GrowthAnalyzer::record(const WeekObservation& obs) {
   GrowthPoint point;
   point.date = obs.snap->taken_at;
   point.files = obs.file_count;

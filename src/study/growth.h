@@ -29,17 +29,19 @@ struct GrowthResult {
 
 class GrowthAnalyzer : public StudyAnalyzer {
  public:
-  /// Week-level only: O(1) per snapshot off the table's file/dir counters
-  /// (which the decoder derives from mode), so no chunk state — the
-  /// default merge() forwards to observe() once a week.
+  /// Week-level only: O(1) per snapshot off the week's file/dir counts
+  /// (which the decoder derives from mode), so no chunk state — merge()
+  /// records one point per week.
   ColumnMask columns_needed() const override { return kColMaskMode; }
-  void observe(const WeekObservation& obs) override;
+  void merge(const WeekObservation& obs, ScanStateList) override {
+    record(obs);
+  }
   /// Already O(1) per week with no retained row state, so the delta port
-  /// is observe() itself — declaring support keeps the analyzer out of
+  /// records the same point — declaring support keeps the analyzer out of
   /// the shared scan on delta weeks.
   bool supports_delta() const override { return true; }
   void apply_delta(const WeekObservation& obs, const WeekDelta&) override {
-    observe(obs);
+    record(obs);
   }
   void finish() override;
 
@@ -51,6 +53,8 @@ class GrowthAnalyzer : public StudyAnalyzer {
   std::string render() const;
 
  private:
+  void record(const WeekObservation& obs);
+
   GrowthResult result_;
 };
 

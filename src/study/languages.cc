@@ -42,8 +42,8 @@ LanguagesAnalyzer::LanguagesAnalyzer(const Resolver& resolver)
 namespace {
 struct LanguagesCandidate {
   std::uint64_t hash = 0;
-  // lang < 0 still claims the hash's first-seen slot (the serial path
-  // inserts before mapping the extension), so unmapped rows stay in.
+  // lang < 0 still claims the hash's first-seen slot (a path is seen
+  // once, whatever its extension maps to), so unmapped rows stay in.
   std::int32_t lang = -1;
   std::int32_t domain = -1;
 };
@@ -87,22 +87,6 @@ void LanguagesAnalyzer::merge(const WeekObservation&, ScanStateList states) {
         ++result_.by_domain[static_cast<std::size_t>(cand.domain)]
                            [static_cast<std::size_t>(cand.lang)];
       }
-    }
-  }
-}
-
-void LanguagesAnalyzer::observe(const WeekObservation& obs) {
-  const SnapshotTable& table = obs.snap->table;
-  for (std::size_t i = 0; i < table.size(); ++i) {
-    if (table.is_dir(i)) continue;
-    if (!distinct_.insert(table.path_hash(i))) continue;
-    const int lang = language_for_extension(path_extension(table.path(i)));
-    if (lang < 0) continue;
-    ++global_[static_cast<std::size_t>(lang)];
-    const int domain = resolver_.domain_of_gid(table.gid(i));
-    if (domain >= 0) {
-      ++result_.by_domain[static_cast<std::size_t>(domain)]
-                         [static_cast<std::size_t>(lang)];
     }
   }
 }

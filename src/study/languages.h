@@ -42,8 +42,6 @@ class LanguagesAnalyzer : public StudyAnalyzer {
                      const ScanMorsel& m) override;
   void merge(const WeekObservation& obs, ScanStateList states) override;
 
-  /// Serial reference path (bench baseline; see DESIGN.md §10).
-  void observe(const WeekObservation& obs) override;
   /// Delta port: a matched row kept its path, so its hash is already in
   /// the first-seen set — only the week's new rows can contribute, and
   /// they arrive in the same ascending order the scan path inserts them.

@@ -44,6 +44,13 @@ void NetworkAnalyzer::finish() {
     }
   }
 
+  result_.center_projects_by_domain.assign(domain_count(), 0);
+  result_.giant_share_by_domain.assign(domain_count(), 0.0);
+  result_.giant_probability_by_domain.assign(domain_count(), 0.0);
+  // No edge at all (participation observed no membership, or has not
+  // finished yet): there is no giant component, so its figures stay zero.
+  if (result_.component_count == 0) return;
+
   const std::vector<VertexId> giant = components.members(components.largest);
   result_.giant_vertices = giant.size();
   std::vector<std::uint32_t> giant_projects_by_domain(domain_count(), 0);
@@ -69,7 +76,6 @@ void NetworkAnalyzer::finish() {
   result_.giant_diameter = diameter.diameter;
   result_.giant_radius = diameter.radius;
   result_.giant_center_entities = diameter.centers.size();
-  result_.center_projects_by_domain.assign(domain_count(), 0);
   for (const VertexId v : diameter.centers) {
     if (network.is_project_vertex(v)) {
       ++result_.center_projects;
@@ -80,8 +86,6 @@ void NetworkAnalyzer::finish() {
     }
   }
 
-  result_.giant_share_by_domain.assign(domain_count(), 0.0);
-  result_.giant_probability_by_domain.assign(domain_count(), 0.0);
   for (std::size_t d = 0; d < domain_count(); ++d) {
     if (result_.giant_projects > 0) {
       result_.giant_share_by_domain[d] =

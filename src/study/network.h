@@ -56,7 +56,6 @@ class NetworkAnalyzer : public StudyAnalyzer {
   /// Pure post-processing of participation's membership: reads no columns
   /// itself (participation requests what it needs).
   ColumnMask columns_needed() const override { return kColMaskNone; }
-  void observe(const WeekObservation&) override {}  // pure post-processing
   void finish() override;
 
   const NetworkResult& result() const { return result_; }

@@ -58,23 +58,6 @@ void ParticipationAnalyzer::merge(const WeekObservation&,
   }
 }
 
-void ParticipationAnalyzer::observe(const WeekObservation& obs) {
-  const SnapshotTable& table = obs.snap->table;
-  for (std::size_t i = 0; i < table.size(); ++i) {
-    const int user = resolver_.user_of_uid(table.uid(i));
-    const int project = resolver_.project_of_gid(table.gid(i));
-    if (user < 0 || project < 0) continue;
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(user) << 32) |
-        static_cast<std::uint32_t>(project);
-    if (pairs_.insert(key)) {
-      result_.observed.push_back(
-          MembershipEdge{static_cast<std::uint32_t>(user),
-                         static_cast<std::uint32_t>(project)});
-    }
-  }
-}
-
 void ParticipationAnalyzer::apply_delta(const WeekObservation&,
                                         const WeekDelta& delta) {
   const SnapshotTable& table = *delta.cur;

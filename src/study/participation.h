@@ -45,8 +45,6 @@ class ParticipationAnalyzer : public StudyAnalyzer {
                      const ScanMorsel& m) override;
   void merge(const WeekObservation& obs, ScanStateList states) override;
 
-  /// Serial reference path (bench baseline; see DESIGN.md §10).
-  void observe(const WeekObservation& obs) override;
   /// Delta port: a (user, project) pair new to the study can only ride on
   /// a row whose uid/gid differ from last week, and POSIX moves ctime on
   /// chown/chgrp — so readonly and untouched rows cannot carry new pairs

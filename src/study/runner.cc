@@ -56,8 +56,7 @@ class AnalyzerKernel : public ScanKernel {
   }
   void merge_chunks(ScanStateList states, ThreadPool*) override {
     // Analyzers take the pool through obs_->pool instead — it is the same
-    // pool, and the WeekObservation carries it to the serial (non-scan)
-    // observe() path too.
+    // pool, and the WeekObservation carries it to apply_delta() too.
     analyzer_->merge(*obs_, states);
   }
 
@@ -72,7 +71,7 @@ class AnalyzerKernel : public ScanKernel {
 /// retaining the previous week is a move of this struct — the O(n)
 /// per-week deep copy of the old runner is gone.
 ///
-/// In fused-diff mode the week's partitioned index rides along: it is
+/// When a diff is wanted the week's partitioned index rides along: it is
 /// built on the visiting thread right after decode, so with prefetch on
 /// the build of week N's index overlaps week N-1's analysis, and by the
 /// time week N becomes `prev` its build side is already up. The index
@@ -280,8 +279,6 @@ void run_study(SnapshotSource& source,
   if (need_diff) columns |= kDiffColumns;
   source.set_columns(columns);
 
-  const bool fuse = need_diff && options.fuse_diff;
-
   std::vector<AnalyzerKernel> kernels;
   kernels.reserve(analyzers.size());
   for (StudyAnalyzer* analyzer : analyzers) kernels.emplace_back(analyzer);
@@ -300,7 +297,7 @@ void run_study(SnapshotSource& source,
   std::vector<ScanKernel*> unfused_kernel_ptrs;
   kernel_ptrs.reserve(kernels.size() + 1);
   unfused_kernel_ptrs.reserve(kernels.size());
-  if (fuse) {
+  if (need_diff) {
     kernel_ptrs.push_back(&diff_kernel);
     scan_only_kernel_ptrs.push_back(&diff_kernel);
   }
@@ -338,8 +335,7 @@ void run_study(SnapshotSource& source,
   // A fully materialized source has nothing to stream, and a checkpointed
   // run fingerprints whole tables, so both force every week resident.
   const bool stable = source.stable_snapshots();
-  bool out_of_core = options.streaming && options.memory_budget > 0 &&
-                     !ckpt_enabled && !stable;
+  bool out_of_core = options.memory_budget > 0 && !ckpt_enabled && !stable;
   namespace fs = std::filesystem;
   std::string spill_dir;
   if (out_of_core && need_diff) {
@@ -520,7 +516,6 @@ void run_study(SnapshotSource& source,
     obs.prev = have_prev ? &prev.snap() : nullptr;
     obs.gap_before = have_prev && cur.week != last_week + 1;
     obs.pool = options.pool;
-    obs.flat_agg = options.flat_agg;
     obs.incremental = incremental;
     obs.row_count = cur.snap().table.size();
     obs.file_count = cur.snap().table.file_count();
@@ -558,7 +553,7 @@ void run_study(SnapshotSource& source,
         // whole study failing.
         obs.gap_before = true;
       }
-    } else if (fuse) {
+    } else if (need_diff) {
       diff_kernel.set_week(diff_active ? prev.index.get() : nullptr,
                            diff_active ? &prev.snap().table : nullptr,
                            diff_active ? &diff : nullptr, options.grain,
@@ -569,22 +564,15 @@ void run_study(SnapshotSource& source,
         obs.diff = &diff;
         obs.diff_chunks = &diff_kernel;
       }
-    } else if (diff_active) {
-      DiffOptions diff_options;
-      diff_options.prev_rows = delta_active;
-      diff_options.dirs = delta_active;
-      diff = diff_snapshots(prev.snap().table, cur.snap().table, options.pool,
-                            /*breakdown=*/nullptr, diff_options);
-      obs.diff = &diff;
     }
 
     for (AnalyzerKernel& kernel : kernels) kernel.set_observation(&obs);
     // After a streamed week the fused diff kernel was never armed, so it
     // must sit the scan out (its chunk registry is stale).
     scan_table(cur.snap().table,
-               delta_active          ? scan_only_kernel_ptrs
-               : prev_streamed && fuse ? unfused_kernel_ptrs
-                                       : kernel_ptrs,
+               delta_active    ? scan_only_kernel_ptrs
+               : prev_streamed ? unfused_kernel_ptrs
+                               : kernel_ptrs,
                scan_options);
 
     if (delta_active) {
@@ -684,7 +672,6 @@ void run_study(SnapshotSource& source,
     obs.prev = have_prev ? &prev.snap() : nullptr;
     obs.gap_before = have_prev && cur.week != last_week + 1;
     obs.pool = options.pool;
-    obs.flat_agg = options.flat_agg;
     // Retained delta state cannot be rebuilt from a shell table, so the
     // upkeep is skipped here; the next resident week re-baselines (the
     // delta_active gate in analyze()).
@@ -781,13 +768,13 @@ void run_study(SnapshotSource& source,
            options.memory_budget / 2 / kResidentBytesPerRow;
   };
 
-  // In fused mode every decoded week gets its partitioned index here, on
-  // the visiting thread: the week is the NEXT diff's build side, and with
-  // prefetch on this build overlaps the current week's analysis. (The
-  // mutex hand-off of the prefetch slot sequences the build before any
-  // probe of it.)
+  // When a diff is wanted every decoded week gets its partitioned index
+  // here, on the visiting thread: the week is the NEXT diff's build side,
+  // and with prefetch on this build overlaps the current week's analysis.
+  // (The mutex hand-off of the prefetch slot sequences the build before
+  // any probe of it.)
   auto attach_index = [&](PendingWeek& pending) {
-    if (fuse) {
+    if (need_diff) {
       pending.index = std::make_unique<PartitionedPathIndex>(
           pending.snap().table, options.pool);
       if (incremental) {

@@ -67,21 +67,6 @@ void UserProfileAnalyzer::merge(const WeekObservation&, ScanStateList states) {
   live_unknown_ = week_unknown;
 }
 
-void UserProfileAnalyzer::observe(const WeekObservation& obs) {
-  const SnapshotTable& table = obs.snap->table;
-  std::size_t week_unknown = 0;
-  for (const std::uint32_t uid : table.uids()) {
-    const int user = resolver_.user_of_uid(uid);
-    if (user >= 0) {
-      seen_[static_cast<std::size_t>(user)] = 1;
-    } else {
-      ++week_unknown;
-    }
-  }
-  result_.unknown_uids += week_unknown;
-  live_unknown_ = week_unknown;
-}
-
 void UserProfileAnalyzer::apply_delta(const WeekObservation&,
                                       const WeekDelta& delta) {
   const SnapshotTable& cur = *delta.cur;

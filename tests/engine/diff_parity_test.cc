@@ -1,5 +1,5 @@
-// Join-strategy parity: the hash, sort-merge, and partitioned diff joins
-// must produce byte-identical DiffResults on the same snapshot pair, at
+// Join parity: the hash and partitioned diff joins must produce
+// byte-identical DiffResults on the same snapshot pair, at
 // every thread count, including the degenerate weeks (empty, all-new,
 // all-deleted, dirs-only) and pairs engineered so many paths share the
 // top 16 bits of their hash — the partition selector AND the shard
@@ -281,9 +281,6 @@ TEST_P(DiffParityTest, StrategiesAgreeAtEveryThreadCount) {
     const DiffResult reference =
         diff_snapshots(pair.prev, pair.cur, &reference_pool);
 
-    expect_equal(diff_snapshots_sortmerge(pair.prev, pair.cur), reference,
-                 profile + "/sortmerge seed=" + std::to_string(seed));
-
     for (const unsigned threads : {1u, 2u, 7u, 0u}) {  // 0 = hardware
       ThreadPool pool(threads);
       const std::string label = profile + " seed=" + std::to_string(seed) +
@@ -309,9 +306,6 @@ TEST_P(DiffParityTest, PrevRowMappingAndDirDiffAgree) {
     expect_mapping_semantics(pair, reference, base + "/reference");
     expect_dir_semantics(pair, reference, base + "/reference");
 
-    expect_equal(
-        diff_snapshots_sortmerge(pair.prev, pair.cur, nullptr, options),
-        reference, base + "/sortmerge");
     for (const unsigned threads : {1u, 2u, 7u, 0u}) {  // 0 = hardware
       ThreadPool pool(threads);
       const std::string label = base + " threads=" + std::to_string(threads);
@@ -328,7 +322,6 @@ TEST_P(DiffParityTest, PrevRowMappingAndDirDiffAgree) {
   const SnapshotPair pair = make_profile(profile, 11);
   for (const DiffResult& plain :
        {diff_snapshots(pair.prev, pair.cur),
-        diff_snapshots_sortmerge(pair.prev, pair.cur),
         diff_snapshots_partitioned(pair.prev, pair.cur)}) {
     EXPECT_FALSE(plain.has_prev_rows) << profile;
     EXPECT_FALSE(plain.has_dir_diff) << profile;
@@ -346,30 +339,15 @@ INSTANTIATE_TEST_SUITE_P(Profiles, DiffParityTest,
                            return std::string(info.param);
                          });
 
-TEST(DiffStrategyDispatchTest, WithSelectsEachStrategy) {
-  const SnapshotPair pair = random_pair(5, 1500);
-  ThreadPool pool(2);
-  const DiffResult reference = diff_snapshots(pair.prev, pair.cur, &pool);
-  expect_equal(
-      diff_snapshots_with(DiffStrategy::kHash, pair.prev, pair.cur, &pool),
-      reference, "with/hash");
-  expect_equal(diff_snapshots_with(DiffStrategy::kSortMerge, pair.prev,
-                                   pair.cur, &pool),
-               reference, "with/sortmerge");
-  expect_equal(diff_snapshots_with(DiffStrategy::kPartitioned, pair.prev,
-                                   pair.cur, &pool),
-               reference, "with/partitioned");
-}
-
 TEST(DiffBreakdownTest, PhasesAreRecordedForEveryStrategy) {
   const SnapshotPair pair = random_pair(9, 2000);
   ThreadPool pool(2);
-  for (const DiffStrategy strategy :
-       {DiffStrategy::kHash, DiffStrategy::kSortMerge,
-        DiffStrategy::kPartitioned}) {
+  for (const bool partitioned : {false, true}) {
     DiffBreakdown breakdown;
     const DiffResult result =
-        diff_snapshots_with(strategy, pair.prev, pair.cur, &pool, &breakdown);
+        partitioned ? diff_snapshots_partitioned(pair.prev, pair.cur, &pool,
+                                                 &breakdown)
+                    : diff_snapshots(pair.prev, pair.cur, &pool, &breakdown);
     EXPECT_GT(result.prev_files, 0u);
     EXPECT_GE(breakdown.build_s, 0.0);
     EXPECT_GE(breakdown.probe_s, 0.0);

@@ -183,43 +183,5 @@ TEST_P(DiffPropertyTest, PartitionInvariant) {
 INSTANTIATE_TEST_SUITE_P(Seeds, DiffPropertyTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6));
 
-// The sort-merge join must produce byte-identical results to the hash
-// join on arbitrary inputs (it exists for the ablation benchmark).
-class SortMergeEquivalence : public ::testing::TestWithParam<std::uint64_t> {
-};
-
-TEST_P(SortMergeEquivalence, MatchesHashJoin) {
-  Rng rng(GetParam());
-  SnapshotTable prev, cur;
-  for (int i = 0; i < 2000; ++i) {
-    const std::string path = "/lustre/atlas2/p/u/f" + std::to_string(i);
-    const std::int64_t base = 5000 + i;
-    if (rng.chance(0.75)) prev.add(file_record(path, base, base, base));
-    if (rng.chance(0.75)) {
-      const int mutation = static_cast<int>(rng.uniform_u64(4));
-      std::int64_t a = base, c = base, m = base;
-      if (mutation == 1) a += 7;
-      if (mutation == 2) { a += 7; m += 7; }
-      if (mutation == 3) c += 7;
-      cur.add(file_record(path, a, c, m));
-    }
-  }
-  prev.add(dir_record("/lustre/atlas2/p/u"));
-  cur.add(dir_record("/lustre/atlas2/p/u"));
-
-  const DiffResult hash = diff_snapshots(prev, cur);
-  const DiffResult merge = diff_snapshots_sortmerge(prev, cur);
-  EXPECT_EQ(hash.new_rows, merge.new_rows);
-  EXPECT_EQ(hash.deleted_rows, merge.deleted_rows);
-  EXPECT_EQ(hash.readonly_rows, merge.readonly_rows);
-  EXPECT_EQ(hash.updated_rows, merge.updated_rows);
-  EXPECT_EQ(hash.untouched_rows, merge.untouched_rows);
-  EXPECT_EQ(hash.prev_files, merge.prev_files);
-  EXPECT_EQ(hash.cur_files, merge.cur_files);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SortMergeEquivalence,
-                         ::testing::Values(10, 11, 12, 13));
-
 }  // namespace
 }  // namespace spider

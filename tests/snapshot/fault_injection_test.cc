@@ -425,7 +425,6 @@ TEST(SeriesDegradationTest, MissingAndCorruptWeeksBecomeGaps) {
   const std::int64_t start = 1420416000;  // 2015-01-05
   ScolOptions small_groups;
   small_groups.group_size = kGroup;
-  std::string error;
   for (std::size_t w = 0; w < 8; ++w) {
     const std::int64_t taken_at =
         start + static_cast<std::int64_t>(w) * 7 * 86400;
@@ -438,7 +437,7 @@ TEST(SeriesDegradationTest, MissingAndCorruptWeeksBecomeGaps) {
   }
 
   DirectorySeries probe;
-  ASSERT_TRUE(probe.open(dir.path(), &error)) << error;
+  ASSERT_TRUE(probe.open(dir.path()).ok());
   ASSERT_EQ(probe.files().size(), 8u);
   const std::string missing = probe.files()[3];
   const std::string corrupt = probe.files()[5];
@@ -455,7 +454,7 @@ TEST(SeriesDegradationTest, MissingAndCorruptWeeksBecomeGaps) {
   }
 
   DirectorySeries series;
-  ASSERT_TRUE(series.open(dir.path(), &error)) << error;
+  ASSERT_TRUE(series.open(dir.path()).ok());
   EXPECT_EQ(series.count(), 7u);  // 7 files on disk
   // The missing collection is already visible as a cadence gap at slot 3.
   ASSERT_EQ(series.gaps().size(), 1u);
@@ -472,7 +471,7 @@ TEST(SeriesDegradationTest, MissingAndCorruptWeeksBecomeGaps) {
   struct Recorder : StudyAnalyzer {
     std::vector<Obs> seen;
     bool wants_diff() const override { return true; }
-    void observe(const WeekObservation& obs) override {
+    void merge(const WeekObservation& obs, ScanStateList) override {
       seen.push_back(Obs{obs.week, obs.gap_before, obs.diff != nullptr});
     }
   } recorder;
@@ -527,11 +526,10 @@ TEST(SeriesDegradationTest, FullStudyCompletesOnDamagedSeries) {
   config.seed = 20150105;
   config.maintenance_gaps = false;  // a regular cadence; we inject the damage
   FacilityGenerator generator(config);
-  std::string error;
-  ASSERT_TRUE(save_series(generator, dir.path(), &error)) << error;
+  ASSERT_TRUE(save_series(generator, dir.path()).ok());
 
   DirectorySeries probe;
-  ASSERT_TRUE(probe.open(dir.path(), &error)) << error;
+  ASSERT_TRUE(probe.open(dir.path()).ok());
   ASSERT_EQ(probe.files().size(), 10u);
   // >=2 corrupt weeks + >=1 missing week (the acceptance scenario).
   corrupt_scol_file(probe.files()[2], /*seed=*/21);
@@ -539,7 +537,7 @@ TEST(SeriesDegradationTest, FullStudyCompletesOnDamagedSeries) {
   fs::remove(probe.files()[4]);
 
   DirectorySeries series;
-  ASSERT_TRUE(series.open(dir.path(), &error)) << error;
+  ASSERT_TRUE(series.open(dir.path()).ok());
 
   InferenceStats stats;
   const FacilityPlan plan = infer_facility(series, &stats);

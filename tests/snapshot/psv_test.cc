@@ -120,8 +120,8 @@ TEST(PsvStreamTest, TableRoundTrip) {
   EXPECT_GT(bytes, 200u * 40);
 
   SnapshotTable loaded;
-  std::string error;
-  ASSERT_TRUE(read_psv(buffer, &loaded, &error)) << error;
+  const Status s = read_psv(buffer, &loaded, PsvOptions{});
+  ASSERT_TRUE(s.ok()) << s.to_string();
   ASSERT_EQ(loaded.size(), original.size());
   for (std::size_t i = 0; i < loaded.size(); ++i) {
     ASSERT_EQ(loaded.path(i), original.path(i));
@@ -135,9 +135,9 @@ TEST(PsvStreamTest, ReportsLineNumberOnError) {
   buffer << psv_format_record(sample_record()) << "\n";
   buffer << "garbage line\n";
   SnapshotTable table;
-  std::string error;
-  EXPECT_FALSE(read_psv(buffer, &table, &error));
-  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+  const Status s = read_psv(buffer, &table, PsvOptions{});
+  EXPECT_FALSE(s.ok());
+  EXPECT_NE(s.to_string().find("line 2"), std::string::npos) << s.to_string();
   EXPECT_EQ(table.size(), 1u);  // first line landed before the failure
 }
 
@@ -145,7 +145,7 @@ TEST(PsvStreamTest, SkipsEmptyLines) {
   std::stringstream buffer;
   buffer << "\n" << psv_format_record(sample_record()) << "\n\n";
   SnapshotTable table;
-  ASSERT_TRUE(read_psv(buffer, &table));
+  ASSERT_TRUE(read_psv(buffer, &table, PsvOptions{}).ok());
   EXPECT_EQ(table.size(), 1u);
 }
 
@@ -163,13 +163,15 @@ TEST(PsvBufferTest, ParallelBufferMatchesSerialStream) {
   const std::string text = ss.str();
 
   SnapshotTable serial;
-  std::string error;
   std::stringstream replay(text);
-  ASSERT_TRUE(read_psv(replay, &serial, &error)) << error;
+  const Status serial_status = read_psv(replay, &serial, PsvOptions{});
+  ASSERT_TRUE(serial_status.ok()) << serial_status.to_string();
 
   ThreadPool wide(4);
   SnapshotTable parallel;
-  ASSERT_TRUE(read_psv_buffer(text, &parallel, &error, &wide)) << error;
+  const Status parallel_status =
+      read_psv_buffer(text, &parallel, PsvOptions{}, nullptr, &wide);
+  ASSERT_TRUE(parallel_status.ok()) << parallel_status.to_string();
 
   ASSERT_EQ(parallel.size(), serial.size());
   ASSERT_EQ(parallel.file_count(), serial.file_count());
@@ -185,19 +187,18 @@ TEST(PsvBufferTest, ReportsGlobalLineNumberOnError) {
   const std::string good = psv_format_record(sample_record());
   const std::string text = good + "\n" + good + "\n\nnot a record\n" + good;
   SnapshotTable t;
-  std::string error;
-  EXPECT_FALSE(read_psv_buffer(text, &t, &error));
-  EXPECT_NE(error.find("line 4"), std::string::npos) << error;
+  const Status s = read_psv_buffer(text, &t, PsvOptions{});
+  EXPECT_FALSE(s.ok());
+  EXPECT_NE(s.to_string().find("line 4"), std::string::npos) << s.to_string();
   EXPECT_EQ(t.size(), 0u) << "failed parse must not append rows";
 }
 
 TEST(PsvBufferTest, HandlesMissingTrailingNewlineAndEmptyBuffer) {
   SnapshotTable t;
-  std::string error;
-  ASSERT_TRUE(read_psv_buffer("", &t, &error)) << error;
+  ASSERT_TRUE(read_psv_buffer("", &t, PsvOptions{}).ok());
   EXPECT_EQ(t.size(), 0u);
   const std::string one = psv_format_record(sample_record());
-  ASSERT_TRUE(read_psv_buffer(one, &t, &error)) << error;  // no trailing \n
+  ASSERT_TRUE(read_psv_buffer(one, &t, PsvOptions{}).ok());  // no trailing \n
   EXPECT_EQ(t.size(), 1u);
 }
 
@@ -206,13 +207,14 @@ TEST(PsvFileTest, WriteReadFile) {
   original.add(sample_record());
   const std::string file =
       testing::TempDir() + "/spider_psv_test_snapshot.psv";
-  std::string error;
-  ASSERT_TRUE(write_psv_file(original, file, &error)) << error;
+  const Status written = write_psv_file(original, file, PsvOptions{});
+  ASSERT_TRUE(written.ok()) << written.to_string();
   SnapshotTable loaded;
-  ASSERT_TRUE(read_psv_file(file, &loaded, &error)) << error;
+  const Status read = read_psv_file(file, &loaded, PsvOptions{});
+  ASSERT_TRUE(read.ok()) << read.to_string();
   EXPECT_EQ(loaded.size(), 1u);
   EXPECT_EQ(loaded.path(0), original.path(0));
-  EXPECT_FALSE(read_psv_file(file + ".missing", &loaded, &error));
+  EXPECT_FALSE(read_psv_file(file + ".missing", &loaded, PsvOptions{}).ok());
 }
 
 }  // namespace

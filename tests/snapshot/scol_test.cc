@@ -103,8 +103,7 @@ TEST(ScolTest, EmptyTableRoundTrip) {
   const SnapshotTable empty;
   const auto image = encode_scol(empty);
   SnapshotTable decoded;
-  std::string error;
-  ASSERT_TRUE(decode_scol(image, &decoded, &error)) << error;
+  ASSERT_TRUE(decode_scol(image, &decoded, ScolOptions{}).ok());
   EXPECT_EQ(decoded.size(), 0u);
 }
 
@@ -127,8 +126,7 @@ TEST_P(ScolOptionSweep, RoundTripExact) {
   const SnapshotTable original = make_table(1000);
   const auto image = encode_scol(original, options);
   SnapshotTable decoded;
-  std::string error;
-  ASSERT_TRUE(decode_scol(image, &decoded, &error)) << error;
+  ASSERT_TRUE(decode_scol(image, &decoded, ScolOptions{}).ok());
   expect_tables_equal(original, decoded);
 }
 
@@ -176,16 +174,16 @@ TEST(ScolTest, DetectsCorruption) {
   auto corrupted = image;
   corrupted[corrupted.size() - 5] ^= 0xff;
   SnapshotTable decoded;
-  std::string error;
-  EXPECT_FALSE(decode_scol(corrupted, &decoded, &error));
-  EXPECT_NE(error.find("checksum"), std::string::npos) << error;
+  const Status s = decode_scol(corrupted, &decoded, ScolOptions{});
+  EXPECT_FALSE(s.ok());
+  EXPECT_NE(s.to_string().find("checksum"), std::string::npos)
+      << s.to_string();
 
   // Bad magic.
   auto bad_magic = image;
   bad_magic[0] = 'X';
-  error.clear();
   SnapshotTable decoded2;
-  EXPECT_FALSE(decode_scol(bad_magic, &decoded2, &error));
+  EXPECT_FALSE(decode_scol(bad_magic, &decoded2, ScolOptions{}).ok());
 
   // Truncation at any point must fail cleanly, never crash.
   for (const std::size_t keep :
@@ -193,7 +191,8 @@ TEST(ScolTest, DetectsCorruption) {
         image.size() - 1}) {
     SnapshotTable partial;
     const std::span<const std::uint8_t> prefix(image.data(), keep);
-    EXPECT_FALSE(decode_scol(prefix, &partial, nullptr)) << "keep=" << keep;
+    EXPECT_FALSE(decode_scol(prefix, &partial, ScolOptions{}).ok())
+        << "keep=" << keep;
   }
 }
 
@@ -211,10 +210,9 @@ TEST_P(ScolCorruptionFuzz, NeverCrashes) {
     const std::size_t pos = rng.uniform_u64(corrupted.size());
     corrupted[pos] ^= static_cast<std::uint8_t>(1 + rng.uniform_u64(255));
     SnapshotTable decoded;
-    std::string error;
-    const bool ok = decode_scol(corrupted, &decoded, &error);
-    if (!ok) {
-      EXPECT_FALSE(error.empty());
+    const Status s = decode_scol(corrupted, &decoded, ScolOptions{});
+    if (!s.ok()) {
+      EXPECT_FALSE(s.to_string().empty());
     } else {
       // Only a corrupted *checksum byte of an empty-column header* region
       // could still decode; whatever decodes must have the right shape.
@@ -231,7 +229,7 @@ TEST_P(ScolCorruptionFuzz, RandomTruncationNeverCrashes) {
     const std::size_t keep = rng.uniform_u64(image.size());
     SnapshotTable decoded;
     const std::span<const std::uint8_t> prefix(image.data(), keep);
-    EXPECT_FALSE(decode_scol(prefix, &decoded, nullptr));
+    EXPECT_FALSE(decode_scol(prefix, &decoded, ScolOptions{}).ok());
   }
 }
 
@@ -241,12 +239,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ScolCorruptionFuzz,
 TEST(ScolTest, FileRoundTrip) {
   const SnapshotTable original = make_table(300);
   const std::string file = testing::TempDir() + "/spider_scol_test.scol";
-  std::string error;
-  ASSERT_TRUE(write_scol_file(original, file, &error)) << error;
+  ASSERT_TRUE(write_scol_file(original, file, ScolOptions{}).ok());
   SnapshotTable loaded;
-  ASSERT_TRUE(read_scol_file(file, &loaded, &error)) << error;
+  ASSERT_TRUE(read_scol_file(file, &loaded, ScolOptions{}).ok());
   expect_tables_equal(original, loaded);
-  EXPECT_FALSE(read_scol_file(file + ".missing", &loaded, &error));
+  EXPECT_FALSE(read_scol_file(file + ".missing", &loaded, ScolOptions{}).ok());
 }
 
 TEST(ScolTest, DecodeAppendsToExistingTable) {
@@ -256,8 +253,7 @@ TEST(ScolTest, DecodeAppendsToExistingTable) {
   RawRecord pre;
   pre.path = "/lustre/atlas2/p/u/pre";
   out.add(pre);
-  std::string error;
-  ASSERT_TRUE(decode_scol(image, &out, &error)) << error;
+  ASSERT_TRUE(decode_scol(image, &out, ScolOptions{}).ok());
   EXPECT_EQ(out.size(), 11u);
   EXPECT_EQ(out.path(0), "/lustre/atlas2/p/u/pre");
   EXPECT_EQ(out.path(1), original.path(0));

@@ -87,9 +87,8 @@ TEST_P(ScolV2OptionSweep, RoundTripAcrossGroupBoundaries) {
     const auto image = encode_scol(original, options);
     ASSERT_EQ(std::memcmp(image.data(), "SCOL0002", 8), 0);
     SnapshotTable decoded;
-    std::string error;
-    ASSERT_TRUE(decode_scol(image, &decoded, &error))
-        << "rows=" << rows << ": " << error;
+    const Status s = decode_scol(image, &decoded, ScolOptions{});
+    ASSERT_TRUE(s.ok()) << "rows=" << rows << ": " << s.to_string();
     expect_tables_equal(original, decoded);
   }
 }
@@ -107,8 +106,7 @@ TEST(ScolV2Test, V1ImagesStillDecode) {
   const auto image = encode_scol(original, v1);
   ASSERT_EQ(std::memcmp(image.data(), "SCOL0001", 8), 0);
   SnapshotTable decoded;
-  std::string error;
-  ASSERT_TRUE(decode_scol(image, &decoded, &error)) << error;
+  ASSERT_TRUE(decode_scol(image, &decoded, ScolOptions{}).ok());
   expect_tables_equal(original, decoded);
 }
 
@@ -119,8 +117,10 @@ TEST(ScolV2Test, V1AndV2EncodeIdenticalTables) {
   ScolOptions v2;
   v2.group_size = kGroup;
   SnapshotTable from_v1, from_v2;
-  ASSERT_TRUE(decode_scol(encode_scol(original, v1), &from_v1));
-  ASSERT_TRUE(decode_scol(encode_scol(original, v2), &from_v2));
+  ASSERT_TRUE(
+      decode_scol(encode_scol(original, v1), &from_v1, ScolOptions{}).ok());
+  ASSERT_TRUE(
+      decode_scol(encode_scol(original, v2), &from_v2, ScolOptions{}).ok());
   expect_tables_equal(from_v1, from_v2);
 }
 
@@ -135,8 +135,9 @@ TEST(ScolV2Test, CorruptedGroupChecksumIsRejected) {
   auto corrupted = image;
   corrupted[corrupted.size() - 5] ^= 0xff;
   SnapshotTable decoded;
-  std::string error;
-  EXPECT_FALSE(decode_scol(corrupted, &decoded, &error));
+  const Status s = decode_scol(corrupted, &decoded, ScolOptions{});
+  EXPECT_FALSE(s.ok());
+  const std::string error = s.to_string();
   EXPECT_NE(error.find("checksum"), std::string::npos) << error;
   EXPECT_NE(error.find("group 3"), std::string::npos) << error;
 
@@ -147,7 +148,8 @@ TEST(ScolV2Test, CorruptedGroupChecksumIsRejected) {
         image.size() / 2, image.size() - 1}) {
     SnapshotTable partial;
     const std::span<const std::uint8_t> prefix(image.data(), keep);
-    EXPECT_FALSE(decode_scol(prefix, &partial, nullptr)) << "keep=" << keep;
+    EXPECT_FALSE(decode_scol(prefix, &partial, ScolOptions{}).ok())
+        << "keep=" << keep;
   }
 }
 
@@ -162,9 +164,9 @@ TEST(ScolV2Test, RandomCorruptionNeverCrashes) {
     const std::size_t pos = rng.uniform_u64(corrupted.size());
     corrupted[pos] ^= static_cast<std::uint8_t>(1 + rng.uniform_u64(255));
     SnapshotTable decoded;
-    std::string error;
-    if (!decode_scol(corrupted, &decoded, &error)) {
-      EXPECT_FALSE(error.empty());
+    const Status s = decode_scol(corrupted, &decoded, ScolOptions{});
+    if (!s.ok()) {
+      EXPECT_FALSE(s.to_string().empty());
     } else {
       EXPECT_EQ(decoded.size(), original.size());
     }
@@ -181,9 +183,11 @@ TEST(ScolV2Test, ParallelAndSerialDecodeMatch) {
   ASSERT_EQ(image_serial, image_wide)
       << "encoded image must not depend on the thread count";
   SnapshotTable dec_serial, dec_wide;
-  std::string error;
-  ASSERT_TRUE(decode_scol(image_wide, &dec_serial, &error, &serial)) << error;
-  ASSERT_TRUE(decode_scol(image_wide, &dec_wide, &error, &wide)) << error;
+  ASSERT_TRUE(
+      decode_scol(image_wide, &dec_serial, ScolOptions{}, nullptr, &serial)
+          .ok());
+  ASSERT_TRUE(
+      decode_scol(image_wide, &dec_wide, ScolOptions{}, nullptr, &wide).ok());
   expect_tables_equal(dec_serial, dec_wide);
   expect_tables_equal(original, dec_wide);
 }
@@ -197,8 +201,7 @@ TEST(ScolV2Test, DecodeAppendsToExistingTable) {
   RawRecord pre;
   pre.path = "/lustre/atlas2/p/u/pre";
   out.add(pre);
-  std::string error;
-  ASSERT_TRUE(decode_scol(image, &out, &error)) << error;
+  ASSERT_TRUE(decode_scol(image, &out, ScolOptions{}).ok());
   EXPECT_EQ(out.size(), 2 * kGroup + 1);
   EXPECT_EQ(out.path(0), "/lustre/atlas2/p/u/pre");
   EXPECT_EQ(out.path(1), original.path(0));
@@ -213,9 +216,9 @@ TEST(ScolV2Test, GroupDirectoryRowMismatchIsRejected) {
   // Total-row field (offset 8) no longer matches the directory sum.
   image[8] ^= 1;
   SnapshotTable decoded;
-  std::string error;
-  EXPECT_FALSE(decode_scol(image, &decoded, &error));
-  EXPECT_FALSE(error.empty());
+  const Status s = decode_scol(image, &decoded, ScolOptions{});
+  EXPECT_FALSE(s.ok());
+  EXPECT_FALSE(s.to_string().empty());
 }
 
 }  // namespace

@@ -68,11 +68,10 @@ TEST_F(DirectorySeriesTest, SaveThenLoadRoundTrip) {
   SnapshotSeries series;
   for (int w = 0; w < 4; ++w) series.add(make_snapshot(w, 10 + w));
 
-  std::string error;
-  ASSERT_TRUE(save_series(series, dir_str(), &error)) << error;
+  ASSERT_TRUE(save_series(series, dir_str()).ok());
 
   DirectorySeries loaded;
-  ASSERT_TRUE(loaded.open(dir_str(), &error)) << error;
+  ASSERT_TRUE(loaded.open(dir_str()).ok());
   EXPECT_EQ(loaded.count(), 4u);
 
   std::size_t visited = 0;
@@ -89,21 +88,20 @@ TEST_F(DirectorySeriesTest, FilesSortedByDateNotName) {
   // Write out of order and with a distractor file.
   Snapshot later = make_snapshot(10, 1);
   Snapshot earlier = make_snapshot(2, 1);
-  std::string error;
   ASSERT_TRUE(write_scol_file(later.table,
                               (dir_ / ("snap_" + date_tag(later.taken_at) +
                                        ".scol")).string(),
-                              &error))
-      << error;
+                              ScolOptions{})
+                  .ok());
   ASSERT_TRUE(write_scol_file(earlier.table,
                               (dir_ / ("snap_" + date_tag(earlier.taken_at) +
                                        ".scol")).string(),
-                              &error))
-      << error;
+                              ScolOptions{})
+                  .ok());
   { std::ofstream junk(dir_ / "README.txt"); junk << "not a snapshot"; }
 
   DirectorySeries loaded;
-  ASSERT_TRUE(loaded.open(dir_str(), &error)) << error;
+  ASSERT_TRUE(loaded.open(dir_str()).ok());
   ASSERT_EQ(loaded.count(), 2u);
   std::vector<std::int64_t> times;
   loaded.visit([&](std::size_t, const Snapshot& snap) {
@@ -117,12 +115,11 @@ TEST_F(DirectorySeriesTest, CorruptSnapshotIsSkipped) {
   SnapshotSeries series;
   series.add(make_snapshot(0, 5));
   series.add(make_snapshot(1, 5));
-  std::string error;
-  ASSERT_TRUE(save_series(series, dir_str(), &error)) << error;
+  ASSERT_TRUE(save_series(series, dir_str()).ok());
 
   // Corrupt the second file's tail.
   DirectorySeries listing;
-  ASSERT_TRUE(listing.open(dir_str(), &error)) << error;
+  ASSERT_TRUE(listing.open(dir_str()).ok());
   {
     std::fstream f(listing.files()[1],
                    std::ios::in | std::ios::out | std::ios::binary);
@@ -131,7 +128,7 @@ TEST_F(DirectorySeriesTest, CorruptSnapshotIsSkipped) {
   }
 
   DirectorySeries loaded;
-  ASSERT_TRUE(loaded.open(dir_str(), &error)) << error;
+  ASSERT_TRUE(loaded.open(dir_str()).ok());
   std::size_t visited = 0;
   loaded.visit([&](std::size_t, const Snapshot&) { ++visited; });
   EXPECT_EQ(visited, 1u) << "corrupt week must be skipped, not fatal";
@@ -139,20 +136,19 @@ TEST_F(DirectorySeriesTest, CorruptSnapshotIsSkipped) {
 
 TEST_F(DirectorySeriesTest, OpenFailsOnMissingOrEmptyDirectory) {
   DirectorySeries series;
-  std::string error;
-  EXPECT_FALSE(series.open(dir_str() + "/does_not_exist", &error));
-  EXPECT_FALSE(error.empty());
-  EXPECT_FALSE(series.open(dir_str(), &error)) << "empty dir has no snaps";
+  const Status missing = series.open(dir_str() + "/does_not_exist");
+  EXPECT_FALSE(missing.ok());
+  EXPECT_FALSE(missing.to_string().empty());
+  EXPECT_FALSE(series.open(dir_str()).ok()) << "empty dir has no snaps";
 }
 
 TEST_F(DirectorySeriesTest, VisitStreamingDeliversChosenWeeksAsReaders) {
   SnapshotSeries series;
   for (int w = 0; w < 4; ++w) series.add(make_snapshot(w, 20 + w));
-  std::string error;
-  ASSERT_TRUE(save_series(series, dir_str(), &error)) << error;
+  ASSERT_TRUE(save_series(series, dir_str()).ok());
 
   DirectorySeries loaded;
-  ASSERT_TRUE(loaded.open(dir_str(), &error)) << error;
+  ASSERT_TRUE(loaded.open(dir_str()).ok());
 
   std::vector<std::size_t> resident_weeks, streamed_weeks;
   std::vector<std::uint64_t> hints;
@@ -189,11 +185,10 @@ TEST_F(DirectorySeriesTest, StreamVisitorErrorBecomesEagerShapedGap) {
   SnapshotSeries series;
   series.add(make_snapshot(0, 5));
   series.add(make_snapshot(1, 5));
-  std::string error;
-  ASSERT_TRUE(save_series(series, dir_str(), &error)) << error;
+  ASSERT_TRUE(save_series(series, dir_str()).ok());
 
   DirectorySeries loaded;
-  ASSERT_TRUE(loaded.open(dir_str(), &error)) << error;
+  ASSERT_TRUE(loaded.open(dir_str()).ok());
   std::size_t resident = 0;
   loaded.visit_streaming(
       0, [](std::size_t week, std::int64_t, std::uint64_t) { return week == 1; },
@@ -218,11 +213,10 @@ TEST_F(DirectorySeriesTest, StreamingFallsBackToEagerOnUnopenableImage) {
   SnapshotSeries series;
   series.add(make_snapshot(0, 5));
   series.add(make_snapshot(1, 5));
-  std::string error;
-  ASSERT_TRUE(save_series(series, dir_str(), &error)) << error;
+  ASSERT_TRUE(save_series(series, dir_str()).ok());
 
   DirectorySeries listing;
-  ASSERT_TRUE(listing.open(dir_str(), &error)) << error;
+  ASSERT_TRUE(listing.open(dir_str()).ok());
   {
     // Destroy the header: streaming open and eager decode both fail.
     std::fstream f(listing.files()[0],
@@ -232,12 +226,12 @@ TEST_F(DirectorySeriesTest, StreamingFallsBackToEagerOnUnopenableImage) {
 
   // The eager traversal's gap is the reference shape.
   DirectorySeries eager;
-  ASSERT_TRUE(eager.open(dir_str(), &error)) << error;
+  ASSERT_TRUE(eager.open(dir_str()).ok());
   eager.visit_move([](std::size_t, Snapshot&&) {});
   ASSERT_EQ(eager.gaps().size(), 1u);
 
   DirectorySeries streaming;
-  ASSERT_TRUE(streaming.open(dir_str(), &error)) << error;
+  ASSERT_TRUE(streaming.open(dir_str()).ok());
   std::size_t resident = 0, streamed = 0;
   streaming.visit_streaming(
       0, [](std::size_t, std::int64_t, std::uint64_t) { return true; },

@@ -5,9 +5,11 @@
 #include "study/access_patterns.h"
 #include "study/burstiness.h"
 #include "study/census.h"
+#include "study/collaboration.h"
 #include "study/extensions.h"
 #include "study/file_age.h"
 #include "study/growth.h"
+#include "study/network.h"
 #include "study/striping.h"
 #include "study/user_profile.h"
 #include "util/timeutil.h"
@@ -280,6 +282,38 @@ TEST_F(AnalyzerTest, UserProfileCountsDistinctUids) {
   const std::size_t expected = uid_of(a) == uid_of(b) ? 1u : 2u;
   EXPECT_EQ(r.active_users, expected);
   EXPECT_EQ(r.unknown_uids, 0u);
+}
+
+// Collaboration and network post-process participation's membership in
+// finish(). Participation below is constructed but never runs, so its
+// membership is empty: each analyzer alone must report an empty result,
+// not crash.
+TEST_F(AnalyzerTest, CollaborationAndNetworkAloneAreEmpty) {
+  const ProjectInfo& a = project(0);
+  const ProjectInfo& b = project(1);
+  SnapshotSeries series;
+  series.add(snapshot(0, {file(a, "x", 1, 1, 1), file(b, "y", 1, 1, 1)}));
+  series.add(snapshot(1, {file(a, "x", 1, 1, 1), file(b, "z", 2, 2, 2)}));
+  const ParticipationAnalyzer participation(*resolver_);
+
+  CollaborationAnalyzer collaboration(*resolver_, participation);
+  run_study(series, collaboration);
+  const CollaborationStats& stats = collaboration.result().stats;
+  EXPECT_EQ(stats.collaborating_pairs, 0u);
+  EXPECT_EQ(stats.max_shared_projects, 0u);
+  EXPECT_TRUE(collaboration.result().max_pair_description.empty());
+  EXPECT_FALSE(collaboration.render().empty());
+
+  NetworkAnalyzer network(*resolver_, participation);
+  run_study(series, network);
+  const NetworkResult& r = network.result();
+  EXPECT_EQ(r.edges, 0u);
+  EXPECT_EQ(r.users, 0u);
+  EXPECT_EQ(r.projects, 0u);
+  EXPECT_EQ(r.component_count, 0u);
+  EXPECT_EQ(r.giant_vertices, 0u);
+  EXPECT_EQ(r.center_users + r.center_projects, 0u);
+  EXPECT_FALSE(network.render().empty());
 }
 
 }  // namespace

@@ -127,8 +127,7 @@ DeltaRun run_delta(const std::string& dir, const Resolver& resolver,
                    std::size_t every = 1, bool resume = true,
                    std::size_t drop_last = 0) {
   DirectorySeries series;
-  std::string error;
-  EXPECT_TRUE(series.open(dir, &error)) << error;
+  EXPECT_TRUE(series.open(dir).ok());
   ScolOptions salvage;
   salvage.on_corrupt_group = CorruptGroupPolicy::kSkip;
   series.set_scol_options(salvage);
@@ -173,16 +172,17 @@ struct SeriesFixture {
     config.churn_update = 0.05;
     config.churn_delete = 0.05;
     generator = std::make_unique<FacilityGenerator>(config);
-    std::string error;
-    if (!save_series(*generator, dir.path(), &error)) {
-      ADD_FAILURE() << "save_series: " << error;
+    const Status saved = save_series(*generator, dir.path());
+    if (!saved.ok()) {
+      ADD_FAILURE() << "save_series: " << saved.to_string();
       return;
     }
     resolver = std::make_unique<Resolver>(generator->plan());
 
     DirectorySeries probe;
-    if (!probe.open(dir.path(), &error)) {
-      ADD_FAILURE() << "open: " << error;
+    const Status opened = probe.open(dir.path());
+    if (!opened.ok()) {
+      ADD_FAILURE() << "open: " << opened.to_string();
       return;
     }
     ASSERT_EQ(probe.files().size(), 12u);
@@ -334,68 +334,78 @@ TEST(CheckpointCodecTest, InspectionWalksSectionsAndFlagsDamage) {
 }
 
 // The acceptance sweep: crash the checkpoint writer at every write stage
-// it ever executes, across thread counts, and require the resumed run to
-// reproduce the uninterrupted bundle byte-for-byte — gap week, salvaged
-// week, and all.
-TEST(CheckpointKillSweepTest, EveryCrashPointResumesByteIdentical) {
+// it ever executes, at one thread width per instance, and require the
+// resumed run to reproduce the uninterrupted bundle byte-for-byte — gap
+// week, salvaged week, and all. Each width is its own ctest entry
+// (tests/CMakeLists.txt), so `ctest -j` runs the widths side by side.
+class CheckpointKillSweepTest : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(CheckpointKillSweepTest, EveryCrashPointResumesByteIdentical) {
   const SeriesFixture& fx = fixture();
-  for (const unsigned threads : {1u, 2u, 7u, 0u}) {  // 0 = hardware
-    const std::string ckpt =
-        temp_ckpt("spider_ckpt_sweep_" + std::to_string(threads) + ".sckpt");
-    fs::remove(ckpt);
+  const unsigned threads = GetParam();  // 0 = hardware
+  const std::string ckpt =
+      temp_ckpt("spider_ckpt_sweep_" + std::to_string(threads) + ".sckpt");
+  fs::remove(ckpt);
 
-    // Probe run: count the write stages and confirm checkpointing itself
-    // does not perturb the rendered bundle.
-    std::size_t total_ops = 0;
+  // Probe run: count the write stages and confirm checkpointing itself
+  // does not perturb the rendered bundle.
+  std::size_t total_ops = 0;
+  {
+    WriteFaultInjector probe(/*seed=*/11);
+    InterceptorScope scope(&probe);
+    const DeltaRun run =
+        run_delta(fx.dir.path(), *fx.resolver, threads, true, ckpt);
+    ASSERT_EQ(run.bundle, fx.reference) << "threads=" << threads;
+    EXPECT_FALSE(run.report.resumed);
+    EXPECT_EQ(run.report.checkpoints_written, 11u);  // 12 slots - 1 gap
+    EXPECT_FALSE(probe.killed());
+    total_ops = probe.ops_seen();
+  }
+  ASSERT_EQ(total_ops, 55u) << "threads=" << threads;  // 11 writes x 5 ops
+
+  std::size_t resumed_runs = 0;
+  for (std::size_t kill = 0; kill < total_ops; ++kill) {
+    fs::remove(ckpt);
     {
-      WriteFaultInjector probe(/*seed=*/11);
-      InterceptorScope scope(&probe);
-      const DeltaRun run =
+      // The "crashed program": its checkpoint writer dies at stage
+      // `kill`; its own results are discarded, only the disk state
+      // it leaves matters.
+      WriteFaultInjector injector(/*seed=*/100 + kill, kill);
+      InterceptorScope scope(&injector);
+      const DeltaRun crashed =
           run_delta(fx.dir.path(), *fx.resolver, threads, true, ckpt);
-      ASSERT_EQ(run.bundle, fx.reference) << "threads=" << threads;
-      EXPECT_FALSE(run.report.resumed);
-      EXPECT_EQ(run.report.checkpoints_written, 11u);  // 12 slots - 1 gap
-      EXPECT_FALSE(probe.killed());
-      total_ops = probe.ops_seen();
+      EXPECT_TRUE(injector.killed());
+      EXPECT_GT(crashed.report.write_failures, 0u);
     }
-    ASSERT_EQ(total_ops, 55u) << "threads=" << threads;  // 11 writes x 5 ops
+    const DeltaRun resumed =
+        run_delta(fx.dir.path(), *fx.resolver, threads, true, ckpt);
+    ASSERT_EQ(resumed.bundle, fx.reference)
+        << "threads=" << threads << " kill_at=" << kill;
+    if (resumed.report.resumed) ++resumed_runs;
+  }
+  // Most kill points leave a complete earlier checkpoint behind; the
+  // sweep must actually exercise the resume path, not just fresh runs.
+  EXPECT_GT(resumed_runs, total_ops / 2) << "threads=" << threads;
 
-    std::size_t resumed_runs = 0;
-    for (std::size_t kill = 0; kill < total_ops; ++kill) {
-      fs::remove(ckpt);
-      {
-        // The "crashed program": its checkpoint writer dies at stage
-        // `kill`; its own results are discarded, only the disk state
-        // it leaves matters.
-        WriteFaultInjector injector(/*seed=*/100 + kill, kill);
-        InterceptorScope scope(&injector);
-        const DeltaRun crashed =
-            run_delta(fx.dir.path(), *fx.resolver, threads, true, ckpt);
-        EXPECT_TRUE(injector.killed());
-        EXPECT_GT(crashed.report.write_failures, 0u);
-      }
-      const DeltaRun resumed =
-          run_delta(fx.dir.path(), *fx.resolver, threads, true, ckpt);
-      ASSERT_EQ(resumed.bundle, fx.reference)
-          << "threads=" << threads << " kill_at=" << kill;
-      if (resumed.report.resumed) ++resumed_runs;
-    }
-    // Most kill points leave a complete earlier checkpoint behind; the
-    // sweep must actually exercise the resume path, not just fresh runs.
-    EXPECT_GT(resumed_runs, total_ops / 2) << "threads=" << threads;
-
-    // Clean up torn temp files the simulated crashes left behind.
-    fs::remove(ckpt);
-    for (const auto& entry :
-         fs::directory_iterator(fs::temp_directory_path())) {
-      const std::string name = entry.path().filename().string();
-      if (name.rfind("spider_ckpt_sweep_", 0) == 0 &&
-          name.find(unique_suffix()) != std::string::npos) {
-        fs::remove(entry.path());
-      }
+  // Clean up torn temp files the simulated crashes left behind.
+  fs::remove(ckpt);
+  for (const auto& entry :
+       fs::directory_iterator(fs::temp_directory_path())) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("spider_ckpt_sweep_", 0) == 0 &&
+        name.find(unique_suffix()) != std::string::npos) {
+      fs::remove(entry.path());
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Widths, CheckpointKillSweepTest,
+                         ::testing::Values(1u, 2u, 7u, 0u),
+                         [](const ::testing::TestParamInfo<unsigned>& info) {
+                           return info.param == 0
+                                      ? std::string("hw")
+                                      : "t" + std::to_string(info.param);
+                         });
 
 // Checkpoint taken immediately before the series gap: the resumed run must
 // restore the gap suppression (no diff spans a gap) and the damage
@@ -530,8 +540,7 @@ TEST(CheckpointResumeTest, ScanOnlyMarkersForceFullRun) {
   const auto run_full = [&](const std::string& path,
                             CheckpointReport* report) {
     DirectorySeries series;
-    std::string error;
-    EXPECT_TRUE(series.open(fx.dir.path(), &error)) << error;
+    EXPECT_TRUE(series.open(fx.dir.path()).ok());
     ScolOptions salvage;
     salvage.on_corrupt_group = CorruptGroupPolicy::kSkip;
     series.set_scol_options(salvage);

@@ -2,15 +2,17 @@
 // (DESIGN.md §13): with StudyOptions::incremental on, the delta-capable
 // analyzers leave the shared scan and consume the week's diff instead —
 // and every rendered byte must match the full-scan pipeline anyway, across
-// thread counts, prefetch modes, fusion modes, churn rates from zero to
-// half the namespace, gapped series, and salvage-damaged weeks that force
-// a full-scan re-baseline.
+// thread counts, prefetch modes, churn rates from zero to half the
+// namespace, gapped series, and salvage-damaged weeks that force a
+// full-scan re-baseline. The diff each delta week is built from is checked
+// against the standalone hash join (diff_oracle.h).
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <string>
 #include <vector>
 
+#include "diff_oracle.h"
 #include "snapshot/scol.h"
 #include "snapshot/series.h"
 #include "study/full_study.h"
@@ -95,16 +97,17 @@ TEST(IncrementalStudyTest, ChurnSweepMatchesScanPipeline) {
       }
     }
 
-    // Unfused incremental: the delta comes from the standalone diff call
-    // instead of the fused kernel; results must not move.
+    // The delta weeks' diff — prev-row mapping and directory diff
+    // included — against the standalone hash join.
     {
       ThreadPool pool(7);
       StudyOptions options;
       options.pool = &pool;
       options.incremental = true;
-      options.fuse_diff = false;
-      EXPECT_EQ(run_bundle(series, resolver, options), reference)
-          << "churn=" << churn << " unfused";
+      DiffOracleAnalyzer oracle("churn=" + std::to_string(churn));
+      run_study(series, oracle, options);
+      EXPECT_EQ(oracle.delta_weeks, 7u) << "churn=" << churn;
+      EXPECT_EQ(oracle.checked_weeks, 7u) << "churn=" << churn;
     }
     delete generator;
   }
@@ -187,11 +190,10 @@ TEST(IncrementalStudyTest, SalvagedWeekForcesRebaseline) {
   config.weeks = 9;
   config.maintenance_gaps = false;
   FacilityGenerator generator(config);
-  std::string error;
-  ASSERT_TRUE(save_series(generator, dir.path(), &error)) << error;
+  ASSERT_TRUE(save_series(generator, dir.path()).ok());
 
   DirectorySeries probe;
-  ASSERT_TRUE(probe.open(dir.path(), &error)) << error;
+  ASSERT_TRUE(probe.open(dir.path()).ok());
   ASSERT_EQ(probe.files().size(), 9u);
   corrupt_scol_file(probe.files()[4], /*seed=*/31);
 
@@ -200,7 +202,7 @@ TEST(IncrementalStudyTest, SalvagedWeekForcesRebaseline) {
   salvage.on_corrupt_group = CorruptGroupPolicy::kSkip;
 
   DirectorySeries scan_series;
-  ASSERT_TRUE(scan_series.open(dir.path(), &error)) << error;
+  ASSERT_TRUE(scan_series.open(dir.path()).ok());
   scan_series.set_scol_options(salvage);
   ThreadPool one(1);
   StudyOptions scan;
@@ -212,7 +214,7 @@ TEST(IncrementalStudyTest, SalvagedWeekForcesRebaseline) {
   for (const unsigned threads : {2u, 7u}) {
     for (const bool prefetch : {false, true}) {
       DirectorySeries series;
-      ASSERT_TRUE(series.open(dir.path(), &error)) << error;
+      ASSERT_TRUE(series.open(dir.path()).ok());
       series.set_scol_options(salvage);
       ThreadPool pool(threads);
       StudyOptions options;
@@ -223,6 +225,18 @@ TEST(IncrementalStudyTest, SalvagedWeekForcesRebaseline) {
           << "threads=" << threads << " prefetch=" << prefetch;
     }
   }
+
+  // The damaged week and its successor re-baseline: their diffs reach
+  // merge() without the prev-row mapping, the other six arrive as deltas.
+  DirectorySeries series;
+  ASSERT_TRUE(series.open(dir.path()).ok());
+  series.set_scol_options(salvage);
+  StudyOptions options;
+  options.incremental = true;
+  DiffOracleAnalyzer oracle("salvaged");
+  run_study(series, oracle, options);
+  EXPECT_EQ(oracle.checked_weeks, 8u);
+  EXPECT_EQ(oracle.delta_weeks, 6u);
 }
 
 }  // namespace

@@ -22,11 +22,10 @@ TEST(PersistenceTest, DiskRoundTripMatchesDirectAnalysis) {
       (std::filesystem::path(testing::TempDir()) / "spider_persist_test")
           .string();
   std::filesystem::remove_all(dir);
-  std::string error;
-  ASSERT_TRUE(save_series(generator, dir, &error)) << error;
+  ASSERT_TRUE(save_series(generator, dir).ok());
 
   DirectorySeries series;
-  ASSERT_TRUE(series.open(dir, &error)) << error;
+  ASSERT_TRUE(series.open(dir).ok());
   ASSERT_EQ(series.count(), generator.count());
 
   // Direct analysis with the ground-truth plan.

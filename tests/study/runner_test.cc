@@ -26,7 +26,7 @@ class RecordingAnalyzer : public StudyAnalyzer {
  public:
   explicit RecordingAnalyzer(bool wants) : wants_(wants) {}
   bool wants_diff() const override { return wants_; }
-  void observe(const WeekObservation& obs) override {
+  void merge(const WeekObservation& obs, ScanStateList) override {
     weeks.push_back(obs.week);
     had_prev.push_back(obs.prev != nullptr);
     had_diff.push_back(obs.diff != nullptr);

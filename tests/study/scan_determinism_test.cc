@@ -5,10 +5,16 @@
 // gapped and fault-damaged series.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
+#include "diff_oracle.h"
+#include "snapshot/record.h"
 #include "snapshot/scol.h"
 #include "snapshot/series.h"
 #include "study/full_study.h"
@@ -116,63 +122,196 @@ TEST_F(ScanDeterminismTest, BundleIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST_F(ScanDeterminismTest, FusedDiffKernelMatchesStandaloneDiff) {
-  // Unfused reference: fuse_diff=false computes each week's diff with the
-  // standalone diff_snapshots call after the scan, exactly the pre-fusion
-  // pipeline. The fused kernel (diff as a scan kernel, index built in the
-  // prefetch slot) must reproduce it byte-for-byte at every width.
-  ThreadPool one(1);
-  StudyOptions ref_options;
-  ref_options.pool = &one;
-  ref_options.prefetch = false;
-  ref_options.fuse_diff = false;
-  const std::string reference = run_bundle(*series_, *resolver_, ref_options);
-  ASSERT_GT(reference.size(), 1000u);
+TEST_F(ScanDeterminismTest, WeeklyDiffMatchesStandaloneDiff) {
+  // Every week's diff — the fused kernel's on scan weeks, the prev-row
+  // mapping and directory diff on incremental delta weeks — must equal the
+  // standalone hash join on the same pair, at every width and prefetch
+  // mode (see diff_oracle.h).
+  for (const bool incremental : {false, true}) {
+    for (const unsigned threads : {1u, 2u, 7u, 0u}) {  // 0 = hardware
+      for (const bool prefetch : {false, true}) {
+        ThreadPool pool(threads);
+        StudyOptions options;
+        options.pool = &pool;
+        options.prefetch = prefetch;
+        options.incremental = incremental;
+        DiffOracleAnalyzer oracle(
+            "incremental=" + std::to_string(incremental) +
+            " threads=" + std::to_string(threads) +
+            " prefetch=" + std::to_string(prefetch));
+        run_study(*series_, oracle, options);
+        // 24 snapshots minus the first and the weeks after each gap.
+        EXPECT_GT(oracle.checked_weeks, 15u);
+        if (incremental) {
+          EXPECT_EQ(oracle.delta_weeks, oracle.checked_weeks);
+        } else {
+          EXPECT_EQ(oracle.delta_weeks, 0u);
+        }
+      }
+    }
+  }
+}
 
-  for (const unsigned threads : {1u, 2u, 7u}) {
-    for (const bool prefetch : {false, true}) {
-      ThreadPool pool(threads);
-      StudyOptions options;
-      options.pool = &pool;
-      options.prefetch = prefetch;
-      options.fuse_diff = true;
-      EXPECT_EQ(run_bundle(*series_, *resolver_, options), reference)
-          << "fused threads=" << threads << " prefetch=" << prefetch;
+/// Serial recount of the extension and census figures straight from the
+/// snapshots, with string-keyed std::unordered_map / std::unordered_set:
+/// no flat tables, no dictionary, no chunks, and paths compared as strings
+/// rather than through the table's path-hash column.
+struct AggregationRecount {
+  using Counts = std::unordered_map<std::string, std::uint64_t>;
+
+  explicit AggregationRecount(const Resolver& resolver)
+      : resolver(resolver),
+        unique_by_domain(domain_count()),
+        files_by_domain(domain_count(), 0),
+        dirs_by_domain(domain_count(), 0) {}
+
+  void add_week(const SnapshotTable& t) {
+    Counts counts;
+    std::uint64_t files = 0, none = 0;
+    std::unordered_set<std::string> parents;
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      const std::string path(t.path(i));
+      parents.insert(std::string(path_parent(path)));
+      const int project = resolver.project_of_gid(t.gid(i));
+      const int domain =
+          project < 0 ? -1 : resolver.plan().projects[project].domain;
+      if (entries.insert(path).second) {
+        if (t.is_dir(i)) {
+          ++total_dirs;
+          if (domain >= 0) ++dirs_by_domain[domain];
+        } else {
+          ++total_files;
+          if (domain >= 0) ++files_by_domain[domain];
+        }
+      }
+      if (t.is_dir(i)) continue;
+      const std::string ext(path_extension(path));
+      ++files;
+      if (ext.empty()) {
+        ++none;
+      } else {
+        ++counts[ext];
+      }
+      if (!unique_file_paths.insert(path).second) continue;
+      ++unique_files;
+      if (ext.empty()) {
+        ++unique_no_extension;
+        continue;
+      }
+      ++unique_by_ext[ext];
+      if (domain >= 0) ++unique_by_domain[domain][ext];
+    }
+    final_dirs = 0;
+    final_empty_dirs = 0;
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      if (!t.is_dir(i)) continue;
+      ++final_dirs;
+      if (!parents.contains(std::string(t.path(i)))) ++final_empty_dirs;
+    }
+    weekly.push_back(std::move(counts));
+    weekly_files.push_back(files);
+    weekly_none.push_back(none);
+  }
+
+  /// Largest count first, ties by name.
+  static std::vector<std::pair<std::string, std::uint64_t>> ranked(
+      const Counts& counts, std::size_t k) {
+    std::vector<std::pair<std::string, std::uint64_t>> out(counts.begin(),
+                                                           counts.end());
+    std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+      return a.second != b.second ? a.second > b.second : a.first < b.first;
+    });
+    if (out.size() > k) out.resize(k);
+    return out;
+  }
+
+  void expect_matches(const ExtensionsResult& got,
+                      const std::string& label) const {
+    EXPECT_EQ(got.unique_files, unique_files) << label;
+    EXPECT_EQ(got.unique_no_extension, unique_no_extension) << label;
+    const auto top = ranked(unique_by_ext, 20);
+    EXPECT_EQ(got.global_top, top) << label;
+    ASSERT_EQ(got.top3_by_domain.size(), unique_by_domain.size()) << label;
+    for (std::size_t d = 0; d < unique_by_domain.size(); ++d) {
+      std::uint64_t domain_files = 0;
+      for (const auto& [ext, count] : unique_by_domain[d]) {
+        domain_files += count;
+      }
+      std::vector<std::pair<std::string, double>> want;
+      for (const auto& [ext, count] : ranked(unique_by_domain[d], 3)) {
+        want.emplace_back(ext, 100.0 * static_cast<double>(count) /
+                                   static_cast<double>(domain_files));
+      }
+      EXPECT_EQ(got.top3_by_domain[d], want) << label << " domain=" << d;
+    }
+    ASSERT_EQ(got.share_top.size(), weekly.size()) << label;
+    for (std::size_t w = 0; w < weekly.size(); ++w) {
+      const double files = std::max<std::uint64_t>(1, weekly_files[w]);
+      double covered = 0;
+      std::vector<double> shares;
+      for (const auto& [ext, count] : top) {
+        const auto it = weekly[w].find(ext);
+        shares.push_back(
+            static_cast<double>(it == weekly[w].end() ? 0 : it->second) /
+            files);
+        covered += shares.back();
+      }
+      const double share_none = static_cast<double>(weekly_none[w]) / files;
+      EXPECT_EQ(got.share_top[w], shares) << label << " week=" << w;
+      EXPECT_EQ(got.share_none[w], share_none) << label << " week=" << w;
+      EXPECT_EQ(got.share_other[w], std::max(0.0, 1.0 - covered - share_none))
+          << label << " week=" << w;
     }
   }
 
-  // And switching fusion off at a non-trivial width changes nothing either.
-  ThreadPool pool(7);
-  StudyOptions options;
-  options.pool = &pool;
-  options.prefetch = true;
-  options.fuse_diff = false;
-  EXPECT_EQ(run_bundle(*series_, *resolver_, options), reference)
-      << "unfused threads=7";
-}
+  void expect_matches(const CensusResult& got,
+                      const std::string& label) const {
+    EXPECT_EQ(got.total_files, total_files) << label;
+    EXPECT_EQ(got.total_dirs, total_dirs) << label;
+    EXPECT_EQ(got.files_by_domain, files_by_domain) << label;
+    EXPECT_EQ(got.dirs_by_domain, dirs_by_domain) << label;
+    EXPECT_EQ(got.final_dirs, final_dirs) << label;
+    EXPECT_EQ(got.final_empty_dirs, final_empty_dirs) << label;
+  }
 
-TEST_F(ScanDeterminismTest, FlatAggregationLayerOnAndOffMatch) {
-  // The flat aggregation layer (DESIGN.md §12) — dictionary-encoded
-  // extension group-by, FlatMap chunk states, radix-partitioned census
-  // merge — against the std::unordered_map reference path, byte-identical
-  // at every tested width, in both modes.
-  ThreadPool one(1);
-  StudyOptions ref_options;
-  ref_options.pool = &one;
-  ref_options.prefetch = false;
-  ref_options.flat_agg = false;  // legacy reference
-  const std::string reference = run_bundle(*series_, *resolver_, ref_options);
-  ASSERT_GT(reference.size(), 1000u);
+  const Resolver& resolver;
+  // Extensions.
+  std::unordered_set<std::string> unique_file_paths;
+  std::uint64_t unique_files = 0;
+  std::uint64_t unique_no_extension = 0;
+  Counts unique_by_ext;
+  std::vector<Counts> unique_by_domain;
+  std::vector<Counts> weekly;
+  std::vector<std::uint64_t> weekly_files, weekly_none;
+  // Census.
+  std::unordered_set<std::string> entries;
+  std::uint64_t total_files = 0, total_dirs = 0;
+  std::vector<std::uint64_t> files_by_domain, dirs_by_domain;
+  std::uint64_t final_dirs = 0, final_empty_dirs = 0;
+};
 
-  for (const unsigned threads : {1u, 2u, 7u, 0u}) {  // 0 = hardware
-    for (const bool flat : {true, false}) {
+TEST_F(ScanDeterminismTest, AggregationsMatchSerialRecount) {
+  AggregationRecount recount(*resolver_);
+  series_->visit([&](std::size_t, const Snapshot& snap) {
+    recount.add_week(snap.table);
+  });
+  ASSERT_GT(recount.unique_files, 1000u);
+  ASSERT_GT(recount.final_empty_dirs, 0u);
+
+  for (const bool incremental : {false, true}) {
+    for (const unsigned threads : {1u, 2u, 7u, 0u}) {  // 0 = hardware
       ThreadPool pool(threads);
       StudyOptions options;
       options.pool = &pool;
-      options.prefetch = true;
-      options.flat_agg = flat;
-      EXPECT_EQ(run_bundle(*series_, *resolver_, options), reference)
-          << "threads=" << threads << " flat_agg=" << flat;
+      options.incremental = incremental;
+      CensusAnalyzer census(*resolver_);
+      ExtensionsAnalyzer extensions(*resolver_);
+      StudyAnalyzer* roster[] = {&census, &extensions};
+      run_study(*series_, roster, options);
+      const std::string label = "incremental=" + std::to_string(incremental) +
+                                " threads=" + std::to_string(threads);
+      recount.expect_matches(extensions.result(), label);
+      recount.expect_matches(census.result(), label);
     }
   }
 }
@@ -284,11 +423,10 @@ TEST(ScanDeterminismFaultTest, DamagedSeriesParityWithSerialRunner) {
   config.seed = 20150105;
   config.maintenance_gaps = false;
   FacilityGenerator generator(config);
-  std::string error;
-  ASSERT_TRUE(save_series(generator, dir.path(), &error)) << error;
+  ASSERT_TRUE(save_series(generator, dir.path()).ok());
 
   DirectorySeries probe;
-  ASSERT_TRUE(probe.open(dir.path(), &error)) << error;
+  ASSERT_TRUE(probe.open(dir.path()).ok());
   ASSERT_EQ(probe.files().size(), 10u);
   corrupt_scol_file(probe.files()[2], /*seed=*/21);
   corrupt_scol_file(probe.files()[6], /*seed=*/22);
@@ -300,7 +438,7 @@ TEST(ScanDeterminismFaultTest, DamagedSeriesParityWithSerialRunner) {
   // behavior, but projection is applied by the runner in both cases; what
   // differs is the pool, the chunking, and the prefetch pipeline.
   DirectorySeries serial_series;
-  ASSERT_TRUE(serial_series.open(dir.path(), &error)) << error;
+  ASSERT_TRUE(serial_series.open(dir.path()).ok());
   ThreadPool one(1);
   StudyOptions serial;
   serial.pool = &one;
@@ -309,7 +447,7 @@ TEST(ScanDeterminismFaultTest, DamagedSeriesParityWithSerialRunner) {
   serial_study.run(serial_series, serial);
 
   DirectorySeries parallel_series;
-  ASSERT_TRUE(parallel_series.open(dir.path(), &error)) << error;
+  ASSERT_TRUE(parallel_series.open(dir.path()).ok());
   ThreadPool pool(4);
   StudyOptions parallel;
   parallel.pool = &pool;

@@ -99,8 +99,7 @@ std::string run_bundle(const std::string& dir, const Resolver& resolver,
                        const ScolOptions* scol = nullptr,
                        std::vector<std::string>* gap_lines = nullptr) {
   DirectorySeries series;
-  std::string error;
-  EXPECT_TRUE(series.open(dir, &error)) << error;
+  EXPECT_TRUE(series.open(dir).ok());
   if (scol != nullptr) series.set_scol_options(*scol);
   options.grain = kTestGrain;
   FullStudy study(resolver, /*burst_min_files=*/5);
@@ -148,13 +147,11 @@ FacilityGenerator* StreamingStudyTest::generator_ = nullptr;
 Resolver* StreamingStudyTest::resolver_ = nullptr;
 
 TEST_F(StreamingStudyTest, AllWeeksStreamedMatchResidentAcrossWidths) {
-  // Resident reference: the master switch off makes the budget inert.
+  // Resident reference: no budget.
   ThreadPool one(1);
   StudyOptions ref;
   ref.pool = &one;
   ref.prefetch = false;
-  ref.memory_budget = 1;
-  ref.streaming = false;
   const std::string reference = run_bundle(dir_->path(), *resolver_, ref);
   ASSERT_GT(reference.size(), 1000u);
 
@@ -178,8 +175,7 @@ TEST_F(StreamingStudyTest, MixedResidencyBudgetMatchesResident) {
   // both spill-join directions — inside one run.
   std::vector<std::uint64_t> rows;
   DirectorySeries probe;
-  std::string error;
-  ASSERT_TRUE(probe.open(dir_->path(), &error)) << error;
+  ASSERT_TRUE(probe.open(dir_->path()).ok());
   for (const std::string& file : probe.files()) {
     ScolGroupReader reader;
     ASSERT_TRUE(reader.open(file).ok());
@@ -221,8 +217,7 @@ TEST(StreamingStudyFaultTest, DamagedAndGappedSeriesStreamingParity) {
   save_grouped_series(generator, dir.path());
 
   DirectorySeries probe;
-  std::string error;
-  ASSERT_TRUE(probe.open(dir.path(), &error)) << error;
+  ASSERT_TRUE(probe.open(dir.path()).ok());
   ASSERT_EQ(probe.files().size(), 10u);
   corrupt_scol_file(probe.files()[2], /*seed=*/21);
   corrupt_scol_file(probe.files()[6], /*seed=*/22);
@@ -288,7 +283,7 @@ class RecordingAnalyzer : public StudyAnalyzer {
  public:
   bool wants_diff() const override { return true; }
 
-  void observe(const WeekObservation& obs) override {
+  void merge(const WeekObservation& obs, ScanStateList) override {
     std::string line = "week=" + std::to_string(obs.week);
     line += " rows=" + std::to_string(obs.row_count);
     line += " files=" + std::to_string(obs.file_count);
@@ -376,14 +371,12 @@ TEST(StreamingStudyBoundaryTest, AlternatingResidencyMatchesResident) {
 
   auto run_probe = [&](bool streaming, RecordingAnalyzer* probe) {
     DirectorySeries series;
-    std::string error;
-    ASSERT_TRUE(series.open(dir.path(), &error)) << error;
+    ASSERT_TRUE(series.open(dir.path()).ok());
     ThreadPool pool(4);
     StudyOptions options;
     options.pool = &pool;
     options.grain = kTestGrain;
-    options.memory_budget = budget;
-    options.streaming = streaming;
+    options.memory_budget = streaming ? budget : 0;
     run_study(series, *probe, options);
   };
 

@@ -140,8 +140,7 @@ TEST(RetryWiringTest, DirectorySeriesRetriesTransientReadErrors) {
   config.weeks = 4;
   config.maintenance_gaps = false;
   FacilityGenerator generator(config);
-  std::string error;
-  ASSERT_TRUE(save_series(generator, dir, &error)) << error;
+  ASSERT_TRUE(save_series(generator, dir).ok());
 
   const auto flaky_read = [](int fail_first_n) {
     auto counts = std::make_shared<std::map<std::string, int>>();
@@ -156,7 +155,7 @@ TEST(RetryWiringTest, DirectorySeriesRetriesTransientReadErrors) {
 
   {
     DirectorySeries series;
-    ASSERT_TRUE(series.open(dir, &error)) << error;
+    ASSERT_TRUE(series.open(dir).ok());
     series.set_read_fn(flaky_read(2));
     RetryPolicy policy;
     policy.max_attempts = 4;
@@ -170,7 +169,7 @@ TEST(RetryWiringTest, DirectorySeriesRetriesTransientReadErrors) {
   }
   {
     DirectorySeries series;
-    ASSERT_TRUE(series.open(dir, &error)) << error;
+    ASSERT_TRUE(series.open(dir).ok());
     series.set_read_fn(flaky_read(2));  // no retry policy installed
     std::size_t weeks = 0;
     series.visit([&](std::size_t, const Snapshot&) { ++weeks; });
