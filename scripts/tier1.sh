@@ -106,11 +106,12 @@ echo "--> study_checkpoint_test (tsan, resume cases)"
 # Streaming parity under TSan: the mixed-residency case runs the streamed
 # weeks' prefetch pipeline, the spill writers, and the resident weeks'
 # parallel scan on one multi-thread pool — the residency boundary is
-# where the out-of-core path shares state across threads. The full
-# thread-width sweep stays in the plain build (same big-fixture
+# where the out-of-core path shares state across threads. The scratch-
+# loss case runs streamed weeks that lose their spill side mid-run. The
+# full thread-width sweep stays in the plain build (same big-fixture
 # reasoning as the determinism harness above).
-echo "--> study_streaming_test (tsan, mixed-residency + boundary cases)"
+echo "--> study_streaming_test (tsan, mixed-residency, boundary, scratch-loss cases)"
 ./build-tsan/tests/study_streaming_test \
-    --gtest_filter='StreamingStudyTest.MixedResidencyBudgetMatchesResident:StreamingStudyBoundaryTest.*'
+    --gtest_filter='StreamingStudyTest.MixedResidencyBudgetMatchesResident:StreamingStudyBoundaryTest.*:StreamingStudyFaultTest.ScratchLossDegradesLikeResident'
 
 echo "tier 1 OK"

@@ -504,16 +504,7 @@ Status decode_column_set(std::span<const std::uint8_t> bytes, std::size_t pos,
   return Status();
 }
 
-// ---- v1 (single column set) ----------------------------------------------
-
-std::vector<std::uint8_t> encode_scol_v1(const SnapshotTable& table,
-                                         const ScolOptions& options) {
-  std::vector<std::uint8_t> image;
-  image.insert(image.end(), kMagicV1, kMagicV1 + sizeof(kMagicV1));
-  put_u64_le(image, table.size());
-  encode_column_set(image, table, 0, table.size(), options);
-  return image;
-}
+// ---- v1 (single column set; decode only) ----------------------------------
 
 Status decode_scol_v1(std::span<const std::uint8_t> bytes,
                       SnapshotTable* table, ColumnMask columns) {
@@ -537,9 +528,11 @@ Status decode_scol_v1(std::span<const std::uint8_t> bytes,
 // Group byte offsets are the running sum of directory sizes, so the
 // directory fully bounds every group before any payload is touched.
 
-std::vector<std::uint8_t> encode_scol_v2(const SnapshotTable& table,
-                                         const ScolOptions& options,
-                                         ThreadPool* pool) {
+}  // namespace
+
+std::vector<std::uint8_t> encode_scol(const SnapshotTable& table,
+                                      const ScolOptions& options,
+                                      ThreadPool* pool) {
   const std::size_t rows = table.size();
   const std::size_t group_size = std::max<std::size_t>(1, options.group_size);
   const std::size_t ngroups = (rows + group_size - 1) / group_size;
@@ -571,6 +564,8 @@ std::vector<std::uint8_t> encode_scol_v2(const SnapshotTable& table,
   for (const auto& g : groups) image.insert(image.end(), g.begin(), g.end());
   return image;
 }
+
+namespace {
 
 Status decode_scol_v2(std::span<const std::uint8_t> bytes,
                       SnapshotTable* table, const ScolOptions& options,
@@ -724,13 +719,6 @@ std::string SalvageReport::summary() const {
     out += "; +" + std::to_string(damage.size() - kMaxListed) + " more";
   }
   return out;
-}
-
-std::vector<std::uint8_t> encode_scol(const SnapshotTable& table,
-                                      const ScolOptions& options,
-                                      ThreadPool* pool) {
-  if (options.format_version == 1) return encode_scol_v1(table, options);
-  return encode_scol_v2(table, options, pool);
 }
 
 Status decode_scol(std::span<const std::uint8_t> bytes, SnapshotTable* table,
@@ -1004,10 +992,6 @@ ScolStreamWriter::~ScolStreamWriter() { abort(); }
 Status ScolStreamWriter::open(const std::string& file,
                               const ScolOptions& options) {
   abort();
-  if (options.format_version != 2) {
-    return Status::invalid_argument(
-        "stream writer requires the v2 row-group layout");
-  }
   impl_->file = file;
   impl_->options = options;
   impl_->payload_tmp =

@@ -13,8 +13,9 @@
 // result is bit-identical to a serial pass.
 //
 // v1 layout (magic SCOL0001): the same column blocks, but one block per
-// column for the whole table. The version byte in the magic dispatches;
-// v1 images produced by older builds always remain decodable.
+// column for the whole table. Nothing writes v1 any more, but the version
+// byte in the magic dispatches, so v1 images produced by older builds
+// always remain decodable.
 //
 // Per-column encodings exploit snapshot structure:
 //   * paths       — front coding (shared-prefix length + suffix), because a
@@ -78,11 +79,6 @@ struct ScolOptions {
   /// default keeps per-group encoder state amortized while giving a daily
   /// snapshot (tens of millions of rows) plenty of groups to fan out.
   std::size_t group_size = 256 * 1024;
-
-  /// 2 writes the row-group layout; 1 writes the legacy single-block
-  /// layout (compat fixtures, old-reader interchange). Decode ignores this
-  /// and dispatches on the image's own magic.
-  std::uint8_t format_version = 2;
 
   /// Decode-side salvage policy (see CorruptGroupPolicy).
   CorruptGroupPolicy on_corrupt_group = CorruptGroupPolicy::kFail;
@@ -153,8 +149,8 @@ struct ScolColumnSizes {
   std::uint64_t total = 0;
 };
 
-/// Encodes a table into an in-memory .scol image. v2 images encode their
-/// row groups in parallel on `pool` (null = the process-global pool).
+/// Encodes a table into an in-memory v2 .scol image, its row groups in
+/// parallel on `pool` (null = the process-global pool).
 std::vector<std::uint8_t> encode_scol(const SnapshotTable& table,
                                       const ScolOptions& options = {},
                                       ThreadPool* pool = nullptr);
@@ -280,8 +276,7 @@ class ScolStreamWriter {
   ScolStreamWriter(const ScolStreamWriter&) = delete;
   ScolStreamWriter& operator=(const ScolStreamWriter&) = delete;
 
-  /// Begins writing `file`. Requires options.format_version == 2 (the v1
-  /// layout cannot stream: its single column set spans the whole table).
+  /// Begins writing `file`.
   Status open(const std::string& file, const ScolOptions& options = {});
 
   /// Buffers one record, encoding and flushing a full group when

@@ -165,28 +165,15 @@ void SnapshotSource::visit_move(const SnapshotMoveVisitor& visitor) {
   });
 }
 
-void SnapshotSource::visit_from(std::size_t first_slot,
-                                const SnapshotVisitor& visitor) {
-  visit([&](std::size_t week, const Snapshot& snap) {
-    if (week >= first_slot) visitor(week, snap);
-  });
-}
-
-void SnapshotSource::visit_move_from(std::size_t first_slot,
-                                     const SnapshotMoveVisitor& visitor) {
-  visit_move([&](std::size_t week, Snapshot&& snap) {
-    if (week >= first_slot) visitor(week, std::move(snap));
-  });
-}
-
 void SnapshotSource::visit_streaming(std::size_t first_slot,
-                                     const StreamChooser& chooser,
+                                     const StreamChooser&,
                                      const SnapshotMoveVisitor& move_visitor,
                                      const SnapshotStreamVisitor&) {
   // Sources without group-structured storage have nothing to stream:
   // every week is delivered resident regardless of the chooser.
-  (void)chooser;
-  visit_move_from(first_slot, move_visitor);
+  visit_move([&](std::size_t week, Snapshot&& snap) {
+    if (week >= first_slot) move_visitor(week, std::move(snap));
+  });
 }
 
 void DirectorySeries::visit(const SnapshotVisitor& visitor) {
@@ -194,60 +181,18 @@ void DirectorySeries::visit(const SnapshotVisitor& visitor) {
 }
 
 void DirectorySeries::visit_move(const SnapshotMoveVisitor& visitor) {
-  visit_move_from(0, visitor);
-}
-
-void DirectorySeries::deliver_eager(std::size_t i,
-                                    std::vector<std::uint8_t>& bytes,
-                                    const SnapshotMoveVisitor& visitor) {
-  Snapshot snap;
-  snap.taken_at = taken_at_[i];
-  SalvageReport report;
-  // Read bytes (with retry for transient faults), then decode. Matches
-  // read_scol_file's error shape: the Status carries the file context.
-  const auto read_once = [&]() {
-    bytes.clear();
-    return read_fn_ ? read_fn_(files_[i], &bytes)
-                    : read_file(files_[i], &bytes);
-  };
-  Status s = retry_policy_.enabled()
-                 ? retry_with_backoff(retry_policy_, &retry_stats_, read_once)
-                 : read_once();
-  if (s.ok()) {
-    s = decode_scol(bytes, &snap.table, scol_options_, &report)
-            .with_context(files_[i]);
-  }
-  if (!s.ok()) {
-    gaps_.push_back(SeriesGap{slots_[i], taken_at_[i], files_[i], s});
-    return;
-  }
-  snap.degraded = !report.clean();
-  visitor(slots_[i], std::move(snap));
-}
-
-void DirectorySeries::visit_move_from(std::size_t first_slot,
-                                      const SnapshotMoveVisitor& visitor) {
-  // Each traversal rediscovers decode damage from scratch (a file may have
-  // been repaired or replaced between visits), on top of the structural
-  // gaps open() found. When resuming (first_slot > 0) the skipped weeks
-  // keep whatever damage accounting the checkpoint restored; re-reading
-  // them here would defeat the point of resuming.
-  gaps_ = open_gaps_;
-  std::vector<std::uint8_t> bytes;
-  for (std::size_t i = 0; i < files_.size(); ++i) {
-    if (slots_[i] < first_slot) continue;
-    deliver_eager(i, bytes, visitor);
-  }
-  std::sort(gaps_.begin(), gaps_.end(),
-            [](const SeriesGap& a, const SeriesGap& b) {
-              return a.week < b.week;
-            });
+  visit_streaming(0, nullptr, visitor, nullptr);
 }
 
 void DirectorySeries::visit_streaming(
     std::size_t first_slot, const StreamChooser& chooser,
     const SnapshotMoveVisitor& move_visitor,
     const SnapshotStreamVisitor& stream_visitor) {
+  // Each traversal rediscovers decode damage from scratch (a file may have
+  // been repaired or replaced between visits), on top of the structural
+  // gaps open() found. When resuming (first_slot > 0) the skipped weeks
+  // keep whatever damage accounting the checkpoint restored; re-reading
+  // them here would defeat the point of resuming.
   gaps_ = open_gaps_;
   std::vector<std::uint8_t> bytes;
   for (std::size_t i = 0; i < files_.size(); ++i) {
@@ -271,14 +216,37 @@ void DirectorySeries::visit_streaming(
         const Status s = stream_visitor(stream);
         if (!s.ok()) {
           // The visitor reports the raw decode verdict; the file context
-          // is prepended here, mirroring deliver_eager's decode_scol call.
+          // is prepended here, mirroring the eager decode_scol call below.
           gaps_.push_back(SeriesGap{slots_[i], taken_at_[i], files_[i],
                                     s.with_context(files_[i])});
         }
         continue;
       }
     }
-    deliver_eager(i, bytes, move_visitor);
+    // Eager: read bytes (with retry for transient faults), then decode.
+    // Matches read_scol_file's error shape: the Status carries the file
+    // context.
+    Snapshot snap;
+    snap.taken_at = taken_at_[i];
+    SalvageReport report;
+    const auto read_once = [&]() {
+      bytes.clear();
+      return read_fn_ ? read_fn_(files_[i], &bytes)
+                      : read_file(files_[i], &bytes);
+    };
+    Status s = retry_policy_.enabled()
+                   ? retry_with_backoff(retry_policy_, &retry_stats_, read_once)
+                   : read_once();
+    if (s.ok()) {
+      s = decode_scol(bytes, &snap.table, scol_options_, &report)
+              .with_context(files_[i]);
+    }
+    if (!s.ok()) {
+      gaps_.push_back(SeriesGap{slots_[i], taken_at_[i], files_[i], s});
+      continue;
+    }
+    snap.degraded = !report.clean();
+    move_visitor(slots_[i], std::move(snap));
   }
   std::sort(gaps_.begin(), gaps_.end(),
             [](const SeriesGap& a, const SeriesGap& b) {

@@ -84,7 +84,8 @@ using StreamChooser = std::function<bool(
 /// week unusable — the source records it as a SeriesGap exactly as an
 /// eager decode failure would, so the visitor must return the same RAW
 /// decode Status the eager path would have produced (the source adds the
-/// file context itself).
+/// file context itself). Failures that are not the file's fault (scratch
+/// space, say) must not be returned: they would blame a readable file.
 using SnapshotStreamVisitor = std::function<Status(const WeekGroupStream&)>;
 
 class SnapshotSource {
@@ -104,24 +105,16 @@ class SnapshotSource {
   /// a deep copy, so overriding is a pure optimization.
   virtual void visit_move(const SnapshotMoveVisitor& visitor);
 
-  /// Like visit()/visit_move(), but delivers only the snapshots whose slot
-  /// index is >= `first_slot` — the entry point for a checkpointed study
-  /// resuming mid-series. The defaults traverse everything and filter;
-  /// sources that pay per-week materialization cost (DirectorySeries
-  /// decode) override visit_move_from to skip the work entirely. gaps()
-  /// still describes the whole timeline, including slots before
-  /// `first_slot`.
-  virtual void visit_from(std::size_t first_slot,
-                          const SnapshotVisitor& visitor);
-  virtual void visit_move_from(std::size_t first_slot,
-                               const SnapshotMoveVisitor& visitor);
-
-  /// The out-of-core entry point: weeks the `chooser` accepts arrive as
-  /// open group readers through `stream_visitor`; everything else arrives
-  /// resident through `move_visitor`. The default ignores the chooser and
-  /// delivers every week resident — only sources that actually hold
-  /// group-structured bytes (DirectorySeries over .scol v2 files) can do
-  /// better, and callers must not assume streaming happened.
+  /// The study runner's entry point for sources that hand snapshots over:
+  /// like visit_move(), but delivers only the weeks whose slot index is
+  /// >= `first_slot` (a checkpointed study resuming mid-series), and the
+  /// weeks a non-null `chooser` accepts arrive as open group readers
+  /// through `stream_visitor` instead of resident through `move_visitor`
+  /// (out-of-core weeks). The default filters visit_move() and ignores
+  /// the chooser — only sources that actually hold group-structured bytes
+  /// (DirectorySeries over .scol v2 files) can stream, so callers must not
+  /// assume streaming happened. gaps() still describes the whole
+  /// timeline, including slots before `first_slot`.
   virtual void visit_streaming(std::size_t first_slot,
                                const StreamChooser& chooser,
                                const SnapshotMoveVisitor& move_visitor,
@@ -224,14 +217,12 @@ class DirectorySeries : public SnapshotSource {
   void visit_move(const SnapshotMoveVisitor& visitor) override;
   /// Skips both the decode and the read for slots before `first_slot` —
   /// resuming a checkpointed study pays I/O only for the remaining weeks.
-  void visit_move_from(std::size_t first_slot,
-                       const SnapshotMoveVisitor& visitor) override;
   /// Streams chooser-accepted weeks as mapped ScolGroupReaders. Weeks
   /// whose image cannot even be opened for streaming (header/directory
   /// damage, v1 quirks) fall back to the eager path so their gap
   /// accounting — status text, retry behavior, read_fn_ seam — is
-  /// byte-identical to visit_move_from; for the same reason a configured
-  /// read_fn_ (test seam) disables streaming entirely.
+  /// byte-identical to an eager traversal; for the same reason a
+  /// configured read_fn_ (test seam) disables streaming entirely.
   void visit_streaming(std::size_t first_slot, const StreamChooser& chooser,
                        const SnapshotMoveVisitor& move_visitor,
                        const SnapshotStreamVisitor& stream_visitor) override;
@@ -245,13 +236,6 @@ class DirectorySeries : public SnapshotSource {
   const std::vector<std::string>& files() const { return files_; }
 
  private:
-  /// Reads and decodes files_[i] eagerly, delivering the snapshot to
-  /// `visitor` or recording a gap — the shared per-file body of
-  /// visit_move_from and visit_streaming's fallback. `bytes` is the
-  /// caller's reusable read buffer.
-  void deliver_eager(std::size_t i, std::vector<std::uint8_t>& bytes,
-                     const SnapshotMoveVisitor& visitor);
-
   std::vector<std::string> files_;      // absolute paths, sorted by date
   std::vector<std::int64_t> taken_at_;  // parallel to files_
   std::vector<std::size_t> slots_;      // parallel to files_; has holes

@@ -23,6 +23,8 @@ namespace spider {
 
 namespace {
 
+namespace fs = std::filesystem;
+
 /// Columns the adjacent-snapshot diff reads: the path join plus the three
 /// timestamps and mode (file/dir split, file counts).
 constexpr ColumnMask kDiffColumns = kColMaskPaths | kColMaskAtime |
@@ -65,31 +67,61 @@ class AnalyzerKernel : public ScanKernel {
   const WeekObservation* obs_ = nullptr;
 };
 
-/// One decoded week in flight between the visiting thread and analysis:
-/// either owned outright (moved out of the source) or a pointer into a
-/// fully materialized source (stable_snapshots() == true). Either way,
-/// retaining the previous week is a move of this struct — the O(n)
-/// per-week deep copy of the old runner is gone.
-///
-/// When a diff is wanted the week's partitioned index rides along: it is
-/// built on the visiting thread right after decode, so with prefetch on
-/// the build of week N's index overlaps week N-1's analysis, and by the
-/// time week N becomes `prev` its build side is already up. The index
-/// stores no table pointer (moving this struct relocates `owned`), so the
-/// move is safe.
+/// How a week's diff against its predecessor is computed.
+enum class DiffMode {
+  kNone,     // first week, a gap before it, or no analyzer wants a diff
+  kFused,    // both weeks resident: a kernel inside the shared scan
+  kSpilled,  // either week streamed: spill_diff_join before the scan
+};
+
+/// Everything the runner decides about a week, decided before any of the
+/// week's stages runs (DESIGN.md §10).
+struct WeekPlan {
+  /// The week arrived as an open group reader (the residency chooser
+  /// predicted it would overflow its slice of StudyOptions::memory_budget).
+  bool streamed = false;
+  DiffMode diff = DiffMode::kNone;
+  /// Delta-capable analyzers take a WeekDelta instead of scanning. Needs
+  /// incremental mode, a fused diff (only the fused kernel records the
+  /// prev-row mapping and the directory diff a delta is built from), and
+  /// neither side salvage-degraded: a damaged snapshot forces a full-scan
+  /// re-baseline that rebuilds the retained state.
+  bool delta = false;
+};
+
+/// One week in flight between the visiting thread and analysis and, once
+/// analyzed, the retained previous week. A resident week owns its snapshot
+/// (moved out of the source) or points into a fully materialized source
+/// (stable_snapshots()), so retaining it is a move, never a deep copy. A
+/// streamed week owns a shell snapshot (collection time and degraded flag,
+/// no rows). The indexes store no table pointer, so moving this struct,
+/// which relocates `owned`, is safe.
 struct PendingWeek {
   std::size_t week = 0;
   Snapshot owned;
   const Snapshot* view = nullptr;
   std::unique_ptr<PartitionedPathIndex> index;
   /// Incremental mode only: the week's directory rows, indexed for the
-  /// diff's directory side. Like `index`, detached from the table so the
-  /// struct stays movable.
+  /// diff's directory side.
   std::unique_ptr<DetachedPathIndex> dir_index;
   /// Checkpointing only: the source's gap timeline up to (not including)
   /// this week, captured on the visiting thread — the source mutates its
   /// gap list during traversal, so the analyst thread must not read it.
   std::vector<SeriesGap> gaps_so_far;
+  /// The week's counts: its table's when resident, pass A's when streamed.
+  std::size_t rows = 0;
+  std::size_t files = 0;
+  std::size_t dirs = 0;
+
+  bool streamed = false;
+  /// Streamed weeks, while their visit lasts: the open reader and the
+  /// groups pass A found damaged (skipped by the scan).
+  const ScolGroupReader* reader = nullptr;
+  std::vector<std::uint8_t> skip;
+  /// Streamed weeks: pass A's spill of the diff columns, absent when no
+  /// diff is wanted or the scratch space failed. Kept while the week is
+  /// `prev`, for the next week's join.
+  std::optional<SpilledSide> spill;
 
   const Snapshot& snap() const { return view ? *view : owned; }
 };
@@ -106,6 +138,14 @@ std::vector<std::uint32_t> merged_union(
   }
   std::sort(out.begin(), out.end());
   return out;
+}
+
+/// Best-effort removal of a spilled side's partition files.
+void remove_files(const SpilledSide& side) {
+  for (const std::string& file : side.files) {
+    std::error_code ec;
+    fs::remove(file, ec);
+  }
 }
 
 /// Structural validation of a loaded checkpoint against THIS run's
@@ -161,46 +201,35 @@ Status validate_checkpoint(const StudyCheckpoint& ckpt,
   return Status();
 }
 
-/// The diff as a scan kernel (DESIGN.md §11): registered FIRST, so within
-/// every chunk its probe runs before any analyzer observes the same rows,
-/// and sibling kernels may read the chunk's classification through the
-/// DiffChunkProvider interface. merge_chunks assembles the week's
-/// DiffResult (serial, chunk-ordered) before any analyzer's merge runs —
-/// merge-time consumers of obs.diff see the complete result.
+/// The diff as a scan kernel (DESIGN.md §11), in the roster of fused
+/// weeks only. It is registered FIRST, so within every chunk its probe
+/// runs before any analyzer observes the same rows, and sibling kernels
+/// may read the chunk's classification through the DiffChunkProvider
+/// interface. merge_chunks assembles the week's DiffResult (serial,
+/// chunk-ordered) before any analyzer's merge runs — merge-time consumers
+/// of obs.diff see the complete result.
 class DiffScanKernel : public ScanKernel, public DiffChunkProvider {
  public:
-  /// Arms the kernel for one week (null index = inactive week: no diff).
-  /// Must be called before every scan — it also resets the chunk registry.
-  /// On delta weeks (StudyOptions::incremental) `record_prev` turns on the
-  /// prev-row mapping and `dir_index` the directory diff.
-  void set_week(const PartitionedPathIndex* index, const SnapshotTable* prev,
+  /// Arms the kernel for one week. Must be called before every scan that
+  /// includes it — it also resets the chunk registry. On delta weeks
+  /// `record_prev` turns on the prev-row mapping and `dir_index` the
+  /// directory diff.
+  void set_week(const PartitionedPathIndex& index, const SnapshotTable& prev,
                 DiffResult* out, std::size_t grain, std::size_t cur_files,
-                bool record_prev = false,
-                const DetachedPathIndex* dir_index = nullptr) {
-    index_ = index;
-    prev_ = prev;
+                bool record_prev, const DetachedPathIndex* dir_index) {
+    index_ = &index;
+    prev_ = &prev;
     out_ = out;
     cur_files_ = cur_files;
     grain_ = grain == 0 ? kScanGrainRows : grain;
     record_prev_ = record_prev;
     dir_index_ = dir_index;
     chunk_rows_.clear();
-    if (index_ != nullptr && index_->size() > 0) {
-      // Value-initialization zeroes the atomics (C++20).
-      matched_.reset(new std::atomic<std::uint8_t>[index_->size()]());
-    } else {
-      matched_.reset();
-    }
-    if (dir_index_ != nullptr && dir_index_->size() > 0) {
-      dir_matched_.reset(
-          new std::atomic<std::uint8_t>[dir_index_->size()]());
-    } else {
-      dir_matched_.reset();
-    }
+    matched_ = match_flags(index_->size());
+    dir_matched_ = match_flags(dir_index_ != nullptr ? dir_index_->size() : 0);
   }
 
   std::unique_ptr<ScanChunkState> make_chunk_state() const override {
-    if (index_ == nullptr) return nullptr;
     auto state = std::make_unique<DiffKernelChunk>();
     state->rows.record_prev = record_prev_;
     // make_chunk_state runs serially in chunk order before the scan, so
@@ -210,10 +239,8 @@ class DiffScanKernel : public ScanKernel, public DiffChunkProvider {
   }
 
   void observe_chunk(ScanChunkState* state, const ScanMorsel& m) override {
-    if (index_ == nullptr) return;
-    // The fused kernel only ever runs on resident weeks (streamed weeks
-    // diff through the spill join before their scan), so the morsel's
-    // base is 0 and global rows are table rows.
+    // Fused weeks are resident, so the morsel's base is 0 and global rows
+    // are table rows.
     const DiffDirProbe dirs{dir_index_, dir_matched_.get()};
     diff_probe_range(*index_, *prev_, *m.table, m.begin, m.end,
                      matched_.get(),
@@ -222,7 +249,6 @@ class DiffScanKernel : public ScanKernel, public DiffChunkProvider {
   }
 
   void merge_chunks(ScanStateList, ThreadPool* pool) override {
-    if (index_ == nullptr) return;
     DiffFinalizeExtras extras;
     extras.prev_rows = record_prev_;
     extras.dirs = dir_index_ != nullptr;
@@ -246,6 +272,14 @@ class DiffScanKernel : public ScanKernel, public DiffChunkProvider {
   struct DiffKernelChunk : ScanChunkState {
     DiffChunkRows rows;
   };
+  using MatchFlags = std::unique_ptr<std::atomic<std::uint8_t>[]>;
+
+  /// Zeroed per-row match flags for an index side; null when it is empty.
+  static MatchFlags match_flags(std::size_t rows) {
+    // Value-initialization zeroes the atomics (C++20).
+    return rows == 0 ? nullptr
+                     : MatchFlags(new std::atomic<std::uint8_t>[rows]());
+  }
 
   const PartitionedPathIndex* index_ = nullptr;
   const SnapshotTable* prev_ = nullptr;
@@ -255,438 +289,282 @@ class DiffScanKernel : public ScanKernel, public DiffChunkProvider {
   bool record_prev_ = false;
   const DetachedPathIndex* dir_index_ = nullptr;
   mutable std::vector<const DiffChunkRows*> chunk_rows_;
-  std::unique_ptr<std::atomic<std::uint8_t>[]> matched_;
-  std::unique_ptr<std::atomic<std::uint8_t>[]> dir_matched_;
+  MatchFlags matched_;
+  MatchFlags dir_matched_;
 };
 
-}  // namespace
-
-void run_study(SnapshotSource& source,
-               std::span<StudyAnalyzer* const> analyzers,
-               const StudyOptions& options) {
-  bool need_diff = false;
-  bool any_delta = false;
-  ColumnMask columns = kColMaskNone;
-  for (StudyAnalyzer* analyzer : analyzers) {
-    need_diff = need_diff || analyzer->wants_diff();
-    any_delta = any_delta || analyzer->supports_delta();
-    columns |= analyzer->columns_needed();
-  }
-  // Incremental mode is diff-driven: the WeekDelta is built from the
-  // classification even for analyzers that never asked for the diff.
-  const bool incremental = options.incremental && any_delta;
-  if (incremental) need_diff = true;
-  if (need_diff) columns |= kDiffColumns;
-  source.set_columns(columns);
-
-  std::vector<AnalyzerKernel> kernels;
-  kernels.reserve(analyzers.size());
-  for (StudyAnalyzer* analyzer : analyzers) kernels.emplace_back(analyzer);
-  DiffScanKernel diff_kernel;
-  // Two kernel rosters: the full one for scan (re-baseline) weeks, and —
-  // in incremental mode — a reduced one for delta weeks that leaves the
-  // delta-capable analyzers out of the shared scan entirely. The diff
-  // kernel must be first in both: sibling kernels read its per-chunk
-  // output during the scan (see DiffChunkProvider).
-  std::vector<ScanKernel*> kernel_ptrs;
-  std::vector<ScanKernel*> scan_only_kernel_ptrs;
-  // A third roster for weeks whose diff was computed through the spill
-  // join BEFORE the scan (streamed weeks and their successors): every
-  // analyzer, but not the fused diff kernel — obs.diff is already final
-  // and analyzers consume it unfused (obs.diff_chunks stays null).
-  std::vector<ScanKernel*> unfused_kernel_ptrs;
-  kernel_ptrs.reserve(kernels.size() + 1);
-  unfused_kernel_ptrs.reserve(kernels.size());
-  if (need_diff) {
-    kernel_ptrs.push_back(&diff_kernel);
-    scan_only_kernel_ptrs.push_back(&diff_kernel);
-  }
-  for (std::size_t i = 0; i < kernels.size(); ++i) {
-    kernel_ptrs.push_back(&kernels[i]);
-    unfused_kernel_ptrs.push_back(&kernels[i]);
-    if (!analyzers[i]->supports_delta()) {
-      scan_only_kernel_ptrs.push_back(&kernels[i]);
+/// One run_study call: the configuration fixed up front, and the analysis
+/// state one week hands to the next. Every week, resident or streamed,
+/// goes through run_week() — one at a time, in arrival order, on a single
+/// thread (the caller's, or the prefetch pipeline's).
+class StudyRun {
+ public:
+  StudyRun(SnapshotSource& source, std::span<StudyAnalyzer* const> analyzers,
+           const StudyOptions& options)
+      : source_(source),
+        analyzers_(analyzers),
+        options_(options),
+        report_(options.checkpoint_report != nullptr
+                    ? options.checkpoint_report
+                    : &scratch_report_) {
+    bool any_delta = false;
+    for (StudyAnalyzer* analyzer : analyzers_) {
+      need_diff_ = need_diff_ || analyzer->wants_diff();
+      any_delta = any_delta || analyzer->supports_delta();
+      columns_ |= analyzer->columns_needed();
     }
-  }
+    // Incremental mode is diff-driven: the WeekDelta is built from the
+    // classification even for analyzers that never asked for the diff.
+    incremental_ = options_.incremental && any_delta;
+    if (incremental_) need_diff_ = true;
+    if (need_diff_) columns_ |= kDiffColumns;
+    source_.set_columns(columns_);
 
-  ScanOptions scan_options;
-  scan_options.grain = options.grain;
-  scan_options.pool = options.pool;
+    kernels_.reserve(analyzers_.size());
+    for (StudyAnalyzer* analyzer : analyzers_) kernels_.emplace_back(analyzer);
+    scan_options_.grain = options_.grain;
+    scan_options_.pool = options_.pool;
 
-  // --- Checkpoint setup (DESIGN.md §14) ---
-  CheckpointReport scratch_report;
-  CheckpointReport* report =
-      options.checkpoint_report != nullptr ? options.checkpoint_report
-                                           : &scratch_report;
-  *report = CheckpointReport{};
-  const bool ckpt_wanted = !options.checkpoint.path.empty();
-  // The checkpoint serializes the incremental engine's retained state; a
-  // pure scan run has nothing worth saving, so checkpointing rides on
-  // incremental mode only.
-  const bool ckpt_enabled = ckpt_wanted && incremental;
-  if (ckpt_wanted && !incremental) {
-    report->rebaseline_reason =
-        "checkpointing requires incremental mode; running without";
-  }
-  const std::size_t ckpt_every =
-      options.checkpoint.every == 0 ? 1 : options.checkpoint.every;
-
-  // --- Out-of-core mode (DESIGN.md §15) ---
-  // A fully materialized source has nothing to stream, and a checkpointed
-  // run fingerprints whole tables, so both force every week resident.
-  const bool stable = source.stable_snapshots();
-  bool out_of_core = options.memory_budget > 0 && !ckpt_enabled && !stable;
-  namespace fs = std::filesystem;
-  std::string spill_dir;
-  if (out_of_core && need_diff) {
-    // Scratch directory for the spill join's partition files, private to
-    // this run. If no scratch space exists the budget cannot be honored;
-    // falling back to resident keeps the results correct.
-    static std::atomic<std::uint64_t> run_counter{0};
-    std::error_code ec;
-    const fs::path base = fs::temp_directory_path(ec);
-    if (!ec) {
-      const fs::path dir =
-          base / ("spider-spill-" +
-                  std::to_string(static_cast<unsigned long>(::getpid())) +
-                  "-" + std::to_string(run_counter.fetch_add(1)));
-      fs::create_directories(dir, ec);
-      if (!ec) spill_dir = dir.string();
+    // --- Checkpoint setup (DESIGN.md §14) ---
+    *report_ = CheckpointReport{};
+    const bool ckpt_wanted = !options_.checkpoint.path.empty();
+    // The checkpoint serializes the incremental engine's retained state; a
+    // pure scan run has nothing worth saving, so checkpointing rides on
+    // incremental mode only.
+    ckpt_enabled_ = ckpt_wanted && incremental_;
+    if (ckpt_wanted && !incremental_) {
+      report_->rebaseline_reason =
+          "checkpointing requires incremental mode; running without";
     }
-    if (spill_dir.empty()) out_of_core = false;
-  }
+    ckpt_every_ = std::max<std::size_t>(1, options_.checkpoint.every);
 
-  StudyCheckpoint restored;
-  bool resume_pending = false;
-  if (ckpt_enabled && options.checkpoint.resume) {
-    Status s = load_checkpoint(options.checkpoint.path, &restored);
-    if (s.ok()) {
-      s = validate_checkpoint(restored, analyzers, columns, options.grain);
-    }
-    if (s.ok()) {
-      resume_pending = true;
-    } else if (s.code() != StatusCode::kNotFound) {
-      // A missing checkpoint is an ordinary fresh run; anything else —
-      // corruption, truncation, version skew, roster drift — is a
-      // re-baseline worth reporting.
-      report->rebaseline_reason = s.to_string();
-    }
-  }
-
-  // Analysis state. Touched only by whichever thread runs analyze() —
-  // the caller without prefetch, the pipeline thread with it. (In
-  // out-of-core mode the whole pass is synchronous on the visiting
-  // thread, so there is exactly one toucher either way.)
-  PendingWeek prev;
-  bool have_prev = false;
-  std::size_t last_week = 0;
-  bool resume_failed = false;
-  std::size_t weeks_since_ckpt = 0;
-
-  // Out-of-core bookkeeping. When the previous week streamed, its rows
-  // survive only as spill partitions: prev.snap().table is an empty shell
-  // and the next diff goes through spill_diff_join whichever way the
-  // current week arrives.
-  SpilledSide prev_spill;
-  bool have_prev_spill = false;
-  bool prev_streamed = false;
-  std::uint64_t spill_seq = 0;
-
-  auto drop_prev_spill = [&] {
-    if (!have_prev_spill) return;
-    for (const std::string& f : prev_spill.files) {
+    // --- Out-of-core mode (DESIGN.md §15) ---
+    // A fully materialized source has nothing to stream, and a
+    // checkpointed run fingerprints whole tables, so both force every
+    // week resident.
+    stable_ = source_.stable_snapshots();
+    out_of_core_ = options_.memory_budget > 0 && !ckpt_enabled_ && !stable_;
+    if (out_of_core_ && need_diff_) {
+      // Scratch directory for the spill join's partition files, private to
+      // this run. If no scratch space exists the budget cannot be honored;
+      // falling back to resident keeps the results correct.
+      static std::atomic<std::uint64_t> run_counter{0};
       std::error_code ec;
-      fs::remove(f, ec);
+      const fs::path base = fs::temp_directory_path(ec);
+      if (!ec) {
+        const fs::path dir =
+            base / ("spider-spill-" +
+                    std::to_string(static_cast<unsigned long>(::getpid())) +
+                    "-" + std::to_string(run_counter.fetch_add(1)));
+        fs::create_directories(dir, ec);
+        if (!ec) spill_dir_ = dir.string();
+      }
+      if (spill_dir_.empty()) out_of_core_ = false;
     }
-    prev_spill = SpilledSide{};
-    have_prev_spill = false;
-  };
 
-  // Spills a RESIDENT table for one side of an out-of-core join. The
-  // regenerate hook re-derives the whole side from the table (identical
-  // bytes — the spill is deterministic), so checksum damage in scratch
-  // files heals as long as the table is alive, which it is for the
-  // duration of the join.
-  auto spill_table = [&](const SnapshotTable& table, std::uint32_t bits,
-                         SpilledSide* out) -> Status {
-    SpillPartitionWriter::Options wopts;
-    wopts.dir = spill_dir;
-    wopts.stem = "s" + std::to_string(spill_seq++);
-    wopts.bits = bits;
-    SpillPartitionWriter writer;
-    Status s = writer.open(wopts);
-    if (s.ok()) s = writer.add_table(table);
-    if (s.ok()) s = writer.finish();
-    if (!s.ok()) return s;
-    *out = writer.side();
-    out->regenerate = [&table, wopts](std::size_t) -> Status {
-      SpillPartitionWriter w;
-      Status rs = w.open(wopts);
-      if (rs.ok()) rs = w.add_table(table);
-      if (rs.ok()) rs = w.finish();
-      return rs;
-    };
-    return Status();
-  };
-
-  auto write_checkpoint = [&]() {
-    StudyCheckpoint ckpt;
-    ckpt.week = prev.week;
-    ckpt.taken_at = prev.snap().taken_at;
-    ckpt.degraded = prev.snap().degraded;
-    ckpt.table_fingerprint = table_fingerprint(prev.snap().table, columns);
-    ckpt.columns_mask = columns;
-    ckpt.grain = options.grain;
-    ckpt.hash_probe = checkpoint_hash_probe();
-    // Keep pre-resume damage alive across checkpoint generations: the
-    // source never re-read those weeks, so its own gap list cannot
-    // contain them.
-    ckpt.gaps = report->restored_gaps.empty()
-                    ? prev.gaps_so_far
-                    : merge_gap_timelines(report->restored_gaps,
-                                          prev.gaps_so_far);
-    ckpt.analyzers.reserve(analyzers.size());
-    for (StudyAnalyzer* analyzer : analyzers) {
-      AnalyzerCheckpoint a;
-      a.id = std::string(analyzer->state_id());
-      a.version = analyzer->state_version();
-      StateWriter w(&a.blob);
-      a.has_state = analyzer->save_state(w);
-      if (!a.has_state) a.blob.clear();
-      ckpt.analyzers.push_back(std::move(a));
-    }
-    // Best-effort: a failed write leaves the previous checkpoint on disk
-    // intact (atomic replace), and the study itself continues.
-    if (save_checkpoint(options.checkpoint.path, ckpt).ok()) {
-      ++report->checkpoints_written;
-    } else {
-      ++report->write_failures;
-    }
-  };
-
-  // Content validation + state restore against the re-decoded
-  // checkpointed week. On success the week becomes `prev` without being
-  // analyzed (it already was, before the crash). Any mismatch abandons
-  // the resume with analyzer state untouched.
-  auto try_resume = [&](const PendingWeek& cur) -> bool {
-    if (cur.week != restored.week ||
-        cur.snap().taken_at != restored.taken_at ||
-        cur.snap().degraded != restored.degraded ||
-        table_fingerprint(cur.snap().table, columns) !=
-            restored.table_fingerprint) {
-      report->rebaseline_reason =
-          "checkpointed week " + std::to_string(restored.week) +
-          " no longer matches the source (position or content changed)";
-      return false;
-    }
-    for (std::size_t i = 0; i < analyzers.size(); ++i) {
-      StateReader r(restored.analyzers[i].blob);
-      if (!analyzers[i]->load_state(r) || !r.exhausted()) {
-        // Unreachable short of a bug: the blob passed its section
-        // checksum and its version check. load_state is atomic per
-        // analyzer, so falling back to the full run is the best effort.
-        report->rebaseline_reason = "analyzer '" +
-                                    restored.analyzers[i].id +
-                                    "' failed to restore its state";
-        return false;
+    if (ckpt_enabled_ && options_.checkpoint.resume) {
+      Status s = load_checkpoint(options_.checkpoint.path, &restored_);
+      if (s.ok()) {
+        s = validate_checkpoint(restored_, analyzers_, columns_,
+                                options_.grain);
+      }
+      if (s.ok()) {
+        resume_pending_ = true;
+      } else if (s.code() != StatusCode::kNotFound) {
+        // A missing checkpoint is an ordinary fresh run; anything else —
+        // corruption, truncation, version skew, roster drift — is a
+        // re-baseline worth reporting.
+        report_->rebaseline_reason = s.to_string();
       }
     }
-    report->resumed = true;
-    report->resumed_week = static_cast<std::size_t>(restored.week);
-    report->restored_gaps = std::move(restored.gaps);
-    return true;
-  };
+  }
+  StudyRun(const StudyRun&) = delete;
+  StudyRun& operator=(const StudyRun&) = delete;
 
-  auto analyze = [&](PendingWeek&& cur) {
-    if (resume_failed) return;  // draining an abandoned resume traversal
-    if (resume_pending) {
-      resume_pending = false;
-      if (try_resume(cur)) {
-        prev = std::move(cur);
-        have_prev = true;
-        last_week = prev.week;
+  void run() {
+    run_pass(resume_pending_ ? static_cast<std::size_t>(restored_.week) : 0);
+    if (resume_pending_ || resume_failed_) {
+      // The resume never materialized: either validation failed at the
+      // first arriving week, or no week at or past the checkpointed slot
+      // arrived at all (the file vanished or decayed into a gap). Analyzer
+      // state is untouched in both cases, so the full run is correct.
+      if (resume_pending_ && report_->rebaseline_reason.empty()) {
+        report_->rebaseline_reason =
+            "checkpointed week " + std::to_string(restored_.week) +
+            " never arrived from the source";
+      }
+      resume_pending_ = false;
+      resume_failed_ = false;
+      prev_.reset();
+      weeks_since_ckpt_ = 0;
+      run_pass(0);
+    }
+    for (StudyAnalyzer* analyzer : analyzers_) analyzer->finish();
+    if (!spill_dir_.empty()) {
+      std::error_code ec;
+      fs::remove_all(spill_dir_, ec);
+    }
+  }
+
+ private:
+  /// One traversal from `first_slot`. Stable sources are visited in place;
+  /// every other source hands its weeks over through visit_streaming, with
+  /// a residency chooser only when the run is out of core. With prefetch,
+  /// a pipeline thread analyzes week N while the visit decodes week N+1 —
+  /// one week in flight, analysis in arrival order on one thread, so
+  /// results are identical either way. Out-of-core runs stay synchronous:
+  /// a streamed week must run while its visit keeps the reader open, and a
+  /// prefetched resident week would put a third week inside the budget.
+  void run_pass(std::size_t first_slot) {
+    const bool pipelined = options_.prefetch && !out_of_core_;
+    std::mutex mu;
+    std::condition_variable slot_free, slot_filled;
+    std::optional<PendingWeek> slot;
+    bool done = false;
+    std::thread analyst;
+    if (pipelined) {
+      analyst = std::thread([&] {
+        for (;;) {
+          std::unique_lock<std::mutex> lock(mu);
+          slot_filled.wait(lock, [&] { return slot.has_value() || done; });
+          if (!slot.has_value()) return;
+          PendingWeek cur = std::move(*slot);
+          slot.reset();
+          slot_free.notify_one();
+          lock.unlock();
+          (void)run_week(std::move(cur));  // resident weeks cannot fail
+        }
+      });
+    }
+    auto deliver = [&](PendingWeek&& week) {
+      if (!pipelined) {
+        (void)run_week(std::move(week));  // resident weeks cannot fail
         return;
       }
-      resume_failed = true;
-      return;
-    }
-    WeekObservation obs;
-    obs.week = cur.week;
-    obs.snap = &cur.snap();
-    obs.prev = have_prev ? &prev.snap() : nullptr;
-    obs.gap_before = have_prev && cur.week != last_week + 1;
-    obs.pool = options.pool;
-    obs.incremental = incremental;
-    obs.row_count = cur.snap().table.size();
-    obs.file_count = cur.snap().table.file_count();
-    obs.dir_count = cur.snap().table.dir_count();
+      std::unique_lock<std::mutex> lock(mu);
+      slot_free.wait(lock, [&] { return !slot.has_value(); });
+      slot = std::move(week);
+      slot_filled.notify_one();
+    };
 
-    DiffResult diff;
-    const bool diff_active = need_diff && have_prev && !obs.gap_before;
-    // A salvage-damaged snapshot (on either side of the diff) forces a
-    // full-scan re-baseline: the diff still runs — the scan-path access
-    // accounting is unchanged — but the delta consumers fall back to their
-    // kernels and rebuild retained state. A streamed previous week also
-    // re-baselines: its table is a shell, so neither the prev-row mapping
-    // nor the retained-state upkeep that week could run is available.
-    const bool delta_active =
-        incremental && diff_active && !cur.snap().degraded &&
-        !prev.snap().degraded && !prev_streamed;
-    if (diff_active && prev_streamed) {
-      // The previous week exists only as spill partitions: spill the
-      // current (resident) table at the retained side's fan-out and join
-      // on disk. Consumed unfused — obs.diff is final before the scan.
-      SpilledSide cur_side;
-      Status s = spill_table(cur.snap().table, prev_spill.bits, &cur_side);
-      if (s.ok()) {
-        s = spill_diff_join(prev_spill, cur_side, DiffOptions{}, &diff);
-      }
-      for (const std::string& f : cur_side.files) {
-        std::error_code ec;
-        fs::remove(f, ec);
-      }
-      if (s.ok()) {
-        obs.diff = &diff;
-      } else {
-        // Unrecoverable scratch damage. Analyze the week as if preceded
-        // by a gap — diff-based analyzers annotate it instead of the
-        // whole study failing.
-        obs.gap_before = true;
-      }
-    } else if (need_diff) {
-      diff_kernel.set_week(diff_active ? prev.index.get() : nullptr,
-                           diff_active ? &prev.snap().table : nullptr,
-                           diff_active ? &diff : nullptr, options.grain,
-                           obs.file_count,
-                           /*record_prev=*/delta_active,
-                           delta_active ? prev.dir_index.get() : nullptr);
-      if (diff_active) {
-        obs.diff = &diff;
-        obs.diff_chunks = &diff_kernel;
-      }
+    if (stable_) {
+      source_.visit([&](std::size_t week, const Snapshot& snap) {
+        if (week >= first_slot) deliver(arrive(week, &snap, Snapshot{}));
+      });
+    } else {
+      // Streams any week whose predicted footprint overflows its slice of
+      // the budget (half for the current week, half for the retained
+      // previous one).
+      const StreamChooser chooser = [this](std::size_t, std::int64_t,
+                                           std::uint64_t rows_hint) {
+        return rows_hint > options_.memory_budget / 2 / kResidentBytesPerRow;
+      };
+      source_.visit_streaming(
+          first_slot, out_of_core_ ? chooser : StreamChooser(),
+          [&](std::size_t week, Snapshot&& snap) {
+            deliver(arrive(week, nullptr, std::move(snap)));
+          },
+          [this](const WeekGroupStream& stream) {
+            PendingWeek cur;
+            const Status s = decode_streamed(stream, &cur);
+            return s.ok() ? run_week(std::move(cur)) : s;
+          });
     }
 
-    for (AnalyzerKernel& kernel : kernels) kernel.set_observation(&obs);
-    // After a streamed week the fused diff kernel was never armed, so it
-    // must sit the scan out (its chunk registry is stale).
-    scan_table(cur.snap().table,
-               delta_active    ? scan_only_kernel_ptrs
-               : prev_streamed ? unfused_kernel_ptrs
-                               : kernel_ptrs,
-               scan_options);
+    if (pipelined) {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        done = true;
+        slot_filled.notify_one();
+      }
+      analyst.join();
+    }
+  }
 
-    if (delta_active) {
-      WeekDelta delta;
-      delta.diff = &diff;
-      delta.prev = &prev.snap().table;
-      delta.cur = &cur.snap().table;
-      delta.added_rows = merged_union({diff.new_rows, diff.new_dir_rows});
-      delta.touched_rows = merged_union(
-          {delta.added_rows, diff.updated_rows, diff.changed_dir_rows});
-      for (StudyAnalyzer* analyzer : analyzers) {
-        if (analyzer->supports_delta()) analyzer->apply_delta(obs, delta);
+  /// Readies a resident week on the visiting thread. Its index (the NEXT
+  /// diff's build side) is built here, so with prefetch on the build
+  /// overlaps the current week's analysis. Checkpointing runs also copy the
+  /// source's gap list up to this week, which only this thread may read.
+  PendingWeek arrive(std::size_t week, const Snapshot* view,
+                     Snapshot owned) const {
+    PendingWeek pending;
+    pending.week = week;
+    pending.view = view;
+    pending.owned = std::move(owned);
+    const SnapshotTable& table = pending.snap().table;
+    pending.rows = table.size();
+    pending.files = table.file_count();
+    pending.dirs = table.dir_count();
+    if (need_diff_) {
+      pending.index =
+          std::make_unique<PartitionedPathIndex>(table, options_.pool);
+      if (incremental_) {
+        pending.dir_index =
+            std::make_unique<DetachedPathIndex>(table, dir_rows_of(table));
       }
     }
-
-    prev = std::move(cur);
-    have_prev = true;
-    last_week = prev.week;
-    drop_prev_spill();
-    prev_streamed = false;
-
-    if (ckpt_enabled && ++weeks_since_ckpt >= ckpt_every) {
-      weeks_since_ckpt = 0;
-      write_checkpoint();
+    if (ckpt_enabled_) {
+      for (const SeriesGap& gap : source_.gaps()) {
+        if (gap.week < week) pending.gaps_so_far.push_back(gap);
+      }
     }
-  };
+    return pending;
+  }
 
-  // One out-of-core week, synchronous on the visiting thread (the group
-  // reader lives only for the duration of the visit). Two passes over the
-  // mapped image:
-  //
-  //   Pass A (serial, group order): decode each group into a recycled
-  //   staging table, replaying the eager decoder's salvage accounting
-  //   verbatim (note_success / dispose_failure — scol.h documents the
-  //   replay contract), spill the diff-relevant columns partition-wise,
-  //   and count rows/files/dirs for merge-time sizing. A fatal verdict
-  //   (strict policy) returns the raw status: the source records a gap
-  //   byte-identical to the eager path's.
-  //
-  //   Pass B: the shared analyzer scan, fed group-at-a-time through
-  //   ScolMorselSource with the damaged groups masked out. The diff was
-  //   joined through the spill layer between the passes, so obs.diff is
-  //   final before any kernel runs (unfused consumption).
-  auto analyze_streamed = [&](const WeekGroupStream& stream) -> Status {
+  /// Pass A of a streamed week, serial in group order: decodes each group,
+  /// replaying the eager decoder's salvage accounting (scol.h documents the
+  /// contract), spills the diff columns and counts rows, files and dirs.
+  /// Only a decode verdict (strict policy) fails it, and the source records
+  /// that raw status as the eager path's gap. A spill that cannot be
+  /// written costs the week its diff, not its rows: no spill side.
+  Status decode_streamed(const WeekGroupStream& stream, PendingWeek* cur) {
     const ScolGroupReader& reader = *stream.reader;
-    SalvageReport sreport = reader.make_report();
-    std::vector<std::uint8_t> skip(reader.group_count(), 0);
-    const bool spilling = need_diff;
-    const std::uint32_t bits =
-        have_prev_spill ? prev_spill.bits
-                        : spill_bits_for(reader.rows(), kSpillBytesPerRow,
-                                         options.memory_budget / 4);
+    SalvageReport salvage = reader.make_report();
+    cur->week = stream.week;
+    cur->streamed = true;
+    cur->reader = &reader;
+    cur->skip.assign(reader.group_count(), 0);
+
     SpillPartitionWriter writer;
     SpillPartitionWriter::Options wopts;
-    if (spilling) {
-      wopts.dir = spill_dir;
-      wopts.stem = "s" + std::to_string(spill_seq++);
-      wopts.bits = bits;
-      const Status s = writer.open(wopts);
-      if (!s.ok()) return s;
+    bool spilling = false;
+    if (need_diff_) {
+      // Both sides of a join share one fan-out: a retained spill fixes it.
+      wopts = spill_options(prev_ && prev_->spill
+                                ? prev_->spill->bits
+                                : spill_bits_for(reader.rows(),
+                                                 kSpillBytesPerRow,
+                                                 options_.memory_budget / 4));
+      spilling = writer.open(wopts).ok();
     }
-    std::size_t rows = 0, files = 0, dirs = 0;
     SnapshotTable staging;
     for (std::size_t g = 0; g < reader.group_count(); ++g) {
       staging.clear();
       Status s = reader.decode_group(g, &staging);
       if (!s.ok()) {
-        s = reader.dispose_failure(g, std::move(s), &sreport);
+        s = reader.dispose_failure(g, std::move(s), &salvage);
         if (!s.ok()) return s;
-        skip[g] = 1;
+        cur->skip[g] = 1;
         continue;
       }
-      reader.note_success(g, &sreport);
-      if (spilling) {
-        // Global row numbers continue across surviving groups only — the
-        // row numbering the eager salvage splice produces.
-        s = writer.add_table(staging, rows);
-        if (!s.ok()) return s;
-      }
-      rows += staging.size();
-      files += staging.file_count();
-      dirs += staging.dir_count();
+      reader.note_success(g, &salvage);
+      // Global row numbers continue across surviving groups only — the
+      // row numbering the eager salvage splice produces.
+      spilling = spilling && writer.add_table(staging, cur->rows).ok();
+      cur->rows += staging.size();
+      cur->files += staging.file_count();
+      cur->dirs += staging.dir_count();
     }
-    if (spilling) {
-      const Status s = writer.finish();
-      if (!s.ok()) return s;
-    }
+    cur->owned.taken_at = stream.taken_at;
+    cur->owned.degraded = !salvage.clean();
 
-    PendingWeek cur;
-    cur.week = stream.week;
-    cur.owned.taken_at = stream.taken_at;
-    cur.owned.degraded = !sreport.clean();
-
-    WeekObservation obs;
-    obs.week = cur.week;
-    obs.snap = &cur.snap();
-    obs.prev = have_prev ? &prev.snap() : nullptr;
-    obs.gap_before = have_prev && cur.week != last_week + 1;
-    obs.pool = options.pool;
-    // Retained delta state cannot be rebuilt from a shell table, so the
-    // upkeep is skipped here; the next resident week re-baselines (the
-    // delta_active gate in analyze()).
-    obs.incremental = false;
-    obs.row_count = rows;
-    obs.file_count = files;
-    obs.dir_count = dirs;
-
-    DiffResult diff;
-    const bool diff_active = need_diff && have_prev && !obs.gap_before;
-    if (diff_active) {
-      SpilledSide cur_side = writer.side();
-      cur_side.regenerate = [&](std::size_t) -> Status {
-        // Re-derives every partition from the mapped image; the spill is
-        // deterministic, so the rewrite is byte-identical.
+    if (spilling && writer.finish().ok()) {
+      cur->spill = writer.side();
+      // Re-derives every partition from the mapped image; the spill is
+      // deterministic, so the rewrite is byte-identical. Usable only
+      // while the reader is open: retain() drops it.
+      cur->spill->regenerate = [&reader, skip = cur->skip,
+                                wopts](std::size_t) -> Status {
         SpillPartitionWriter w;
         Status rs = w.open(wopts);
         std::size_t base = 0;
@@ -701,219 +579,305 @@ void run_study(SnapshotSource& source,
         if (rs.ok()) rs = w.finish();
         return rs;
       };
-      SpilledSide prev_side;
-      bool prev_side_scratch = false;
-      Status s;
-      if (prev_streamed) {
-        prev_side = prev_spill;
-      } else {
-        s = spill_table(prev.snap().table, bits, &prev_side);
-        prev_side_scratch = true;
-      }
-      if (s.ok()) {
-        s = spill_diff_join(prev_side, cur_side, DiffOptions{}, &diff);
-      }
-      if (prev_side_scratch) {
-        for (const std::string& f : prev_side.files) {
-          std::error_code ec;
-          fs::remove(f, ec);
-        }
-      }
-      if (s.ok()) {
-        obs.diff = &diff;
-      } else {
-        obs.gap_before = true;  // same degradation as the resident arm
-      }
-    }
-
-    for (AnalyzerKernel& kernel : kernels) kernel.set_observation(&obs);
-    {
-      ScolMorselSource::Options mopts;
-      mopts.pool = options.pool;
-      mopts.prefetch = options.prefetch;
-      mopts.skip = skip;
-      ScolMorselSource msource(&reader, std::move(mopts));
-      const Status s = scan_stream(msource, unfused_kernel_ptrs,
-                                   scan_options);
-      if (!s.ok()) {
-        // A group that validated in pass A failed in pass B — scratch or
-        // mapping-level I/O decay. No analyzer merged (scan_stream aborts
-        // before merges), so gapping the week keeps the study consistent.
-        writer.remove_files();
-        return s;
-      }
-    }
-
-    prev = std::move(cur);
-    have_prev = true;
-    last_week = prev.week;
-    drop_prev_spill();
-    prev_streamed = true;
-    if (spilling) {
-      // Retained for the next week's join. No regenerate: the reader dies
-      // with this visit, so trailer checksums are the only line of
-      // defense from here on.
-      prev_spill = writer.side();
-      have_prev_spill = true;
     }
     return Status();
-  };
+  }
 
-  // Streams any week whose predicted footprint overflows its slice of the
-  // budget (half for the current week, half for the retained previous
-  // one).
-  auto stream_chooser = [&](std::size_t, std::int64_t,
-                            std::uint64_t rows_hint) {
-    return rows_hint >
-           options.memory_budget / 2 / kResidentBytesPerRow;
-  };
-
-  // When a diff is wanted every decoded week gets its partitioned index
-  // here, on the visiting thread: the week is the NEXT diff's build side,
-  // and with prefetch on this build overlaps the current week's analysis.
-  // (The mutex hand-off of the prefetch slot sequences the build before
-  // any probe of it.)
-  auto attach_index = [&](PendingWeek& pending) {
-    if (need_diff) {
-      pending.index = std::make_unique<PartitionedPathIndex>(
-          pending.snap().table, options.pool);
-      if (incremental) {
-        pending.dir_index = std::make_unique<DetachedPathIndex>(
-            pending.snap().table, dir_rows_of(pending.snap().table));
-      }
-    }
-  };
-  // Checkpointing only: snapshot the source's gap list (the visiting
-  // thread is the one mutating it, so reading it here is race-free) up to
-  // this week, for the analyst thread's checkpoint writes.
-  auto capture_gaps = [&](PendingWeek& pending) {
-    if (!ckpt_enabled) return;
-    for (const SeriesGap& gap : source.gaps()) {
-      if (gap.week < pending.week) pending.gaps_so_far.push_back(gap);
-    }
-  };
-  auto make_pending_const = [&](std::size_t week, const Snapshot& snap) {
-    PendingWeek pending;
-    pending.week = week;
-    pending.view = &snap;
-    attach_index(pending);
-    capture_gaps(pending);
-    return pending;
-  };
-  auto make_pending_move = [&](std::size_t week, Snapshot&& snap) {
-    PendingWeek pending;
-    pending.week = week;
-    pending.owned = std::move(snap);
-    attach_index(pending);
-    capture_gaps(pending);
-    return pending;
-  };
-
-  auto run_pass = [&](std::size_t first_slot) {
-    if (out_of_core) {
-      // Streamed weeks must be analyzed during the visit — the group
-      // reader lives only that long — so the whole pass runs on the
-      // visiting thread. The depth-1 week double-buffer is traded for the
-      // group-level decode-ahead inside each streamed week's scan
-      // (ScolMorselSource honors options.prefetch).
-      source.visit_streaming(first_slot, stream_chooser,
-                             [&](std::size_t week, Snapshot&& snap) {
-                               analyze(make_pending_move(week,
-                                                         std::move(snap)));
-                             },
-                             analyze_streamed);
-      return;
-    }
-    if (!options.prefetch) {
-      if (stable) {
-        source.visit_from(first_slot,
-                          [&](std::size_t week, const Snapshot& snap) {
-                            analyze(make_pending_const(week, snap));
-                          });
+  /// The one week path: plan, observation, diff, scan, deltas, retain,
+  /// checkpoint. A returned status is a streamed week's pass-B decode
+  /// failure, which the source records as a gap.
+  Status run_week(PendingWeek&& cur) {
+    if (resume_failed_) return Status();  // draining an abandoned resume
+    if (resume_pending_) {
+      // The checkpointed week becomes `prev` without being analyzed: it
+      // already was, before the crash.
+      resume_pending_ = false;
+      if (try_resume(cur)) {
+        retain(std::move(cur));
       } else {
-        source.visit_move_from(first_slot,
-                               [&](std::size_t week, Snapshot&& snap) {
-                                 analyze(
-                                     make_pending_move(week, std::move(snap)));
-                               });
+        resume_failed_ = true;
       }
+      return Status();
+    }
+    const WeekPlan plan = plan_week(cur);
+    WeekObservation obs = observe(cur, plan);
+    DiffResult diff;
+    attach_diff(cur, plan, &diff, &obs);
+    const Status s = scan(cur, plan, obs);
+    if (!s.ok()) {
+      // A group that validated in pass A failed in pass B — mapping-level
+      // I/O decay. No analyzer merged (scan_stream aborts before merges),
+      // so gapping the week keeps the study consistent.
+      if (cur.spill) remove_files(*cur.spill);
+      return s;
+    }
+    if (plan.delta) apply_deltas(cur, obs, diff);
+    retain(std::move(cur));
+    checkpoint();
+    return Status();
+  }
+
+  WeekPlan plan_week(const PendingWeek& cur) const {
+    WeekPlan plan;
+    plan.streamed = cur.streamed;
+    // No diff across a gap: it would span several collection intervals.
+    if (need_diff_ && prev_ && cur.week == prev_->week + 1) {
+      plan.diff = cur.streamed || prev_->streamed ? DiffMode::kSpilled
+                                                  : DiffMode::kFused;
+    }
+    plan.delta = incremental_ && plan.diff == DiffMode::kFused &&
+                 !cur.snap().degraded && !prev_->snap().degraded;
+    return plan;
+  }
+
+  WeekObservation observe(const PendingWeek& cur, const WeekPlan& plan) const {
+    WeekObservation obs;
+    obs.week = cur.week;
+    obs.snap = &cur.snap();
+    obs.prev = prev_ ? &prev_->snap() : nullptr;
+    obs.gap_before = prev_ && cur.week != prev_->week + 1;
+    obs.pool = options_.pool;
+    // A shell table cannot rebuild retained delta state, so a streamed
+    // week skips the upkeep and the next resident week re-baselines.
+    obs.incremental = incremental_ && !plan.streamed;
+    obs.row_count = cur.rows;
+    obs.file_count = cur.files;
+    obs.dir_count = cur.dirs;
+    return obs;
+  }
+
+  /// A fused diff arms the scan's diff kernel. A spilled diff is joined
+  /// before the scan from two sides: each week's own spill, or its
+  /// resident table spilled here and removed after the join. A missing
+  /// side (scratch space lost or full) or a failed join leaves the week
+  /// without a diff and with gap_before set, as a gap in the series would.
+  void attach_diff(const PendingWeek& cur, const WeekPlan& plan,
+                   DiffResult* out, WeekObservation* obs) {
+    if (plan.diff == DiffMode::kFused) {
+      diff_kernel_.set_week(*prev_->index, prev_->snap().table, out,
+                            options_.grain, cur.files, plan.delta,
+                            plan.delta ? prev_->dir_index.get() : nullptr);
+      obs->diff = out;
+      obs->diff_chunks = &diff_kernel_;
       return;
     }
-    // Depth-1 double buffer: the caller keeps visiting (decoding) while a
-    // pipeline thread analyzes, one week in flight. Analysis still runs
-    // strictly in arrival order on a single thread, so results are
-    // identical with prefetch on or off.
-    std::mutex mu;
-    std::condition_variable slot_free, slot_filled;
-    std::optional<PendingWeek> slot;
-    bool done = false;
-
-    std::thread analyst([&] {
-      for (;;) {
-        std::unique_lock<std::mutex> lock(mu);
-        slot_filled.wait(lock, [&] { return slot.has_value() || done; });
-        if (!slot.has_value()) return;
-        PendingWeek cur = std::move(*slot);
-        slot.reset();
-        slot_free.notify_one();
-        lock.unlock();
-        analyze(std::move(cur));
-      }
-    });
-
-    auto enqueue = [&](PendingWeek&& pending) {
-      std::unique_lock<std::mutex> lock(mu);
-      slot_free.wait(lock, [&] { return !slot.has_value(); });
-      slot = std::move(pending);
-      slot_filled.notify_one();
-    };
-
-    if (stable) {
-      source.visit_from(first_slot,
-                        [&](std::size_t week, const Snapshot& snap) {
-                          enqueue(make_pending_const(week, snap));
-                        });
+    if (plan.diff == DiffMode::kNone) return;
+    if ((prev_->streamed && !prev_->spill) || (cur.streamed && !cur.spill)) {
+      obs->gap_before = true;
+      return;
+    }
+    const std::uint32_t bits =
+        prev_->streamed ? prev_->spill->bits : cur.spill->bits;
+    SpilledSide prev_side, cur_side;
+    Status s;
+    if (prev_->streamed) {
+      prev_side = *prev_->spill;
     } else {
-      source.visit_move_from(first_slot,
-                             [&](std::size_t week, Snapshot&& snap) {
-                               enqueue(
-                                   make_pending_move(week, std::move(snap)));
-                             });
+      s = spill_resident(prev_->snap().table, bits, &prev_side);
     }
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      done = true;
-      slot_filled.notify_one();
+    if (cur.streamed) {
+      cur_side = *cur.spill;
+    } else if (s.ok()) {
+      s = spill_resident(cur.snap().table, bits, &cur_side);
     }
-    analyst.join();
-  };
-
-  run_pass(resume_pending ? static_cast<std::size_t>(restored.week) : 0);
-  if (resume_pending || resume_failed) {
-    // The resume never materialized: either validation failed at the
-    // first arriving week, or no week at or past the checkpointed slot
-    // arrived at all (the file vanished or decayed into a gap). Analyzer
-    // state is untouched in both cases, so the full run is correct.
-    if (resume_pending && report->rebaseline_reason.empty()) {
-      report->rebaseline_reason =
-          "checkpointed week " + std::to_string(restored.week) +
-          " never arrived from the source";
+    if (s.ok()) s = spill_diff_join(prev_side, cur_side, DiffOptions{}, out);
+    if (!prev_->streamed) remove_files(prev_side);
+    if (!cur.streamed) remove_files(cur_side);
+    if (s.ok()) {
+      obs->diff = out;
+    } else {
+      obs->gap_before = true;
     }
-    resume_pending = false;
-    resume_failed = false;
-    prev = PendingWeek{};
-    have_prev = false;
-    last_week = 0;
-    weeks_since_ckpt = 0;
-    run_pass(0);
   }
 
-  for (StudyAnalyzer* analyzer : analyzers) analyzer->finish();
-  drop_prev_spill();
-  if (!spill_dir.empty()) {
-    std::error_code ec;
-    fs::remove_all(spill_dir, ec);
+  /// The shared scan over the plan's roster: the diff kernel first on
+  /// fused weeks (siblings read its per-chunk output — DiffChunkProvider),
+  /// then every analyzer except, on delta weeks, the delta-capable ones.
+  /// Streamed weeks run pass B through ScolMorselSource, skipping the
+  /// groups pass A found damaged.
+  Status scan(const PendingWeek& cur, const WeekPlan& plan,
+              const WeekObservation& obs) {
+    std::vector<ScanKernel*> roster;
+    roster.reserve(kernels_.size() + 1);
+    if (plan.diff == DiffMode::kFused) roster.push_back(&diff_kernel_);
+    for (std::size_t i = 0; i < kernels_.size(); ++i) {
+      kernels_[i].set_observation(&obs);
+      if (!plan.delta || !analyzers_[i]->supports_delta()) {
+        roster.push_back(&kernels_[i]);
+      }
+    }
+    if (!plan.streamed) {
+      scan_table(cur.snap().table, roster, scan_options_);
+      return Status();
+    }
+    ScolMorselSource::Options mopts;
+    mopts.pool = options_.pool;
+    mopts.prefetch = options_.prefetch;
+    mopts.skip = cur.skip;
+    ScolMorselSource groups(cur.reader, std::move(mopts));
+    return scan_stream(groups, roster, scan_options_);
   }
+
+  void apply_deltas(const PendingWeek& cur, const WeekObservation& obs,
+                    const DiffResult& diff) {
+    WeekDelta delta;
+    delta.diff = &diff;
+    delta.prev = &prev_->snap().table;
+    delta.cur = &cur.snap().table;
+    delta.added_rows = merged_union({diff.new_rows, diff.new_dir_rows});
+    delta.touched_rows = merged_union(
+        {delta.added_rows, diff.updated_rows, diff.changed_dir_rows});
+    for (StudyAnalyzer* analyzer : analyzers_) {
+      if (analyzer->supports_delta()) analyzer->apply_delta(obs, delta);
+    }
+  }
+
+  /// The week becomes `prev`, and the spill of the week it replaces is
+  /// removed. A streamed week keeps its spill for the next join but not
+  /// the hook that regenerates it: the reader closes with the visit, so
+  /// trailer checksums are the only line of defense from here on.
+  void retain(PendingWeek&& cur) {
+    if (prev_ && prev_->spill) remove_files(*prev_->spill);
+    prev_ = std::move(cur);
+    prev_->reader = nullptr;
+    if (prev_->spill) prev_->spill->regenerate = nullptr;
+  }
+
+  /// Checkpoints the just-retained week every ckpt_every_ weeks.
+  void checkpoint() {
+    if (!ckpt_enabled_ || ++weeks_since_ckpt_ < ckpt_every_) return;
+    weeks_since_ckpt_ = 0;
+    StudyCheckpoint ckpt;
+    ckpt.week = prev_->week;
+    ckpt.taken_at = prev_->snap().taken_at;
+    ckpt.degraded = prev_->snap().degraded;
+    ckpt.table_fingerprint = table_fingerprint(prev_->snap().table, columns_);
+    ckpt.columns_mask = columns_;
+    ckpt.grain = options_.grain;
+    ckpt.hash_probe = checkpoint_hash_probe();
+    // Keep pre-resume damage alive across checkpoint generations: the
+    // source never re-read those weeks, so its own gap list cannot
+    // contain them.
+    ckpt.gaps = report_->restored_gaps.empty()
+                    ? prev_->gaps_so_far
+                    : merge_gap_timelines(report_->restored_gaps,
+                                          prev_->gaps_so_far);
+    ckpt.analyzers.reserve(analyzers_.size());
+    for (StudyAnalyzer* analyzer : analyzers_) {
+      AnalyzerCheckpoint a;
+      a.id = std::string(analyzer->state_id());
+      a.version = analyzer->state_version();
+      StateWriter w(&a.blob);
+      a.has_state = analyzer->save_state(w);
+      if (!a.has_state) a.blob.clear();
+      ckpt.analyzers.push_back(std::move(a));
+    }
+    // Best-effort: a failed write leaves the previous checkpoint on disk
+    // intact (atomic replace), and the study itself continues.
+    if (save_checkpoint(options_.checkpoint.path, ckpt).ok()) {
+      ++report_->checkpoints_written;
+    } else {
+      ++report_->write_failures;
+    }
+  }
+
+  SpillPartitionWriter::Options spill_options(std::uint32_t bits) {
+    SpillPartitionWriter::Options wopts;
+    wopts.dir = spill_dir_;
+    wopts.stem = "s" + std::to_string(spill_seq_++);
+    wopts.bits = bits;
+    return wopts;
+  }
+
+  /// Spills a resident table as one side of a join. The regenerate hook
+  /// re-derives the whole side from the table (identical bytes — the
+  /// spill is deterministic), so checksum damage in scratch files heals
+  /// as long as the table is alive, which it is for the whole join.
+  Status spill_resident(const SnapshotTable& table, std::uint32_t bits,
+                        SpilledSide* out) {
+    const auto write = [&table, wopts = spill_options(bits)](
+                           SpillPartitionWriter& writer) {
+      Status s = writer.open(wopts);
+      if (s.ok()) s = writer.add_table(table);
+      if (s.ok()) s = writer.finish();
+      return s;
+    };
+    SpillPartitionWriter writer;
+    const Status s = write(writer);
+    if (!s.ok()) return s;
+    *out = writer.side();
+    out->regenerate = [write](std::size_t) {
+      SpillPartitionWriter rewriter;
+      return write(rewriter);
+    };
+    return Status();
+  }
+
+  /// Content validation + state restore against the re-decoded
+  /// checkpointed week. Any mismatch abandons the resume with analyzer
+  /// state untouched.
+  bool try_resume(const PendingWeek& cur) {
+    if (cur.week != restored_.week ||
+        cur.snap().taken_at != restored_.taken_at ||
+        cur.snap().degraded != restored_.degraded ||
+        table_fingerprint(cur.snap().table, columns_) !=
+            restored_.table_fingerprint) {
+      report_->rebaseline_reason =
+          "checkpointed week " + std::to_string(restored_.week) +
+          " no longer matches the source (position or content changed)";
+      return false;
+    }
+    for (std::size_t i = 0; i < analyzers_.size(); ++i) {
+      StateReader r(restored_.analyzers[i].blob);
+      if (!analyzers_[i]->load_state(r) || !r.exhausted()) {
+        // Unreachable short of a bug: the blob passed its section checksum
+        // and its version check. load_state is atomic per analyzer, so
+        // falling back to the full run is the best effort.
+        report_->rebaseline_reason = "analyzer '" +
+                                     restored_.analyzers[i].id +
+                                     "' failed to restore its state";
+        return false;
+      }
+    }
+    report_->resumed = true;
+    report_->resumed_week = static_cast<std::size_t>(restored_.week);
+    report_->restored_gaps = std::move(restored_.gaps);
+    return true;
+  }
+
+  SnapshotSource& source_;
+  std::span<StudyAnalyzer* const> analyzers_;
+  const StudyOptions& options_;
+  bool need_diff_ = false;
+  bool incremental_ = false;
+  ColumnMask columns_ = kColMaskNone;
+  std::vector<AnalyzerKernel> kernels_;  // parallel to analyzers_
+  DiffScanKernel diff_kernel_;
+  ScanOptions scan_options_;
+
+  CheckpointReport scratch_report_;
+  CheckpointReport* report_;
+  bool ckpt_enabled_ = false;
+  std::size_t ckpt_every_ = 1;
+  StudyCheckpoint restored_;
+  bool resume_pending_ = false;
+  bool resume_failed_ = false;
+
+  bool stable_ = false;
+  bool out_of_core_ = false;
+  std::string spill_dir_;
+  std::uint64_t spill_seq_ = 0;
+
+  std::optional<PendingWeek> prev_;
+  std::size_t weeks_since_ckpt_ = 0;
+};
+
+}  // namespace
+
+void run_study(SnapshotSource& source,
+               std::span<StudyAnalyzer* const> analyzers,
+               const StudyOptions& options) {
+  StudyRun(source, analyzers, options).run();
 }
 
 void run_study(SnapshotSource& source, StudyAnalyzer& analyzer,

@@ -1,15 +1,15 @@
-// Study framework: analyzers consume the snapshot series in one streaming
-// pass (week by week, in order). Since the morsel refactor (DESIGN.md §10)
-// each week is ONE shared parallel scan feeding every analyzer at once:
-// the runner computes the union column projection, pushes it into the
-// source, computes the adjacent-snapshot diff once for all diff-based
-// analyzers — on resident weeks as a kernel fused into the same scan,
-// probing a radix-partitioned index built during the decode slot
-// (DESIGN.md §11) — and drives all analyzers' chunk kernels over the
-// table via engine/scan.
-// Decode of week N+1 overlaps analysis of week N (a depth-1 double
-// buffer), and the previous week is retained by move or stable pointer —
-// never by deep copy.
+// Study framework: analyzers consume the snapshot series in one pass, week
+// by week in order (DESIGN.md §10). Every week takes the same path. Before
+// any work the runner plans it: whether it arrived resident or streamed
+// (StudyOptions::memory_budget), whether its diff is computed fused into
+// the scan, spilled to disk, or not at all, and whether delta-capable
+// analyzers take a WeekDelta. Then it runs the stages: build the week's
+// WeekObservation, diff, one shared parallel scan feeding every analyzer's
+// chunk kernels (a resident table through engine/scan, a streamed week one
+// .scol row group at a time through engine/stream), apply deltas, retain
+// the week as the next diff's previous side, and checkpoint. The union
+// column projection is pushed into the source, and on resident runs the
+// decode of week N+1 overlaps the analysis of week N.
 //
 // Determinism: chunk layout depends only on the row count and grain, and
 // every analyzer's merge() folds chunk states in chunk order, so all
@@ -34,8 +34,7 @@ namespace spider {
 /// already complete and safe to read from the same thread.
 class DiffChunkProvider {
  public:
-  /// The classification of the chunk whose row range starts at `begin`,
-  /// or null when no diff is active this week.
+  /// The classification of the chunk whose row range starts at `begin`.
   virtual const DiffChunkRows* chunk_rows(std::size_t begin) const = 0;
 
  protected:
@@ -85,7 +84,8 @@ struct WeekObservation {
   /// The study's pool (null = process-global), for order-insensitive
   /// parallel sub-steps inside merge() — see ScanKernel::merge_chunks.
   ThreadPool* pool = nullptr;
-  /// Mirror of StudyOptions::incremental. On scan weeks (re-baselines
+  /// StudyOptions::incremental, except on streamed weeks, whose shell
+  /// tables cannot rebuild retained state. On scan weeks (re-baselines
   /// included) delta-capable analyzers use it to decide whether to also
   /// (re)build the retained cross-week state their apply_delta needs —
   /// pure scan runs skip that upkeep.
@@ -161,8 +161,8 @@ class StudyAnalyzer {
   /// consume a WeekDelta through apply_delta() instead of scanning the
   /// snapshot. The runner decides per week: on delta weeks the analyzer is
   /// left out of the shared scan entirely; on re-baseline weeks (the first
-  /// snapshot, a week after a gap, a salvage-damaged week or its
-  /// successor) it runs its normal scan kernel and must rebuild the
+  /// snapshot, a week after a gap, a salvage-damaged or streamed week or
+  /// its successor) it runs its normal scan kernel and must rebuild the
   /// retained state from scratch (obs.incremental signals that upkeep is
   /// needed). Results must be byte-identical either way.
   virtual bool supports_delta() const { return false; }
@@ -251,8 +251,10 @@ struct StudyOptions {
   /// chunk boundaries and may perturb floating-point last bits.
   std::size_t grain = kScanGrainRows;
   /// Decode week N+1 on the visiting thread while a pipeline thread
-  /// analyzes week N. Analysis order and results are unchanged; off is
-  /// useful for debugging and single-threaded profiling.
+  /// analyzes week N (out-of-core runs stay synchronous; a streamed week's
+  /// scan decodes one row group ahead instead). Analysis order and results
+  /// are unchanged; off is useful for debugging and single-threaded
+  /// profiling.
   bool prefetch = true;
   /// Incremental mode (DESIGN.md §13): drive delta-capable analyzers
   /// (supports_delta) off a WeekDelta built from the diff — which then
@@ -269,7 +271,7 @@ struct StudyOptions {
   /// When non-null, filled with what the checkpoint layer did.
   CheckpointReport* checkpoint_report = nullptr;
   /// Peak bytes the runner may spend holding snapshot rows (DESIGN.md
-  /// §15). 0 = unlimited: every week is decoded resident, as before.
+  /// §15). 0 = unlimited: every week is decoded resident.
   /// With a budget, any week whose estimated resident footprint exceeds
   /// it is processed OUT OF CORE — decoded one .scol row group at a time
   /// with bounded group residency, and diffed through the spill join —

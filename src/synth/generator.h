@@ -177,9 +177,8 @@ class FacilityGenerator : public SnapshotSource {
 /// Streams every snapshot of the generator into `directory` as
 /// snap_<YYYYMMDD>.scol files written group-at-a-time through
 /// ScolStreamWriter — the path that makes scale >= 0.1 series producible
-/// in bounded memory. Requires options.format_version == 2. Output bytes
-/// are identical to save_series() of the same generator under the same
-/// options.
+/// in bounded memory. Output bytes are identical to save_series() of the
+/// same generator under the same options.
 Status save_series_streamed(FacilityGenerator& generator,
                             const std::string& directory,
                             const ScolOptions& options = {});

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "scol_v1_image.h"
 #include "snapshot/psv.h"
 #include "snapshot/scol.h"
 #include "snapshot/series.h"
@@ -562,9 +563,7 @@ TEST(SeriesDegradationTest, FullStudyCompletesOnDamagedSeries) {
 
 TEST(ScolFaultTest, V1ImagesCannotSalvage) {
   const SnapshotTable original = make_table(200);
-  ScolOptions v1;
-  v1.format_version = 1;
-  auto image = encode_scol(original, v1);
+  auto image = scol_v1_image(original);
   FaultInjector injector(9);
   injector.bit_flip(&image, /*begin=*/64, /*end=*/0);
 

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "scol_v1_image.h"
 #include "snapshot/scol.h"
 #include "util/io.h"
 #include "util/prng.h"
@@ -273,9 +274,7 @@ TEST(ScolGroupReaderTest, TruncatedTailGroupsMatchEagerSalvage) {
 
 TEST(ScolGroupReaderTest, V1ImagePresentsAsOneGroup) {
   const SnapshotTable table = make_table(400, 9);
-  ScolOptions v1;
-  v1.format_version = 1;
-  const auto image = encode_scol(table, v1);
+  const auto image = scol_v1_image(table);
 
   ScolGroupReader reader;
   ASSERT_TRUE(reader.open_bytes(image, ScolOptions{}).ok());
@@ -366,13 +365,6 @@ TEST(ScolStreamWriterTest, AbortLeavesNoFiles) {
   }
   EXPECT_EQ(entries, 0u);
   fs::remove_all(dir);
-}
-
-TEST(ScolStreamWriterTest, RejectsV1Format) {
-  ScolOptions v1;
-  v1.format_version = 1;
-  ScolStreamWriter writer;
-  EXPECT_FALSE(writer.open(temp_path("spider_scol_v1.scol"), v1).ok());
 }
 
 TEST(ScolStreamWriterTest, LargeBatchRoundTripsThroughGroupReader) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "scol_v1_image.h"
 #include "snapshot/scol.h"
 #include "util/parallel.h"
 #include "util/prng.h"
@@ -97,13 +98,10 @@ INSTANTIATE_TEST_SUITE_P(AllKnobCombinations, ScolV2OptionSweep,
                          ::testing::Range(0, 16));
 
 TEST(ScolV2Test, V1ImagesStillDecode) {
-  // Backward-compat fixture: the v1 writer (the seed encoder's layout,
-  // exposed through the format_version knob) must keep decoding through
-  // the version dispatch.
+  // Backward compat: images in the seed encoder's v1 layout, which nothing
+  // writes any more, must keep decoding through the version dispatch.
   const SnapshotTable original = make_table(500);
-  ScolOptions v1;
-  v1.format_version = 1;
-  const auto image = encode_scol(original, v1);
+  const auto image = scol_v1_image(original);
   ASSERT_EQ(std::memcmp(image.data(), "SCOL0001", 8), 0);
   SnapshotTable decoded;
   ASSERT_TRUE(decode_scol(image, &decoded, ScolOptions{}).ok());
@@ -112,13 +110,11 @@ TEST(ScolV2Test, V1ImagesStillDecode) {
 
 TEST(ScolV2Test, V1AndV2EncodeIdenticalTables) {
   const SnapshotTable original = make_table(3 * kGroup + 7);
-  ScolOptions v1;
-  v1.format_version = 1;
   ScolOptions v2;
   v2.group_size = kGroup;
   SnapshotTable from_v1, from_v2;
   ASSERT_TRUE(
-      decode_scol(encode_scol(original, v1), &from_v1, ScolOptions{}).ok());
+      decode_scol(scol_v1_image(original), &from_v1, ScolOptions{}).ok());
   ASSERT_TRUE(
       decode_scol(encode_scol(original, v2), &from_v2, ScolOptions{}).ok());
   expect_tables_equal(from_v1, from_v2);

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "snapshot/scol.h"
 #include "util/timeutil.h"
@@ -53,8 +56,15 @@ TEST(SnapshotSeriesTest, VisitIsRepeatable) {
 
 class DirectorySeriesTest : public ::testing::Test {
  protected:
+  // ctest runs every case as its own process, concurrently under -j, so a
+  // directory shared between cases would be deleted under another's feet.
   void SetUp() override {
-    dir_ = fs::path(testing::TempDir()) / "spider_series_test";
+    dir_ = fs::path(testing::TempDir()) /
+           ("spider_series_test_" +
+            std::string(::testing::UnitTest::GetInstance()
+                            ->current_test_info()
+                            ->name()) +
+            "_" + std::to_string(::getpid()));
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }

@@ -8,6 +8,7 @@
 // group size, which is the alignment the production defaults also satisfy
 // (kScanGrainRows divides ScolOptions::group_size).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <filesystem>
@@ -92,6 +93,45 @@ void corrupt_scol_file(const std::string& file, std::uint64_t seed) {
   injector.bit_flip(&bytes, layout.payload_start, bytes.size());
   ASSERT_TRUE(
       write_file_atomic(file, std::span<const std::uint8_t>(bytes)).ok());
+}
+
+/// Writes one small hand-built week per entry of `sizes` (10 directories
+/// plus sizes[w] files) as multi-group .scol files. Files shared between
+/// adjacent weeks land in every diff class: i%3==0 keeps all three
+/// timestamps (untouched), i%3==1 moves only atime (readonly), i%3==2
+/// moves mtime/ctime (updated).
+void save_sized_series(const std::string& dir,
+                       const std::vector<std::size_t>& sizes) {
+  ScolOptions scol;
+  scol.group_size = kTestGroupSize;
+  for (std::size_t w = 0; w < sizes.size(); ++w) {
+    const std::int64_t taken_at =
+        epoch_from_civil({2015, 1, 5}) + static_cast<std::int64_t>(w) *
+                                             kSecondsPerWeek;
+    Snapshot snap;
+    snap.taken_at = taken_at;
+    for (std::size_t i = 0; i < 10; ++i) {
+      RawRecord rec;
+      rec.path = "/lustre/atlas1/proj/u1/d" + std::to_string(i);
+      rec.mode = kModeDirectory | 0755;
+      rec.atime = rec.ctime = rec.mtime = 1000;
+      snap.table.add(rec);
+    }
+    for (std::size_t i = 0; i < sizes[w]; ++i) {
+      RawRecord rec;
+      rec.path = "/lustre/atlas1/proj/u1/f" + std::to_string(i);
+      rec.mode = kModeRegular | 0644;
+      rec.inode = i;
+      rec.osts = {static_cast<std::uint32_t>(i % 4)};
+      rec.atime = rec.ctime = rec.mtime = 2000 + static_cast<std::int64_t>(i);
+      if (i % 3 == 1) rec.atime = taken_at;
+      if (i % 3 == 2) rec.mtime = rec.ctime = taken_at;
+      snap.table.add(rec);
+    }
+    const std::string file =
+        (fs::path(dir) / ("snap_" + date_tag(taken_at) + ".scol")).string();
+    ASSERT_TRUE(write_scol_file(snap.table, file, scol).ok());
+  }
 }
 
 std::string run_bundle(const std::string& dir, const Resolver& resolver,
@@ -274,6 +314,64 @@ TEST(StreamingStudyFaultTest, DamagedAndGappedSeriesStreamingParity) {
   }
 }
 
+/// Deletes this process's spill directories (spider-spill-<pid>-* under
+/// the temp directory) from merge() of the third week it sees, and records
+/// which weeks arrived, with or without a diff and a gap flag.
+class ScratchLossAnalyzer : public StudyAnalyzer {
+ public:
+  bool wants_diff() const override { return true; }
+
+  void merge(const WeekObservation& obs, ScanStateList) override {
+    weeks.push_back(obs.week);
+    had_diff.push_back(obs.diff != nullptr);
+    gap_before.push_back(obs.gap_before);
+    if (weeks.size() != 3) return;
+    const std::string prefix =
+        "spider-spill-" + std::to_string(::getpid()) + "-";
+    for (const auto& entry :
+         fs::directory_iterator(fs::temp_directory_path())) {
+      if (entry.path().filename().string().rfind(prefix, 0) == 0) {
+        removed += fs::remove_all(entry.path());
+      }
+    }
+  }
+
+  std::vector<std::size_t> weeks;
+  std::vector<bool> had_diff;
+  std::vector<bool> gap_before;
+  std::uintmax_t removed = 0;
+};
+
+// Losing the scratch directory mid-run is not the snapshot files' fault:
+// a streamed week whose spill cannot be written still reaches every
+// analyzer, like a resident week whose join side cannot be spilled, just
+// without a diff and flagged as if a gap preceded it.
+TEST(StreamingStudyFaultTest, ScratchLossDegradesLikeResident) {
+  TempDir dir("spider_streaming_scratch_loss_test");
+  const std::vector<std::size_t> sizes = {3000, 3000, 3000, 3000, 3000, 3000};
+  save_sized_series(dir.path(), sizes);
+
+  DirectorySeries series;
+  ASSERT_TRUE(series.open(dir.path()).ok());
+  ThreadPool pool(2);
+  StudyOptions options;
+  options.pool = &pool;
+  options.grain = kTestGrain;
+  options.memory_budget = 1;  // every week streams and spills
+  ScratchLossAnalyzer probe;
+  run_study(series, probe, options);
+
+  EXPECT_GT(probe.removed, 0u) << "the spill directory was never found";
+  EXPECT_TRUE(series.gaps().empty())
+      << "a scratch failure blamed a readable file: "
+      << series.gaps()[0].describe();
+  ASSERT_EQ(probe.weeks, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
+  for (std::size_t w = 0; w < sizes.size(); ++w) {
+    EXPECT_EQ(probe.had_diff[w], w == 1 || w == 2) << "week " << w;
+    EXPECT_EQ(probe.gap_before[w], w >= 3) << "week " << w;
+  }
+}
+
 /// Records everything an analyzer can see per week — counts, flags, and
 /// order-sensitive checksums of the diff lists — so a streamed run can be
 /// compared field-for-field against the resident reference, and records
@@ -302,10 +400,16 @@ class RecordingAnalyzer : public StudyAnalyzer {
     }
     log.push_back(std::move(line));
     table_rows.push_back(obs.snap->table.size());
+    modes.push_back(obs.diff_chunks != nullptr ? "fused"
+                    : obs.diff != nullptr      ? "spilled"
+                                               : "none");
   }
 
   std::vector<std::string> log;
   std::vector<std::size_t> table_rows;
+  /// How each week's diff was computed: "fused" into the scan, "spilled"
+  /// through the spill join before it, or "none".
+  std::vector<std::string> modes;
 
  private:
   static std::uint64_t diff_hash(const DiffResult& diff) {
@@ -322,79 +426,89 @@ class RecordingAnalyzer : public StudyAnalyzer {
   }
 };
 
-// Alternating small and large weeks force every residency boundary —
-// resident->streamed, streamed->streamed, streamed->resident — and the
-// recording probe verifies that streamed weeks really did arrive as empty
-// shells while producing the exact resident diff.
+/// A delta-capable probe that logs, per week, whether it scanned the week
+/// ("scan", from merge()) or took its WeekDelta ("delta").
+class DeltaProbe : public StudyAnalyzer {
+ public:
+  bool supports_delta() const override { return true; }
+  void merge(const WeekObservation&, ScanStateList) override {
+    log.push_back("scan");
+  }
+  void apply_delta(const WeekObservation&, const WeekDelta&) override {
+    log.push_back("delta");
+  }
+
+  std::vector<std::string> log;
+};
+
+// Small and large weeks in a row force every residency boundary —
+// resident->resident, resident->streamed, streamed->streamed,
+// streamed->resident — and the recording probes verify that streamed weeks
+// really did arrive as empty shells while producing the exact resident
+// diff, and pin the week plan: the diff is fused exactly when both weeks
+// are resident, spilled when either streamed, and delta-capable analyzers
+// take a delta only on fused weeks in incremental mode.
 TEST(StreamingStudyBoundaryTest, AlternatingResidencyMatchesResident) {
   TempDir dir("spider_streaming_boundary_test");
-  const std::vector<std::size_t> sizes = {400,  6000, 6000, 400,
-                                          6000, 400,  6000, 6000};
-  ScolOptions scol;
-  scol.group_size = kTestGroupSize;
-  for (std::size_t w = 0; w < sizes.size(); ++w) {
-    const std::int64_t taken_at =
-        epoch_from_civil({2015, 1, 5}) + static_cast<std::int64_t>(w) *
-                                             kSecondsPerWeek;
-    Snapshot snap;
-    snap.taken_at = taken_at;
-    for (std::size_t i = 0; i < 10; ++i) {
-      RawRecord rec;
-      rec.path = "/lustre/atlas1/proj/u1/d" + std::to_string(i);
-      rec.mode = kModeDirectory | 0755;
-      rec.atime = rec.ctime = rec.mtime = 1000;
-      snap.table.add(rec);
-    }
-    for (std::size_t i = 0; i < sizes[w]; ++i) {
-      RawRecord rec;
-      rec.path = "/lustre/atlas1/proj/u1/f" + std::to_string(i);
-      rec.mode = kModeRegular | 0644;
-      rec.inode = i;
-      rec.osts = {static_cast<std::uint32_t>(i % 4)};
-      // Rows shared between adjacent weeks land in every diff class:
-      // i%3==0 keeps all three timestamps (untouched), i%3==1 moves only
-      // atime (readonly), i%3==2 moves mtime/ctime (updated).
-      rec.atime = rec.ctime = rec.mtime = 2000 + static_cast<std::int64_t>(i);
-      if (i % 3 == 1) rec.atime = taken_at;
-      if (i % 3 == 2) rec.mtime = rec.ctime = taken_at;
-      snap.table.add(rec);
-    }
-    const std::string file =
-        (fs::path(dir.path()) / ("snap_" + date_tag(taken_at) + ".scol"))
-            .string();
-    ASSERT_TRUE(write_scol_file(snap.table, file, scol).ok());
-  }
+  const std::vector<std::size_t> sizes = {400,  400, 6000, 6000, 400,
+                                          6000, 400, 6000, 6000};
+  save_sized_series(dir.path(), sizes);
 
   // Threshold between 400 and 6000 rows (the runner predicts ~160
   // resident bytes per row and halves the budget per side).
   const std::size_t budget = 2000 * 320;
+  auto resident_under_budget = [&](std::size_t w) { return sizes[w] < 2000; };
 
-  auto run_probe = [&](bool streaming, RecordingAnalyzer* probe) {
-    DirectorySeries series;
-    ASSERT_TRUE(series.open(dir.path()).ok());
-    ThreadPool pool(4);
-    StudyOptions options;
-    options.pool = &pool;
-    options.grain = kTestGrain;
-    options.memory_budget = streaming ? budget : 0;
-    run_study(series, *probe, options);
-  };
+  for (const bool incremental : {false, true}) {
+    for (const bool prefetch : {false, true}) {
+      SCOPED_TRACE("incremental=" + std::to_string(incremental) +
+                   " prefetch=" + std::to_string(prefetch));
+      auto run_probes = [&](std::size_t memory_budget,
+                            RecordingAnalyzer* probe, DeltaProbe* delta) {
+        DirectorySeries series;
+        ASSERT_TRUE(series.open(dir.path()).ok());
+        ThreadPool pool(4);
+        StudyOptions options;
+        options.pool = &pool;
+        options.grain = kTestGrain;
+        options.prefetch = prefetch;
+        options.incremental = incremental;
+        options.memory_budget = memory_budget;
+        StudyAnalyzer* roster[] = {probe, delta};
+        run_study(series, roster, options);
+      };
+      RecordingAnalyzer resident, streamed;
+      DeltaProbe resident_delta, streamed_delta;
+      run_probes(0, &resident, &resident_delta);
+      run_probes(budget, &streamed, &streamed_delta);
 
-  RecordingAnalyzer resident;
-  run_probe(false, &resident);
-  RecordingAnalyzer streamed;
-  run_probe(true, &streamed);
+      ASSERT_EQ(resident.log.size(), sizes.size());
+      EXPECT_EQ(streamed.log, resident.log);
+      ASSERT_EQ(streamed.modes.size(), sizes.size());
+      ASSERT_EQ(resident_delta.log.size(), sizes.size());
+      ASSERT_EQ(streamed_delta.log.size(), sizes.size());
+      for (std::size_t w = 0; w < sizes.size(); ++w) {
+        EXPECT_EQ(resident.table_rows[w], sizes[w] + 10);
+        EXPECT_EQ(streamed.table_rows[w],
+                  resident_under_budget(w) ? sizes[w] + 10 : 0u)
+            << "week " << w << " residency";
 
-  ASSERT_EQ(resident.log.size(), sizes.size());
-  EXPECT_EQ(streamed.log, resident.log);
-  for (std::size_t w = 0; w < sizes.size(); ++w) {
-    EXPECT_EQ(resident.table_rows[w], sizes[w] + 10);
-    if (sizes[w] > 2000) {
-      EXPECT_EQ(streamed.table_rows[w], 0u)
-          << "week " << w << " should have streamed (shell snapshot)";
-    } else {
-      EXPECT_EQ(streamed.table_rows[w], sizes[w] + 10)
-          << "week " << w << " should have stayed resident";
+        const std::string resident_mode = w == 0 ? "none" : "fused";
+        const std::string streamed_mode =
+            w == 0 ? "none"
+            : resident_under_budget(w - 1) && resident_under_budget(w)
+                ? "fused"
+                : "spilled";
+        EXPECT_EQ(resident.modes[w], resident_mode) << "week " << w;
+        EXPECT_EQ(streamed.modes[w], streamed_mode) << "week " << w;
+        auto expected_delta = [&](const std::string& mode) {
+          return incremental && mode == "fused" ? "delta" : "scan";
+        };
+        EXPECT_EQ(resident_delta.log[w], expected_delta(resident_mode))
+            << "week " << w;
+        EXPECT_EQ(streamed_delta.log[w], expected_delta(streamed_mode))
+            << "week " << w;
+      }
     }
   }
 }
