@@ -1,16 +1,14 @@
 // Engine microbenchmarks (google-benchmark): the analysis-framework side
-// of the paper — format codecs, the diff join, aggregation, distinct
-// counting, and the graph kernels. Mirrors the paper's claim that the
-// columnar conversion makes the pipeline "timely".
+// of the paper — format codecs, the diff join, distinct counting, and the
+// graph kernels. Mirrors the paper's claim that the columnar conversion
+// makes the pipeline "timely".
 #include <benchmark/benchmark.h>
 
 #include <sstream>
 
-#include "engine/agg.h"
 #include "engine/diff.h"
-#include "groupby_strategies.h"
+#include "engine/flat_map.h"
 #include "engine/hash_index.h"
-#include "engine/u64set.h"
 #include "graph/components.h"
 #include "graph/metrics.h"
 #include "snapshot/psv.h"
@@ -182,72 +180,10 @@ void BM_DiffPartitioned(benchmark::State& state) {
 }
 BENCHMARK(BM_DiffPartitioned);
 
-void BM_GroupByExtension(benchmark::State& state) {
-  const SnapshotTable& t = fixture_table();
-  for (auto _ : state) {
-    auto counts = parallel_count<std::string>(
-        t.size(), [&t](std::size_t row, auto emit) {
-          if (!t.is_dir(row)) {
-            emit(std::string(path_extension(t.path(row))), 1);
-          }
-        });
-    benchmark::DoNotOptimize(counts.size());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(t.size()));
-}
-BENCHMARK(BM_GroupByExtension);
-
-// The seed's string group-by, vendored in groupby_strategies.h — the
-// frozen baseline the flat/dictionary rows are measured against.
-void BM_GroupByExtensionLegacy(benchmark::State& state) {
-  const SnapshotTable& t = fixture_table();
-  for (auto _ : state) {
-    const auto counts = bench::legacy_group_by_extension(t, nullptr);
-    benchmark::DoNotOptimize(counts.size());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(t.size()));
-}
-BENCHMARK(BM_GroupByExtensionLegacy);
-
-void BM_GroupByExtensionDict(benchmark::State& state) {
-  const SnapshotTable& t = fixture_table();
-  for (auto _ : state) {
-    const auto counts = bench::dict_group_by_extension(t, nullptr);
-    benchmark::DoNotOptimize(counts.dict.size());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(t.size()));
-}
-BENCHMARK(BM_GroupByExtensionDict);
-
-void BM_GroupByU64Legacy(benchmark::State& state) {
-  const SnapshotTable& t = fixture_table();
-  for (auto _ : state) {
-    const auto counts = bench::legacy_group_by_gid(t, nullptr);
-    benchmark::DoNotOptimize(counts.size());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(t.size()));
-}
-BENCHMARK(BM_GroupByU64Legacy);
-
-void BM_GroupByU64Flat(benchmark::State& state) {
-  const SnapshotTable& t = fixture_table();
-  for (auto _ : state) {
-    const auto counts = bench::flat_group_by_gid(t, nullptr);
-    benchmark::DoNotOptimize(counts.size());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(t.size()));
-}
-BENCHMARK(BM_GroupByU64Flat);
-
 void BM_DistinctInsert(benchmark::State& state) {
   const SnapshotTable& t = fixture_table();
   for (auto _ : state) {
-    U64Set set(t.size());
+    FlatSet<IdentityKeyMix> set(t.size());
     for (std::size_t i = 0; i < t.size(); ++i) set.insert(t.path_hash(i));
     benchmark::DoNotOptimize(set.size());
   }

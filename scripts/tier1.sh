@@ -6,10 +6,11 @@
 #   scripts/tier1.sh
 #
 # The sanitizer passes are scoped rather than suite-wide to keep the gate
-# fast: ASan+UBSan covers the ingest/robustness, aggregation and
-# single-analyzer tests, TSan covers the parallel scan/runner/aggregation-
-# merge tests. SPIDER_SANITIZE=ON (address) or SPIDER_SANITIZE=thread works
-# on any target if a full sanitized run is wanted.
+# fast: ASan+UBSan covers the ingest/robustness, aggregation, thread-pool
+# and single-analyzer tests, TSan covers the parallel scan/runner/
+# aggregation-merge tests. SPIDER_SANITIZE=ON (address) or
+# SPIDER_SANITIZE=thread works on any target if a full sanitized run is
+# wanted.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -41,14 +42,14 @@ cmake -B build-asan -S . -DSPIDER_SANITIZE=ON >/dev/null
 cmake --build build-asan -j"${JOBS}" --target \
     snapshot_fault_injection_test snapshot_scol_test snapshot_scol_v2_test \
     snapshot_psv_test snapshot_psv_fuzz_test snapshot_series_test \
-    util_io_test util_retry_test util_status_test engine_agg_test \
-    engine_flat_map_test engine_spill_test study_analyzers_test \
-    study_streaming_test study_checkpoint_test
+    util_io_test util_retry_test util_status_test util_parallel_test \
+    engine_agg_test engine_flat_map_test engine_spill_test \
+    study_analyzers_test study_streaming_test study_checkpoint_test
 for t in snapshot_fault_injection_test snapshot_scol_test \
          snapshot_scol_v2_test snapshot_psv_test snapshot_psv_fuzz_test \
          snapshot_series_test util_io_test util_retry_test \
-         util_status_test engine_agg_test engine_flat_map_test \
-         engine_spill_test study_analyzers_test; do
+         util_status_test util_parallel_test engine_agg_test \
+         engine_flat_map_test engine_spill_test study_analyzers_test; do
   echo "--> ${t} (sanitized)"
   ./build-asan/tests/"${t}"
 done

@@ -1,18 +1,12 @@
-// Grouped aggregation helpers: parallel hash-aggregation over snapshot rows
-// (the engine's GROUP BY), count-map merging, and deterministic top-k.
+// Aggregation helpers beside the flat tables (flat_map.h, dict.h):
+// generic count maps with deterministic top-k, top-k over
+// dictionary-encoded counts, and a radix-sharded distinct-key set built
+// in parallel (DESIGN.md §12).
 //
 // The pattern mirrors the paper's SparkSQL aggregations: each thread folds
-// rows into a private hash map, partials merge in chunk order. Results are
-// bit-identical run to run — important because the calibration tests assert
-// on exact counts.
-//
-// Two tiers (DESIGN.md §12):
-//   * CountMap (std::unordered_map) — the reference tier, kept for generic
-//     keys and as the serial baseline the tests diff against.
-//   * FlatCountMap / StringDict (flat_map.h, dict.h) — the flat tier the
-//     hot paths use: open-addressing tables for 64-bit keys, dictionary-
-//     encoded string keys, and a radix-partitioned parallel merge
-//     (engine/partition.h) for high-cardinality partials.
+// rows into private state, partials merge in chunk order. Results are
+// bit-identical run to run — important because the calibration tests
+// assert on exact counts.
 #pragma once
 
 #include <algorithm>
@@ -25,7 +19,6 @@
 #include "engine/dict.h"
 #include "engine/flat_map.h"
 #include "engine/partition.h"
-#include "engine/u64set.h"
 #include "util/parallel.h"
 
 namespace spider {
@@ -33,171 +26,11 @@ namespace spider {
 template <typename Key>
 using CountMap = std::unordered_map<Key, std::uint64_t>;
 
-template <typename Key>
-void merge_counts(CountMap<Key>& into, const CountMap<Key>& from) {
-  if (into.empty()) {
-    into = from;
-    return;
-  }
-  // Reserve for the larger side only: overlapping key sets are the common
-  // case (every chunk sees mostly the same extensions), so summing the
-  // sizes routinely over-allocates 2x. The table still grows organically
-  // when the key sets really are disjoint.
-  into.reserve(std::max(into.size(), from.size()));
-  for (const auto& [key, count] : from) into[key] += count;
-}
-
-/// Destructive merge for reduce trees: addition commutes, so when `from`
-/// holds more groups than `into` we swap before folding — each key pair is
-/// rehashed at most min(|into|, |from|) times instead of |from| times.
-template <typename Key>
-void merge_counts(CountMap<Key>& into, CountMap<Key>&& from) {
-  if (from.size() > into.size()) into.swap(from);
-  if (from.empty()) return;
-  into.reserve(std::max(into.size(), from.size()));
-  for (auto it = from.begin(); it != from.end();) {
-    auto node = from.extract(it++);
-    auto res = into.insert(std::move(node));
-    if (!res.inserted) res.position->second += res.node.mapped();
-  }
-}
-
-/// Parallel grouped count over [0, n). `emit_keys(row, emit)` calls
-/// emit(key, weight) zero or more times per row. One accumulator per pool
-/// thread (not per chunk): hash-map partials are expensive to merge, so the
-/// grain is sized to produce exactly pool-width chunks.
-template <typename Key, typename EmitKeys>
-CountMap<Key> parallel_count(std::size_t n, EmitKeys&& emit_keys,
-                             std::size_t grain = 0) {
-  if (grain == 0 && n > 0) {
-    const std::size_t width = std::max(1u, ThreadPool::global().size());
-    grain = std::max<std::size_t>(kGrainMin, (n + width - 1) / width);
-  }
-  return parallel_reduce<CountMap<Key>>(
-      n, CountMap<Key>{},
-      [&emit_keys](CountMap<Key>& acc, std::size_t row) {
-        emit_keys(row, [&acc](const Key& key, std::uint64_t weight) {
-          acc[key] += weight;
-        });
-      },
-      [](CountMap<Key>& into, CountMap<Key>& from) {
-        merge_counts(into, std::move(from));
-      },
-      nullptr, grain);
-}
-
-/// Partial count maps below this many total entries merge serially; the
-/// two radix passes only pay off once the merge is genuinely the tail.
-inline constexpr std::size_t kPartitionedMergeMin = 1 << 14;
-
-/// Radix-partitioned parallel merge of flat count-map partials
-/// (DESIGN.md §12): flatten every partial's (key, count) entries, split by
-/// the TOP key bits with engine/partition.h, accumulate each partition in
-/// parallel (partitions are disjoint — no atomics), then splice the
-/// partitions' unique keys serially into one table. The serial tail is
-/// O(unique keys) cheap inserts instead of O(total entries) accumulating
-/// probes. Layout is a pure function of the partials' contents, so results
-/// iterate identically at every thread count.
-template <typename KeyMix>
-BasicFlatCountMap<KeyMix> merge_flat_counts_partitioned(
-    std::vector<BasicFlatCountMap<KeyMix>>& partials,
-    ThreadPool* pool = nullptr) {
-  using Map = BasicFlatCountMap<KeyMix>;
-  std::size_t total = 0;
-  for (const Map& partial : partials) total += partial.size();
-
-  if (partials.size() <= 1 || total < kPartitionedMergeMin) {
-    Map result(total);
-    for (const Map& partial : partials) merge_flat_counts(result, partial);
-    return result;
-  }
-
-  // Flatten. Each partial writes its own contiguous slice.
-  std::vector<std::uint64_t> keys(total), counts(total);
-  std::vector<std::size_t> offsets(partials.size() + 1, 0);
-  for (std::size_t p = 0; p < partials.size(); ++p) {
-    offsets[p + 1] = offsets[p] + partials[p].size();
-  }
-  parallel_for(
-      partials.size(),
-      [&](std::size_t p) {
-        std::size_t at = offsets[p];
-        partials[p].for_each([&](std::uint64_t key, std::uint64_t count) {
-          keys[at] = key;
-          counts[at] = count;
-          ++at;
-        });
-      },
-      pool, /*grain=*/1);
-
-  const std::uint32_t bits = radix_bits_for(total);
-  const RadixPartitions parts = radix_partition(
-      total, bits, [&](std::size_t i) { return KeyMix::mix(keys[i]); },
-      [](std::size_t) { return true; }, pool);
-
-  // Accumulate each partition privately, in parallel.
-  std::vector<Map> per_part(parts.partition_count());
-  parallel_for(
-      parts.partition_count(),
-      [&](std::size_t p) {
-        const auto items = parts.partition_items(p);
-        if (items.empty()) return;
-        Map map(items.size());
-        for (const std::uint32_t item : items) {
-          map.add(keys[item], counts[item]);
-        }
-        per_part[p] = std::move(map);
-      },
-      pool, /*grain=*/1);
-
-  std::size_t unique = 0;
-  for (const Map& map : per_part) unique += map.size();
-  Map result(unique);
-  for (const Map& map : per_part) {
-    map.for_each([&result](std::uint64_t key, std::uint64_t count) {
-      result.slot(key) = count;  // partitions are disjoint: plain store
-    });
-  }
-  return result;
-}
-
-/// Parallel grouped count into a flat table: per-chunk FlatCountMap
-/// partials (pool-width chunks, like parallel_count) folded by the
-/// radix-partitioned merge. Key 0 and duplicate-heavy streams are fine —
-/// see flat_map.h.
-template <typename KeyMix = IdentityKeyMix, typename EmitKeys>
-BasicFlatCountMap<KeyMix> parallel_count_flat(std::size_t n,
-                                              EmitKeys&& emit_keys,
-                                              ThreadPool* pool = nullptr,
-                                              std::size_t grain = 0) {
-  using Map = BasicFlatCountMap<KeyMix>;
-  if (n == 0) return Map();
-  if (grain == 0) {
-    ThreadPool& p = pool ? *pool : ThreadPool::global();
-    const std::size_t width = std::max(1u, p.size());
-    grain = std::max<std::size_t>(kGrainMin, (n + width - 1) / width);
-  }
-  const std::size_t chunks = (n + grain - 1) / grain;
-  std::vector<Map> partials(chunks);
-  parallel_for_chunked(
-      n, grain,
-      [&](std::size_t begin, std::size_t end) {
-        Map& acc = partials[begin / grain];
-        for (std::size_t row = begin; row < end; ++row) {
-          emit_keys(row, [&acc](std::uint64_t key, std::uint64_t weight) {
-            acc.add(key, weight);
-          });
-        }
-      },
-      pool);
-  return merge_flat_counts_partitioned(partials, pool);
-}
-
 /// Distinct 64-bit keys sharded by the top key bits: the union of many key
 /// spans built fully in parallel (one task per radix partition, no
 /// atomics), for high-cardinality set merges — the census parent-directory
-/// union is the canonical user. Keys must be well-mixed (path hashes);
-/// partitioning uses the top bits, the per-shard U64Sets the low bits.
+/// union is the canonical user. Keys must be well-mixed (path hashes):
+/// partitioning uses the top bits, the identity-mixed shards the low bits.
 class PartitionedU64Set {
  public:
   /// Rebuilds the set as the union of all keys in `spans`.
@@ -231,7 +64,7 @@ class PartitionedU64Set {
         parts.partition_count(),
         [&](std::size_t p) {
           const auto keys = parts.partition_keys(p);
-          U64Set set(keys.size());
+          FlatSet<IdentityKeyMix> set(keys.size());
           for (const std::uint64_t key : keys) set.insert(key);
           parts_[p] = std::move(set);
         },
@@ -245,13 +78,13 @@ class PartitionedU64Set {
 
   std::size_t size() const {
     std::size_t total = 0;
-    for (const U64Set& part : parts_) total += part.size();
+    for (const auto& part : parts_) total += part.size();
     return total;
   }
 
  private:
   std::uint32_t bits_ = 0;
-  std::vector<U64Set> parts_;
+  std::vector<FlatSet<IdentityKeyMix>> parts_;
 };
 
 /// Largest-count-first top-k; ties break on key order so output is stable.
@@ -286,22 +119,6 @@ inline std::vector<std::pair<std::uint32_t, std::uint64_t>> top_k_dict(
             });
   if (entries.size() > k) entries.resize(k);
   return entries;
-}
-
-/// Sum of all counts in a map.
-template <typename Key>
-std::uint64_t total_count(const CountMap<Key>& counts) {
-  std::uint64_t total = 0;
-  for (const auto& [key, count] : counts) total += count;
-  return total;
-}
-
-template <typename KeyMix>
-std::uint64_t total_count(const BasicFlatCountMap<KeyMix>& counts) {
-  std::uint64_t total = 0;
-  counts.for_each(
-      [&total](std::uint64_t, std::uint64_t count) { total += count; });
-  return total;
 }
 
 }  // namespace spider

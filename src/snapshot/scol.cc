@@ -565,87 +565,6 @@ std::vector<std::uint8_t> encode_scol(const SnapshotTable& table,
   return image;
 }
 
-namespace {
-
-Status decode_scol_v2(std::span<const std::uint8_t> bytes,
-                      SnapshotTable* table, const ScolOptions& options,
-                      SalvageReport* report, ThreadPool* pool) {
-  ScolV2Layout layout;
-  Status s = parse_scol_v2_layout(bytes, &layout);
-  // Header/directory damage is unrecoverable: without trustworthy group
-  // extents there is nothing to salvage against.
-  if (!s.ok()) return s;
-
-  const std::size_t ngroups = layout.group_rows.size();
-  const bool salvage =
-      options.on_corrupt_group != CorruptGroupPolicy::kFail;
-  if (report) {
-    *report = SalvageReport{};
-    report->groups_total = ngroups;
-    report->rows_total = layout.rows;
-  }
-
-  // Decode the in-bounds groups concurrently into per-group staging
-  // tables; groups whose directory extent runs past the image are
-  // truncation casualties and never touched.
-  std::vector<SnapshotTable> staging(ngroups);
-  std::vector<Status> group_status(ngroups);
-  for (std::size_t g = 0; g < ngroups; ++g) {
-    if (layout.group_truncated[g]) {
-      group_status[g] = Status::truncated("group extends past end of image");
-    }
-  }
-  parallel_for(
-      ngroups,
-      [&](std::size_t g) {
-        if (layout.group_truncated[g]) return;
-        group_status[g] = decode_column_set(
-            bytes.subspan(layout.group_begin[g], layout.group_len[g]), 0,
-            layout.group_rows[g], &staging[g], options.columns);
-      },
-      pool, /*grain=*/1);
-
-  std::uint64_t rows_lost = 0;
-  std::size_t groups_lost = 0;
-  for (std::size_t g = 0; g < ngroups; ++g) {
-    if (group_status[g].ok()) continue;
-    // Failures report the lowest-numbered failing group first, so
-    // messages are deterministic across thread schedules.
-    if (!salvage) {
-      return group_status[g].with_context("group " + std::to_string(g));
-    }
-    ++groups_lost;
-    rows_lost += layout.group_rows[g];
-    if (report) {
-      ScolGroupDamage damage;
-      damage.group = g;
-      damage.rows = layout.group_rows[g];
-      damage.status = group_status[g];
-      if (options.on_corrupt_group == CorruptGroupPolicy::kQuarantine) {
-        const std::size_t begin = std::min(layout.group_begin[g], bytes.size());
-        const std::size_t len = std::min(layout.group_len[g],
-                                         bytes.size() - begin);
-        damage.quarantined.assign(bytes.begin() + begin,
-                                  bytes.begin() + begin + len);
-      }
-      report->damage.push_back(std::move(damage));
-    }
-  }
-
-  table->reserve(table->size() + layout.rows - rows_lost);
-  for (std::size_t g = 0; g < ngroups; ++g) {
-    if (group_status[g].ok()) table->append_table(std::move(staging[g]));
-  }
-  if (report) {
-    report->groups_lost = groups_lost;
-    report->rows_lost = rows_lost;
-    report->rows_recovered = layout.rows - rows_lost;
-  }
-  return Status();
-}
-
-}  // namespace
-
 Status parse_scol_v2_layout(std::span<const std::uint8_t> bytes,
                             ScolV2Layout* layout) {
   *layout = ScolV2Layout{};
@@ -724,23 +643,39 @@ std::string SalvageReport::summary() const {
 Status decode_scol(std::span<const std::uint8_t> bytes, SnapshotTable* table,
                    const ScolOptions& options, SalvageReport* report,
                    ThreadPool* pool) {
-  if (report) *report = SalvageReport{};
-  if (bytes.size() >= sizeof(kMagicV2) &&
-      std::memcmp(bytes.data(), kMagicV2, sizeof(kMagicV2)) == 0) {
-    return decode_scol_v2(bytes, table, options, report, pool);
-  }
-  if (bytes.size() >= sizeof(kMagicV1) &&
-      std::memcmp(bytes.data(), kMagicV1, sizeof(kMagicV1)) == 0) {
-    // v1 is one whole-table column set: no per-group checksums to salvage
-    // against, so the policy degenerates to strict decode.
-    const Status s = decode_scol_v1(bytes, table, options.columns);
-    if (s.ok() && report) {
-      report->groups_total = 1;
-      report->rows_total = report->rows_recovered = table->size();
+  SalvageReport local;
+  if (report == nullptr) report = &local;
+  *report = SalvageReport{};
+  ScolGroupReader reader;
+  Status s = reader.open_bytes(bytes, options);
+  // Header/directory damage is unrecoverable: without trustworthy group
+  // extents there is nothing to salvage against.
+  if (!s.ok()) return s;
+
+  // Decode the groups concurrently into per-group staging tables, then
+  // fold the verdicts in group order, so the report and a strict-mode
+  // failure (the lowest damaged group) do not depend on the schedule.
+  const std::size_t ngroups = reader.group_count();
+  std::vector<SnapshotTable> staging(ngroups);
+  std::vector<Status> verdicts(ngroups);
+  parallel_for(
+      ngroups,
+      [&](std::size_t g) { verdicts[g] = reader.decode_group(g, &staging[g]); },
+      pool, /*grain=*/1);
+  *report = reader.make_report();
+  for (std::size_t g = 0; g < ngroups; ++g) {
+    if (verdicts[g].ok()) {
+      reader.note_success(g, report);
+    } else if (!(s = reader.dispose_failure(g, verdicts[g], report)).ok()) {
+      return s;
     }
-    return s;
   }
-  return Status::corruption("bad magic");
+
+  table->reserve(table->size() + report->rows_recovered);
+  for (std::size_t g = 0; g < ngroups; ++g) {
+    if (verdicts[g].ok()) table->append_table(std::move(staging[g]));
+  }
+  return Status();
 }
 
 Status scol_group_column_sizes(std::span<const std::uint8_t> group,
@@ -922,7 +857,7 @@ void ScolGroupReader::note_success(std::size_t g,
 Status ScolGroupReader::dispose_failure(std::size_t g, Status s,
                                         SalvageReport* report) const {
   // v1 has a single whole-table column set: nothing to salvage against,
-  // so the policy degenerates to strict — same as the eager decoder.
+  // so the policy degenerates to strict.
   if (impl_->v1) return s;
   if (impl_->options.on_corrupt_group == CorruptGroupPolicy::kFail) {
     return s.with_context("group " + std::to_string(g));

@@ -156,9 +156,10 @@ std::vector<std::uint8_t> encode_scol(const SnapshotTable& table,
                                       ThreadPool* pool = nullptr);
 
 /// Decodes an in-memory .scol image (either version, dispatched on the
-/// magic), appending rows into `table`. v2 row groups decode in parallel on
-/// `pool`; the splice preserves row order, so contents are identical to a
-/// single-threaded decode.
+/// magic), appending rows into `table`. It drives a ScolGroupReader over
+/// the bytes: row groups decode in parallel on `pool`, and the splice
+/// preserves row order, so contents are identical to a single-threaded
+/// decode.
 ///
 /// Damage handling follows options.on_corrupt_group; with kSkip or
 /// kQuarantine the call succeeds whenever the header and directory are
@@ -204,11 +205,12 @@ Status read_scol_file(const std::string& file, SnapshotTable* table,
 /// decoded concurrently (the scan dispatcher's depth-1 prefetch does) and
 /// re-decoded freely (the study's second pass over a streamed week does).
 /// Salvage accounting therefore lives in a caller-owned SalvageReport,
-/// driven through make_report / note_success / dispose_failure; visiting
-/// every group once in directory order reproduces the eager decoder's
-/// report — same damage entries, same order, same counters, same strict-
-/// mode failure (the lowest damaged group) — which is what keeps the
-/// streaming study's gap and data-quality output bit-identical.
+/// driven through make_report / note_success / dispose_failure once per
+/// group in directory order. decode_scol builds its report the same way,
+/// so a streamed week gets the same damage entries, counters and strict-
+/// mode failure (the lowest damaged group) as a decoded one — which is
+/// what keeps the streaming study's gap and data-quality output
+/// bit-identical.
 class ScolGroupReader {
  public:
   ScolGroupReader();
@@ -235,24 +237,22 @@ class ScolGroupReader {
   const ScolOptions& options() const;
 
   /// Decodes group `g`, appending its rows to `table` under the open
-  /// options' projection mask. Returns the group's own verdict — the same
-  /// Status the eager decoder would assign this group (checksums verified
-  /// for every block regardless of projection; a directory extent past the
-  /// image is kTruncated) — without applying the salvage policy; on a
-  /// non-ok Status `table` is untouched.
+  /// options' projection mask. Returns the group's own verdict (checksums
+  /// verified for every block regardless of projection; a directory extent
+  /// past the image is kTruncated) without applying the salvage policy; on
+  /// a non-ok Status `table` is untouched.
   Status decode_group(std::size_t g, SnapshotTable* table) const;
 
-  /// A report pre-filled with groups_total / rows_total, matching the
-  /// eager decoder's initialization.
+  /// A report pre-filled with groups_total / rows_total.
   SalvageReport make_report() const;
 
   /// Accounts a successfully decoded group in `report`.
   void note_success(std::size_t g, SalvageReport* report) const;
 
-  /// Applies the salvage policy to a failed group exactly as the eager
-  /// decoder does: kFail returns the error with "group N" context; kSkip /
-  /// kQuarantine record the damage (quarantining the group's raw bytes
-  /// when configured) in `report` and return ok.
+  /// Applies the salvage policy to a failed group: kFail returns the error
+  /// with "group N" context; kSkip / kQuarantine record the damage
+  /// (quarantining the group's raw bytes when configured) in `report` and
+  /// return ok.
   Status dispose_failure(std::size_t g, Status s, SalvageReport* report) const;
 
  private:

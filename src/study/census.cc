@@ -46,7 +46,7 @@ struct CensusChunk : ScanChunkState {
   std::vector<std::uint64_t> parent_hashes;  // every row's parent dir
   std::vector<std::uint64_t> dir_hashes;     // path hash of each dir row
   std::vector<CensusCandidate> candidates;   // row order
-  U64Set local;                              // chunk-local candidate dedup
+  FlatSet<IdentityKeyMix> local;             // chunk-local candidate dedup
 };
 }  // namespace
 
@@ -259,11 +259,11 @@ bool CensusAnalyzer::save_state(StateWriter& w) const {
 }
 
 bool CensusAnalyzer::load_state(StateReader& r) {
-  U64Set distinct;
+  FlatSet<IdentityKeyMix> distinct;
   std::vector<std::uint64_t> files_by_user, files_by_project;
   std::vector<std::uint16_t> max_depth_by_project;
   std::vector<std::vector<double>> dir_depths;
-  FlatMap<std::int64_t> parent_live, dirs_live;
+  FlatMap<std::int64_t, IdentityKeyMix> parent_live, dirs_live;
   std::vector<std::uint64_t> files_by_domain, dirs_by_domain;
   if (!distinct.load_state(r) || !r.vec(&files_by_user) ||
       !r.vec(&files_by_project) || !r.vec(&max_depth_by_project) ||

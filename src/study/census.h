@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "engine/flat_map.h"
-#include "engine/u64set.h"
 #include "study/resolve.h"
 #include "study/runner.h"
 #include "util/stats.h"
@@ -76,6 +75,9 @@ class CensusAnalyzer : public StudyAnalyzer {
   void finish() override;
 
   std::string_view state_id() const override { return "census"; }
+  /// v2: the distinct-path set allocates lazily from 16 slots, so an
+  /// empty or small set saves a different slot image.
+  std::uint32_t state_version() const override { return 2; }
   bool save_state(StateWriter& w) const override;
   bool load_state(StateReader& r) override;
 
@@ -86,7 +88,7 @@ class CensusAnalyzer : public StudyAnalyzer {
   void rebuild_live_maps(const SnapshotTable& table);
 
   const Resolver& resolver_;
-  U64Set distinct_;
+  FlatSet<IdentityKeyMix> distinct_;
   std::vector<std::uint64_t> files_by_user_;     // dense user index
   std::vector<std::uint64_t> files_by_project_;  // dense project index
   std::vector<std::uint16_t> max_depth_by_project_;
@@ -95,8 +97,8 @@ class CensusAnalyzer : public StudyAnalyzer {
   /// full-scan week of an incremental run (baseline and re-baseline):
   /// reference counts of parent-path hashes over all rows, and of dir-path
   /// hashes. Signed so transient decrement-then-increment orders are safe.
-  FlatMap<std::int64_t> parent_live_;
-  FlatMap<std::int64_t> dirs_live_;
+  FlatMap<std::int64_t, IdentityKeyMix> parent_live_;
+  FlatMap<std::int64_t, IdentityKeyMix> dirs_live_;
   CensusResult result_;
 };
 

@@ -46,7 +46,7 @@ struct ExtensionsChunk : ScanChunkState {
   std::uint64_t files = 0;
   std::uint64_t none = 0;
   std::vector<ExtensionsCandidate> candidates;  // row order
-  U64Set local;
+  FlatSet<IdentityKeyMix> local;
 };
 
 }  // namespace
@@ -199,7 +199,7 @@ bool ExtensionsAnalyzer::save_state(StateWriter& w) const {
 }
 
 bool ExtensionsAnalyzer::load_state(StateReader& r) {
-  U64Set distinct;
+  FlatSet<IdentityKeyMix> distinct;
   StringDict dict;
   std::vector<std::uint64_t> unique_global;
   std::vector<std::vector<std::uint64_t>> unique_by_domain, weekly_counts;

@@ -11,7 +11,7 @@
 
 #include "engine/agg.h"
 #include "engine/dict.h"
-#include "engine/u64set.h"
+#include "engine/flat_map.h"
 #include "study/resolve.h"
 #include "study/runner.h"
 
@@ -59,6 +59,9 @@ class ExtensionsAnalyzer : public StudyAnalyzer {
   void finish() override;
 
   std::string_view state_id() const override { return "extensions"; }
+  /// v2: the distinct-path set allocates lazily from 16 slots, so an
+  /// empty or small set saves a different slot image.
+  std::uint32_t state_version() const override { return 2; }
   bool save_state(StateWriter& w) const override;
   bool load_state(StateReader& r) override;
 
@@ -68,7 +71,7 @@ class ExtensionsAnalyzer : public StudyAnalyzer {
  private:
   const Resolver& resolver_;
   std::size_t top_k_;
-  U64Set distinct_;
+  FlatSet<IdentityKeyMix> distinct_;
   /// Study-long extension dictionary (DESIGN.md §12): every distinct
   /// extension interned once, counts below are dense vectors indexed by
   /// id. All rendered output sorts by count with NAME tie-breaks, so the

@@ -50,7 +50,7 @@ struct LanguagesCandidate {
 
 struct LanguagesChunk : ScanChunkState {
   std::vector<LanguagesCandidate> candidates;  // row order
-  U64Set local;
+  FlatSet<IdentityKeyMix> local;
 };
 }  // namespace
 
@@ -116,7 +116,7 @@ bool LanguagesAnalyzer::save_state(StateWriter& w) const {
 }
 
 bool LanguagesAnalyzer::load_state(StateReader& r) {
-  U64Set distinct;
+  FlatSet<IdentityKeyMix> distinct;
   std::vector<std::uint64_t> global;
   std::vector<std::vector<std::uint64_t>> by_domain;
   if (!distinct.load_state(r) || !r.vec(&global) || !r.vec2(&by_domain) ||

@@ -7,7 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "engine/u64set.h"
+#include "engine/flat_map.h"
 #include "study/resolve.h"
 #include "study/runner.h"
 
@@ -51,6 +51,9 @@ class LanguagesAnalyzer : public StudyAnalyzer {
   void finish() override;
 
   std::string_view state_id() const override { return "languages"; }
+  /// v2: the distinct-path set allocates lazily from 16 slots, so an
+  /// empty or small set saves a different slot image.
+  std::uint32_t state_version() const override { return 2; }
   bool save_state(StateWriter& w) const override;
   bool load_state(StateReader& r) override;
 
@@ -59,7 +62,7 @@ class LanguagesAnalyzer : public StudyAnalyzer {
 
  private:
   const Resolver& resolver_;
-  U64Set distinct_;
+  FlatSet<IdentityKeyMix> distinct_;
   std::vector<std::uint64_t> global_;
   LanguagesResult result_;
 };

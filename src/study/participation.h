@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "engine/u64set.h"
+#include "engine/flat_map.h"
 #include "graph/bipartite.h"
 #include "study/resolve.h"
 #include "study/runner.h"
@@ -55,6 +55,8 @@ class ParticipationAnalyzer : public StudyAnalyzer {
   void finish() override;
 
   std::string_view state_id() const override { return "participation"; }
+  /// v2: the pair set's slot image is laid out by FingerprintKeyMix.
+  std::uint32_t state_version() const override { return 2; }
   bool save_state(StateWriter& w) const override;
   bool load_state(StateReader& r) override;
 
@@ -63,7 +65,7 @@ class ParticipationAnalyzer : public StudyAnalyzer {
 
  private:
   const Resolver& resolver_;
-  U64Set pairs_;
+  FlatSet<FingerprintKeyMix> pairs_;
   ParticipationResult result_;
 };
 

@@ -512,11 +512,12 @@ class StudyRun {
   }
 
   /// Pass A of a streamed week, serial in group order: decodes each group,
-  /// replaying the eager decoder's salvage accounting (scol.h documents the
-  /// contract), spills the diff columns and counts rows, files and dirs.
-  /// Only a decode verdict (strict policy) fails it, and the source records
-  /// that raw status as the eager path's gap. A spill that cannot be
-  /// written costs the week its diff, not its rows: no spill side.
+  /// folding its verdict into the week's salvage report as decode_scol does
+  /// (scol.h documents the contract), spills the diff columns and counts
+  /// rows, files and dirs. Only a decode verdict (strict policy) fails it,
+  /// and the source records that raw status as a decoded week's gap. A
+  /// spill that cannot be written costs the week its diff, not its rows:
+  /// no spill side.
   Status decode_streamed(const WeekGroupStream& stream, PendingWeek* cur) {
     const ScolGroupReader& reader = *stream.reader;
     SalvageReport salvage = reader.make_report();

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "engine/u64set.h"
+#include "engine/flat_map.h"
 #include "snapshot/record.h"
 
 namespace spider {
@@ -24,7 +24,7 @@ FacilityPlan infer_facility(SnapshotSource& source, InferenceStats* stats) {
   std::unordered_map<std::uint32_t, std::uint32_t> user_index;
   // Per-user entry counts per domain, to pick the primary domain.
   std::vector<std::unordered_map<int, std::uint64_t>> user_domain_counts;
-  U64Set membership_pairs;
+  FlatSet<FingerprintKeyMix> membership_pairs;
   std::size_t unmatched = 0;
 
   source.visit([&](std::size_t, const Snapshot& snap) {

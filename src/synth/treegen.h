@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "engine/u64set.h"
+#include "engine/flat_map.h"
 #include "synth/domains.h"
 #include "util/prng.h"
 
@@ -66,7 +66,7 @@ class ProjectTree {
   std::vector<std::uint32_t> user_dirs_;  // ids of user directories
   std::vector<std::uint32_t> hot_dirs_;   // preferred file targets
   std::size_t chain_count_ = 0;
-  U64Set path_hashes_;  // duplicate-path guard (file systems are trees)
+  FlatSet<IdentityKeyMix> path_hashes_;  // duplicate-path guard
 };
 
 }  // namespace spider

@@ -1,6 +1,9 @@
 #include "util/parallel.h"
 
 #include <algorithm>
+#include <exception>
+#include <memory>
+#include <new>
 
 namespace spider {
 
@@ -74,40 +77,62 @@ void parallel_chunks(ThreadPool& pool, std::size_t n, std::size_t grain,
     return;
   }
 
+  // Helpers may start after the call has returned, so everything they
+  // touch lives in shared state; `fn` itself is only called for claimed
+  // chunks, and the caller waits until every claimed chunk has finished.
+  struct Shared {
+    std::atomic<std::size_t> next{0};
+    std::atomic<std::size_t> remaining{0};  // chunks not finished or cancelled
+    std::mutex mu;
+    std::condition_variable cv;
+    std::exception_ptr error;  // the first exception a chunk threw
+  };
   const std::size_t num_chunks = (n + grain - 1) / grain;
-  auto next = std::make_shared<std::atomic<std::size_t>>(0);
-  auto remaining = std::make_shared<std::atomic<std::size_t>>(num_chunks);
-  auto done_mu = std::make_shared<std::mutex>();
-  auto done_cv = std::make_shared<std::condition_variable>();
+  auto shared = std::make_shared<Shared>();
+  shared->remaining = num_chunks;
 
-  auto drain = [next, remaining, done_mu, done_cv, n, grain, num_chunks,
-                &fn]() {
+  auto drain = [shared, n, grain, num_chunks, &fn]() {
+    Shared& st = *shared;
     for (;;) {
-      const std::size_t c = next->fetch_add(1, std::memory_order_relaxed);
+      const std::size_t c = st.next.fetch_add(1, std::memory_order_relaxed);
       if (c >= num_chunks) return;
-      const std::size_t begin = c * grain;
-      const std::size_t end = std::min(begin + grain, n);
-      fn(begin, end);
-      if (remaining->fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lock(*done_mu);
-        done_cv->notify_all();
+      std::size_t finished = 1;
+      try {
+        fn(c * grain, std::min(c * grain + grain, n));
+      } catch (...) {
+        // Stop handing out chunks: the unclaimed ones count as finished.
+        std::lock_guard<std::mutex> lock(st.mu);
+        if (!st.error) st.error = std::current_exception();
+        const std::size_t claimed = st.next.exchange(num_chunks);
+        if (claimed < num_chunks) finished += num_chunks - claimed;
+      }
+      if (st.remaining.fetch_sub(finished, std::memory_order_acq_rel) ==
+          finished) {
+        std::lock_guard<std::mutex> lock(st.mu);
+        st.cv.notify_all();
       }
     }
   };
 
   // One helper task per worker; each drains chunks from the shared counter.
+  // A submit that runs out of memory only costs parallelism: the caller
+  // drains whatever no helper claims.
   const unsigned helpers =
       static_cast<unsigned>(std::min<std::size_t>(pool.size(), num_chunks));
-  for (unsigned i = 0; i + 1 < helpers; ++i) pool.submit(drain);
+  try {
+    for (unsigned i = 0; i + 1 < helpers; ++i) pool.submit(drain);
+  } catch (const std::bad_alloc&) {
+  }
 
   // The caller participates too, so progress never depends on queue
   // position behind unrelated long-running tasks.
   drain();
 
-  std::unique_lock<std::mutex> lock(*done_mu);
-  done_cv->wait(lock, [&] {
-    return remaining->load(std::memory_order_acquire) == 0;
+  std::unique_lock<std::mutex> lock(shared->mu);
+  shared->cv.wait(lock, [&] {
+    return shared->remaining.load(std::memory_order_acquire) == 0;
   });
+  if (shared->error) std::rethrow_exception(shared->error);
 }
 
 }  // namespace detail

@@ -33,8 +33,9 @@ class ThreadPool {
 
   unsigned size() const { return static_cast<unsigned>(workers_.size()); }
 
-  /// Enqueue a task; tasks must not throw (the pool terminates on escape,
-  /// per the no-exceptions-across-parallel-boundaries rule).
+  /// Enqueue a task; tasks must not throw (the pool terminates on escape).
+  /// Bodies run through parallel_for and friends may throw: their first
+  /// exception reaches the calling thread.
   void submit(std::function<void()> task);
 
   /// Process-wide pool, created on first use with hardware concurrency.
@@ -58,6 +59,8 @@ namespace detail {
 /// Runs fn(chunk_begin, chunk_end) over [0, n) split into chunks of at most
 /// `grain`, fanned out across `pool`. The caller participates, so progress
 /// is guaranteed even on a saturated pool. Blocks until all chunks finish.
+/// If fn throws, on any thread, no further chunks start; once no thread is
+/// still inside fn, the first exception is rethrown to the caller.
 void parallel_chunks(ThreadPool& pool, std::size_t n, std::size_t grain,
                      const std::function<void(std::size_t, std::size_t)>& fn);
 

@@ -1,18 +1,19 @@
-// Tests for the aggregation helpers and the distinct-set.
+// Tests for the aggregation helpers and the set form of the flat table
+// (FlatSet, engine/flat_map.h).
 #include "engine/agg.h"
 
 #include <gtest/gtest.h>
 
 #include <set>
 
-#include "engine/u64set.h"
+#include "engine/flat_map.h"
 #include "util/prng.h"
 
 namespace spider {
 namespace {
 
 TEST(U64SetTest, InsertAndContains) {
-  U64Set set;
+  FlatSet<IdentityKeyMix> set;
   EXPECT_TRUE(set.insert(42));
   EXPECT_FALSE(set.insert(42));
   EXPECT_TRUE(set.contains(42));
@@ -21,7 +22,7 @@ TEST(U64SetTest, InsertAndContains) {
 }
 
 TEST(U64SetTest, ZeroKeyIsSupported) {
-  U64Set set;
+  FlatSet<IdentityKeyMix> set;
   EXPECT_FALSE(set.contains(0));
   EXPECT_TRUE(set.insert(0));
   EXPECT_FALSE(set.insert(0));
@@ -30,7 +31,7 @@ TEST(U64SetTest, ZeroKeyIsSupported) {
 }
 
 TEST(U64SetTest, GrowthPreservesMembership) {
-  U64Set set(4);  // force many growths
+  FlatSet<FingerprintKeyMix> set(4);  // force many growths
   Rng rng(5);
   std::set<std::uint64_t> reference;
   for (int i = 0; i < 50000; ++i) {
@@ -46,7 +47,7 @@ TEST(U64SetTest, GrowthPreservesMembership) {
 TEST(U64SetTest, DuplicateStreamNeverGrows) {
   // Probe-before-grow: inserting the same keys forever adds no occupancy,
   // so the table must keep its original capacity.
-  U64Set set(8);
+  FlatSet<IdentityKeyMix> set(8);
   for (std::uint64_t k = 1; k <= 8; ++k) EXPECT_TRUE(set.insert(k));
   const std::size_t capacity = set.capacity();
   for (int round = 0; round < 1000; ++round) {
@@ -56,59 +57,26 @@ TEST(U64SetTest, DuplicateStreamNeverGrows) {
   EXPECT_EQ(set.size(), 8u);
 }
 
-TEST(MergeCountsTest, AddsPerKey) {
-  CountMap<std::string> a{{"x", 1}, {"y", 2}};
-  const CountMap<std::string> b{{"y", 3}, {"z", 4}};
-  merge_counts(a, b);
-  EXPECT_EQ(a["x"], 1u);
-  EXPECT_EQ(a["y"], 5u);
-  EXPECT_EQ(a["z"], 4u);
-  EXPECT_EQ(total_count(a), 10u);
-}
+TEST(U64SetTest, CheckpointImageIsTheKeyArray) {
+  // The set form stores 8 bytes per slot and no value array: its image is
+  // the length-prefixed key array, the size and the key-0 flag. A restored
+  // set answers every probe like the original.
+  FlatSet<FingerprintKeyMix> set;
+  for (std::uint64_t key = 0; key < 1000; ++key) set.insert(key << 32);
+  std::vector<std::uint8_t> blob;
+  StateWriter w(&blob);
+  set.save_state(w);
+  EXPECT_EQ(blob.size(), 8 + 8 * set.capacity() + 8 + 1);
 
-TEST(MergeCountsTest, OverlappingKeySetsDoNotOverReserve) {
-  // The copy overload reserves max(|into|, |from|), not the sum: identical
-  // key sets must leave the bucket count untouched.
-  CountMap<int> a, b;
-  for (int k = 0; k < 1000; ++k) {
-    a[k] = 1;
-    b[k] = 2;
+  StateReader r(blob);
+  FlatSet<FingerprintKeyMix> restored;
+  ASSERT_TRUE(restored.load_state(r));
+  EXPECT_EQ(restored.size(), set.size());
+  for (std::uint64_t key = 0; key < 1000; ++key) {
+    ASSERT_TRUE(restored.contains(key << 32));
   }
-  const std::size_t buckets = a.bucket_count();
-  merge_counts(a, b);
-  // The old sum-reserve would rehash to >= 2000 buckets here; max-reserve
-  // must never grow the table (libstdc++ may even tighten it).
-  EXPECT_LE(a.bucket_count(), buckets);
-  EXPECT_EQ(a.size(), 1000u);
-  EXPECT_EQ(total_count(a), 3000u);
-}
-
-TEST(MergeCountsTest, IntoEmptyCopies) {
-  CountMap<int> a;
-  const CountMap<int> b{{1, 2}, {3, 4}};
-  merge_counts(a, b);
-  EXPECT_EQ(a.size(), 2u);
-  EXPECT_EQ(a.at(3), 4u);
-}
-
-TEST(ParallelCountTest, MatchesSerial) {
-  constexpr std::size_t kN = 100000;
-  const auto counts = parallel_count<std::uint64_t>(
-      kN, [](std::size_t row, auto emit) { emit(row % 7, 1); });
-  EXPECT_EQ(counts.size(), 7u);
-  std::uint64_t total = 0;
-  for (const auto& [key, count] : counts) total += count;
-  EXPECT_EQ(total, kN);
-  EXPECT_EQ(counts.at(0), kN / 7 + 1);  // 100000 = 7*14285 + 5
-}
-
-TEST(ParallelCountTest, MultipleEmitsPerRow) {
-  const auto counts = parallel_count<int>(100, [](std::size_t row, auto emit) {
-    emit(0, 1);
-    if (row % 2 == 0) emit(1, 2);
-  });
-  EXPECT_EQ(counts.at(0), 100u);
-  EXPECT_EQ(counts.at(1), 100u);
+  EXPECT_FALSE(restored.contains(1));
+  EXPECT_FALSE(restored.insert(999ull << 32));
 }
 
 TEST(TopKTest, OrderAndTieBreak) {

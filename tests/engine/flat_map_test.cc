@@ -1,7 +1,7 @@
-// Property tests for the flat aggregation layer (DESIGN.md §12): FlatMap /
-// FlatCountMap against a std::unordered_map reference on randomized key
-// streams, the string dictionary (including forced full-hash collisions),
-// the radix-partitioned merge, and PartitionedU64Set.
+// Property tests for the flat aggregation layer (DESIGN.md §12): FlatMap,
+// also used as a count map, against a std::unordered_map reference on
+// randomized key streams, the string dictionary (including forced
+// full-hash collisions), and PartitionedU64Set.
 #include "engine/flat_map.h"
 
 #include <gtest/gtest.h>
@@ -20,13 +20,27 @@
 namespace spider {
 namespace {
 
+// The key policy has no default: a table declared without one does not
+// compile.
+template <template <typename...> class Table, typename... Args>
+concept Declarable = requires { typename Table<Args...>; };
+static_assert(Declarable<FlatSet, IdentityKeyMix>);
+static_assert(!Declarable<FlatSet>);
+static_assert(Declarable<FlatMap, int, FingerprintKeyMix>);
+static_assert(!Declarable<FlatMap, int>);
+
+template <typename KeyMix>
+using CountTable = FlatMap<std::uint64_t, KeyMix>;
+
 template <typename KeyMix>
 void expect_matches_reference(
-    const BasicFlatCountMap<KeyMix>& map,
+    const CountTable<KeyMix>& map,
     const std::unordered_map<std::uint64_t, std::uint64_t>& reference) {
   ASSERT_EQ(map.size(), reference.size());
   for (const auto& [key, count] : reference) {
-    EXPECT_EQ(map.count(key), count) << "key " << key;
+    const std::uint64_t* found = map.find(key);
+    ASSERT_NE(found, nullptr) << "key " << key;
+    EXPECT_EQ(*found, count) << "key " << key;
   }
   std::size_t visited = 0;
   map.for_each([&](std::uint64_t key, std::uint64_t count) {
@@ -40,12 +54,12 @@ void expect_matches_reference(
 
 TEST(FlatCountMapTest, RandomStreamMatchesUnorderedMap) {
   Rng rng(11);
-  FlatCountMap map;
+  CountTable<IdentityKeyMix> map;
   std::unordered_map<std::uint64_t, std::uint64_t> reference;
   for (int i = 0; i < 200000; ++i) {
     const std::uint64_t key = rng.next_u64() % 50000;  // duplicates + key 0
     const std::uint64_t weight = 1 + rng.next_u64() % 3;
-    map.add(key, weight);
+    map.slot(key) += weight;
     reference[key] += weight;
   }
   expect_matches_reference(map, reference);
@@ -55,10 +69,10 @@ TEST(FlatCountMapTest, FingerprintMixHandlesDenseKeys) {
   // Sequential ids are the worst case for identity hashing; the
   // fingerprint policy must stay correct (and the table correct under
   // growth from the minimum capacity).
-  FlatCountMapRaw map;
+  CountTable<FingerprintKeyMix> map;
   std::unordered_map<std::uint64_t, std::uint64_t> reference;
   for (std::uint64_t k = 0; k < 10000; ++k) {
-    map.add(k);
+    ++map.slot(k);
     reference[k] += 1;
   }
   expect_matches_reference(map, reference);
@@ -67,12 +81,12 @@ TEST(FlatCountMapTest, FingerprintMixHandlesDenseKeys) {
 TEST(FlatCountMapTest, AdversarialCollisionsProbeCorrectly) {
   // Keys crafted to land on the same initial slot under identity mixing:
   // equal low bits, distinct high bits. Linear probing must keep them all.
-  FlatCountMap map;
+  CountTable<IdentityKeyMix> map;
   std::unordered_map<std::uint64_t, std::uint64_t> reference;
   for (std::uint64_t i = 1; i <= 300; ++i) {
     const std::uint64_t key = (i << 40) | 0x5;  // same low bits for all
     for (std::uint64_t r = 0; r < i % 7 + 1; ++r) {
-      map.add(key);
+      ++map.slot(key);
       reference[key] += 1;
     }
   }
@@ -80,31 +94,32 @@ TEST(FlatCountMapTest, AdversarialCollisionsProbeCorrectly) {
 }
 
 TEST(FlatCountMapTest, EmptyKeySentinelIsARealKey) {
-  FlatCountMap map;
+  CountTable<IdentityKeyMix> map;
   EXPECT_FALSE(map.contains(0));
-  map.add(0, 7);
-  map.add(0, 2);
-  EXPECT_TRUE(map.contains(0));
-  EXPECT_EQ(map.count(0), 9u);
+  map.slot(0) += 7;
+  map.slot(0) += 2;
+  ASSERT_TRUE(map.contains(0));
+  EXPECT_EQ(*map.find(0), 9u);
   EXPECT_EQ(map.size(), 1u);
   // for_each reports the reserved key exactly once, last.
   std::vector<std::uint64_t> keys;
-  map.add(3);
+  ++map.slot(3);
   map.for_each([&](std::uint64_t k, std::uint64_t) { keys.push_back(k); });
   ASSERT_EQ(keys.size(), 2u);
   EXPECT_EQ(keys.back(), 0u);
 }
 
 TEST(FlatCountMapTest, DuplicateHeavyStreamNeverGrows) {
-  FlatCountMap map(8);
-  for (std::uint64_t k = 1; k <= 8; ++k) map.add(k);
+  CountTable<IdentityKeyMix> map(8);
+  for (std::uint64_t k = 1; k <= 8; ++k) ++map.slot(k);
   const std::size_t capacity = map.capacity();
   for (int round = 0; round < 1000; ++round) {
-    for (std::uint64_t k = 1; k <= 8; ++k) map.add(k);
+    for (std::uint64_t k = 1; k <= 8; ++k) ++map.slot(k);
   }
   EXPECT_EQ(map.capacity(), capacity);
   EXPECT_EQ(map.size(), 8u);
-  EXPECT_EQ(map.count(5), 1001u);
+  ASSERT_TRUE(map.contains(5));
+  EXPECT_EQ(*map.find(5), 1001u);
 }
 
 TEST(FlatMapTest, FindAndGrowthPreserveValues) {
@@ -170,46 +185,6 @@ TEST(StringDictTest, FullHashCollisionFallsBackToBytes) {
   // Survives growth (rehash keeps the colliding trio apart).
   for (int i = 0; i < 1000; ++i) dict.intern("grow" + std::to_string(i));
   EXPECT_EQ(dict.intern_hashed(hash, "beta"), b);
-}
-
-TEST(MergeFlatCountsTest, PartitionedMergeMatchesSerial) {
-  // Above the partitioned-merge threshold with overlapping key sets:
-  // result must equal the serial fold exactly.
-  Rng rng(31);
-  constexpr std::size_t kPartials = 16;
-  std::vector<FlatCountMap> partials(kPartials);
-  std::unordered_map<std::uint64_t, std::uint64_t> reference;
-  for (std::size_t p = 0; p < kPartials; ++p) {
-    for (int i = 0; i < 3000; ++i) {
-      const std::uint64_t key = mix64(rng.next_u64() % 20000 + 1);
-      partials[p].add(key);
-      reference[key] += 1;
-    }
-  }
-  for (const unsigned threads : {1u, 4u}) {
-    ThreadPool pool(threads);
-    std::vector<FlatCountMap> copy = partials;
-    const FlatCountMap merged = merge_flat_counts_partitioned(copy, &pool);
-    expect_matches_reference(merged, reference);
-  }
-}
-
-TEST(ParallelCountFlatTest, MatchesParallelCountAtAnyWidth) {
-  constexpr std::size_t kN = 150000;
-  auto emit = [](std::size_t row, auto&& sink) {
-    sink(mix64(row % 997), 1);
-    if (row % 3 == 0) sink(0, 2);  // exercise the reserved key in partials
-  };
-  const auto reference = parallel_count<std::uint64_t>(kN, emit);
-  for (const unsigned threads : {1u, 2u, 7u}) {
-    ThreadPool pool(threads);
-    const FlatCountMap flat =
-        parallel_count_flat<IdentityKeyMix>(kN, emit, &pool, /*grain=*/2048);
-    ASSERT_EQ(flat.size(), reference.size()) << "threads " << threads;
-    for (const auto& [key, count] : reference) {
-      EXPECT_EQ(flat.count(key), count) << "threads " << threads;
-    }
-  }
 }
 
 TEST(PartitionedU64SetTest, UnionMatchesReference) {

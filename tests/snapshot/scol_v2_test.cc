@@ -100,12 +100,23 @@ INSTANTIATE_TEST_SUITE_P(AllKnobCombinations, ScolV2OptionSweep,
 TEST(ScolV2Test, V1ImagesStillDecode) {
   // Backward compat: images in the seed encoder's v1 layout, which nothing
   // writes any more, must keep decoding through the version dispatch.
+  // The rows append behind any already in the table, and the report
+  // counts only the image's rows.
   const SnapshotTable original = make_table(500);
   const auto image = scol_v1_image(original);
   ASSERT_EQ(std::memcmp(image.data(), "SCOL0001", 8), 0);
-  SnapshotTable decoded;
-  ASSERT_TRUE(decode_scol(image, &decoded, ScolOptions{}).ok());
-  expect_tables_equal(original, decoded);
+  for (const std::size_t existing : {0, 7}) {
+    SnapshotTable decoded = make_table(existing, /*seed=*/3);
+    SnapshotTable expected = make_table(existing, /*seed=*/3);
+    expected.append_table(make_table(500));
+    SalvageReport report;
+    ASSERT_TRUE(decode_scol(image, &decoded, ScolOptions{}, &report).ok());
+    expect_tables_equal(expected, decoded);
+    EXPECT_EQ(report.groups_total, 1u) << "existing rows " << existing;
+    EXPECT_EQ(report.rows_total, 500u) << "existing rows " << existing;
+    EXPECT_EQ(report.rows_recovered, 500u) << "existing rows " << existing;
+    EXPECT_TRUE(report.clean());
+  }
 }
 
 TEST(ScolV2Test, V1AndV2EncodeIdenticalTables) {

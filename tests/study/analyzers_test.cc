@@ -10,6 +10,7 @@
 #include "study/file_age.h"
 #include "study/growth.h"
 #include "study/network.h"
+#include "study/participation.h"
 #include "study/striping.h"
 #include "study/user_profile.h"
 #include "util/timeutil.h"
@@ -282,6 +283,46 @@ TEST_F(AnalyzerTest, UserProfileCountsDistinctUids) {
   const std::size_t expected = uid_of(a) == uid_of(b) ? 1u : 2u;
   EXPECT_EQ(r.active_users, expected);
   EXPECT_EQ(r.unknown_uids, 0u);
+}
+
+// Participation packs (user, project) pairs as user << 32 | project, so
+// every pair of one project shares its low bits. 64 users in each of the
+// full-scale plan's projects (24,320 pairs) must still spread over the
+// pair set: under identity placement they would fill one run of 24,319
+// slots (key 0 lives out of line), probed half-way on every insert.
+TEST_F(AnalyzerTest, ParticipationPairSetHasNoLongProbeRuns) {
+  constexpr std::size_t kUsers = 64;
+  ASSERT_EQ(plan_->projects.size(), 380u);
+  ASSERT_GE(plan_->users.size(), kUsers);
+  std::vector<RawRecord> records;
+  for (std::size_t u = 0; u < kUsers; ++u) {
+    for (const ProjectInfo& p : plan_->projects) {
+      RawRecord rec = file(p, "u" + std::to_string(u), 1, 1, 1);
+      rec.uid = plan_->users[u].uid;
+      records.push_back(std::move(rec));
+    }
+  }
+  SnapshotSeries series;
+  series.add(snapshot(0, std::move(records)));
+  ParticipationAnalyzer participation(*resolver_);
+  run_study(series, participation);
+  ASSERT_EQ(participation.result().observed.size(),
+            kUsers * plan_->projects.size());
+
+  // The blob opens with the pair set's slot array (FlatSet::save_state).
+  std::vector<std::uint8_t> blob;
+  StateWriter w(&blob);
+  ASSERT_TRUE(participation.save_state(w));
+  StateReader r(blob);
+  std::vector<std::uint64_t> slots;
+  ASSERT_TRUE(r.vec(&slots));
+  ASSERT_FALSE(slots.empty());
+  std::size_t longest = 0, run = 0;
+  for (std::size_t i = 0; i < 2 * slots.size(); ++i) {  // runs may wrap
+    run = slots[i % slots.size()] != 0 ? run + 1 : 0;
+    longest = std::max(longest, run);
+  }
+  EXPECT_LE(longest, kUsers);
 }
 
 // Collaboration and network post-process participation's membership in

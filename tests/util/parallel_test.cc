@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <new>
 #include <numeric>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace spider {
@@ -100,6 +104,48 @@ TEST(ParallelForTest, SingleThreadPoolRunsInline) {
   std::uint64_t total = 0;  // no atomics needed: guaranteed inline
   parallel_for(1000, [&](std::size_t i) { total += i; }, &pool);
   EXPECT_EQ(total, 1000ull * 999 / 2);
+}
+
+TEST(ParallelForChunkedTest, BodyExceptionsReachTheCaller) {
+  // A body that throws on the calling thread must not unwind the call
+  // while workers still run it; one that throws on a worker must not
+  // escape the pool. Either way the exception arrives at the call and the
+  // pool stays usable.
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  constexpr std::size_t kChunks = 1024;
+
+  std::atomic<bool> caller_entered{false};
+  std::atomic<int> in_body{0};
+  auto throw_on_caller = [&](std::size_t, std::size_t) {
+    if (std::this_thread::get_id() == caller) {
+      caller_entered = true;
+      while (in_body.load() == 0) std::this_thread::yield();
+      throw std::bad_alloc();
+    }
+    in_body.fetch_add(1);
+    while (!caller_entered.load()) std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    in_body.fetch_sub(1);
+  };
+  EXPECT_THROW(parallel_for_chunked(kChunks, 1, throw_on_caller, &pool),
+               std::bad_alloc);
+  EXPECT_EQ(in_body.load(), 0) << "a worker was still inside the body";
+
+  std::atomic<bool> worker_threw{false};
+  auto throw_on_worker = [&](std::size_t, std::size_t) {
+    if (std::this_thread::get_id() != caller) {
+      worker_threw = true;
+      throw std::runtime_error("worker");
+    }
+    while (!worker_threw.load()) std::this_thread::yield();
+  };
+  EXPECT_THROW(parallel_for_chunked(kChunks, 1, throw_on_worker, &pool),
+               std::runtime_error);
+
+  std::atomic<std::uint64_t> total{0};
+  parallel_for(10000, [&](std::size_t i) { total.fetch_add(i); }, &pool);
+  EXPECT_EQ(total.load(), 10000ull * 9999 / 2);
 }
 
 // Stress the chunk-claiming logic across grain sizes.
