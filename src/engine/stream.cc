@@ -1,7 +1,9 @@
 #include "engine/stream.h"
 
 #include <condition_variable>
+#include <exception>
 #include <mutex>
+#include <new>
 #include <utility>
 
 namespace spider {
@@ -15,15 +17,16 @@ struct ScolMorselSource::Impl {
   std::size_t base = 0;        // global row of the next batch's first row
   int next_slot = 0;           // slot the next batch will occupy
 
-  // Depth-1 decode-ahead. The in-flight task decodes `pending_group` into
-  // slots[pending_slot]; `done` flips under `mu` when it finishes.
+  // Depth-1 decode-ahead. The in-flight task decodes group next_group
+  // into slots[next_slot]; `done` flips under `mu` when it finishes, with
+  // its verdict in `pending_status` or, if the decode threw (an
+  // allocation failure, say), the exception in `pending_error`.
   std::mutex mu;
   std::condition_variable cv;
   bool pending = false;
   bool done = false;
-  std::size_t pending_group = 0;
-  int pending_slot = 0;
   Status pending_status;
+  std::exception_ptr pending_error;
 
   bool skipped(std::size_t g) const {
     return g < options.skip.size() && options.skip[g] != 0;
@@ -40,20 +43,38 @@ struct ScolMorselSource::Impl {
     cv.wait(lock, [this] { return done; });
   }
 
+  /// Waits for the decode-ahead and takes its outcome: the verdict, or the
+  /// task's exception rethrown here, on the consumer's thread.
+  Status take_pending() {
+    wait_pending();
+    pending = false;
+    if (pending_error) std::rethrow_exception(std::exchange(pending_error, {}));
+    return std::move(pending_status);
+  }
+
   void submit_prefetch(std::size_t group, int slot) {
-    pending = true;
     done = false;
-    pending_group = group;
-    pending_slot = slot;
     ThreadPool& pool = options.pool ? *options.pool : ThreadPool::global();
-    pool.submit([this, group, slot] {
-      slots[slot].clear();
-      Status s = reader->decode_group(group, &slots[slot]);
-      std::lock_guard<std::mutex> lock(mu);
-      pending_status = std::move(s);
-      done = true;
-      cv.notify_all();
-    });
+    try {
+      pool.submit([this, group, slot] {
+        Status s;
+        std::exception_ptr error;
+        try {
+          slots[slot].clear();
+          s = reader->decode_group(group, &slots[slot]);
+        } catch (...) {  // a pool task must not throw
+          error = std::current_exception();
+        }
+        std::lock_guard<std::mutex> lock(mu);
+        pending_status = std::move(s);
+        pending_error = std::move(error);
+        done = true;
+        cv.notify_all();
+      });
+    } catch (const std::bad_alloc&) {
+      return;  // no decode-ahead: next() decodes the group itself
+    }
+    pending = true;
   }
 };
 
@@ -73,26 +94,16 @@ Status ScolMorselSource::next(MorselBatch* batch) {
   Impl& im = *impl_;
   batch->table = nullptr;
   batch->base = 0;
-  if (im.next_group >= im.reader->group_count()) {
-    if (im.pending) {  // stream ended while a stale prefetch was in flight
-      im.wait_pending();
-      im.pending = false;
-    }
-    return Status();
-  }
+  if (im.next_group >= im.reader->group_count()) return Status();
 
   const std::size_t group = im.next_group;
   const int slot = im.next_slot;
+  // A decode-ahead in flight is always for this group and slot: it was
+  // submitted for next_group into next_slot, and nothing else moves them.
   Status s;
-  if (im.pending && im.pending_group == group && im.pending_slot == slot) {
-    im.wait_pending();
-    im.pending = false;
-    s = std::move(im.pending_status);
+  if (im.pending) {
+    s = im.take_pending();
   } else {
-    if (im.pending) {  // prefetch raced a skip-list change; drain it
-      im.wait_pending();
-      im.pending = false;
-    }
     im.slots[slot].clear();
     s = im.reader->decode_group(group, &im.slots[slot]);
   }

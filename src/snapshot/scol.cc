@@ -3,7 +3,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <map>
 #include <utility>
 
 #include <fcntl.h>
@@ -232,24 +231,73 @@ struct ColumnBlock {
   std::span<const std::uint8_t> payload;
 };
 
-Status decode_paths(const ColumnBlock& block, std::size_t rows,
-                    std::vector<std::string>* out) {
-  // Every row costs at least one payload byte; rejecting implausible row
-  // counts up front keeps a corrupted header from driving a huge reserve.
+/// The nine blocks of one column set, by column id.
+struct ColumnSet {
+  ColumnBlock blocks[kColOst + 1];
+
+  const ColumnBlock& operator[](ColumnId id) const { return blocks[id]; }
+};
+
+/// Parses one column set (count byte + blocks) starting at `pos`: framing,
+/// every block's checksum and the presence of all nine columns. It decodes
+/// no payload, so every reader of a group checks the same things first.
+Status parse_column_set(std::span<const std::uint8_t> bytes, std::size_t pos,
+                        ColumnSet* set) {
+  if (pos >= bytes.size()) return Status::truncated("truncated column set");
+  const std::uint8_t ncols = bytes[pos++];
+
+  std::uint32_t present = 0;
+  for (std::uint8_t c = 0; c < ncols; ++c) {
+    if (pos + 2 > bytes.size()) {
+      return Status::truncated("truncated column header");
+    }
+    const std::uint8_t id = bytes[pos++];
+    const Encoding enc = static_cast<Encoding>(bytes[pos++]);
+    std::uint64_t size = 0, checksum = 0;
+    if (!get_u64_le(bytes, pos, size) || !get_u64_le(bytes, pos, checksum)) {
+      return Status::truncated("truncated column header");
+    }
+    if (size > bytes.size() - pos) {
+      return Status::truncated("truncated payload");
+    }
+    const auto payload = bytes.subspan(pos, size);
+    if (payload_checksum(payload) != checksum) {
+      return Status::corruption("column checksum mismatch");
+    }
+    if (id >= kColPaths && id <= kColOst) {  // unknown ids are skipped
+      set->blocks[id] = ColumnBlock{enc, payload};
+      present |= 1u << id;
+    }
+    pos += size;
+  }
+  for (const ColumnId id :
+       {kColPaths, kColAtime, kColCtime, kColMtime, kColUid, kColGid,
+        kColMode, kColInode, kColOst}) {
+    if (!(present & (1u << id))) return Status::corruption("missing column");
+  }
+  return Status();
+}
+
+/// Walks a paths block and calls visit(path) once per row, in row order.
+/// Every path is rebuilt in one reused buffer, so a row costs no
+/// allocation; the view passed to visit dies at the next row.
+template <typename Visit>
+Status walk_paths(const ColumnBlock& block, std::size_t rows, Visit&& visit) {
+  // Every row costs at least one payload byte. Rejecting a larger row count
+  // (a damaged v1 header, say) here, first, keeps it from driving a huge
+  // reserve in the column decoders that follow.
   if (rows > block.payload.size()) {
     return Status::corruption("paths: row count exceeds payload");
   }
-  out->clear();
-  out->reserve(rows);
+  std::string path;
   std::size_t pos = 0;
-  std::string prev;
   for (std::size_t i = 0; i < rows; ++i) {
     std::uint64_t shared = 0, len = 0;
     if (block.enc == kEncFrontCoded) {
       if (!get_varint(block.payload, pos, shared)) {
         return Status::truncated("paths: truncated shared length");
       }
-      if (shared > prev.size()) {
+      if (shared > path.size()) {
         return Status::corruption("paths: bad shared length");
       }
     }
@@ -259,12 +307,11 @@ Status decode_paths(const ColumnBlock& block, std::size_t rows,
     if (len > block.payload.size() - pos) {
       return Status::truncated("paths: truncated suffix bytes");
     }
-    std::string path = prev.substr(0, shared);
+    path.resize(shared);
     path.append(reinterpret_cast<const char*>(block.payload.data() + pos),
                 len);
     pos += len;
-    prev = path;
-    out->push_back(std::move(path));
+    visit(std::string_view(path));
   }
   return Status();
 }
@@ -397,8 +444,70 @@ Status decode_osts(const ColumnBlock& block, std::size_t rows,
   return Status();
 }
 
-/// Reads one column set (count byte + blocks) for `rows` rows starting at
-/// `pos`, validating checksums, and appends the decoded rows to `table`.
+/// The columns of one column set other than paths, decoded. A column
+/// outside the projection stays empty and reads back as zero.
+struct DecodedColumns {
+  std::vector<std::int64_t> atime, ctime, mtime;
+  std::vector<std::uint32_t> uid, gid, mode, ost_offsets, ost_values;
+  std::vector<std::uint64_t> inode;
+};
+
+/// Decodes the projected columns of a parsed set in one fixed order, so
+/// every reader of a group reaches the same verdict at the same
+/// projection. Paths are only validated here; the caller walks them again
+/// to emit its rows, which costs less than holding every path of the
+/// group.
+Status decode_columns(const ColumnSet& set, std::size_t rows,
+                      ColumnMask columns, DecodedColumns* out) {
+  // atime/ctime are deltas against same-row mtime: requesting either means
+  // mtime has to be decoded (and is then materialized too — cheaper than a
+  // shadow column, and callers asking for access times nearly always want
+  // the modify time as well).
+  if (columns & (kColMaskAtime | kColMaskCtime)) columns |= kColMaskMtime;
+
+  Status s;
+  if ((columns & kColMaskPaths) &&
+      !(s = walk_paths(set[kColPaths], rows, [](std::string_view) {})).ok()) {
+    return s;
+  }
+  if ((columns & kColMaskMtime) &&
+      !(s = decode_i64(set[kColMtime], rows, {}, &out->mtime)).ok()) {
+    return s;
+  }
+  if ((columns & kColMaskAtime) &&
+      !(s = decode_i64(set[kColAtime], rows, out->mtime, &out->atime)).ok()) {
+    return s;
+  }
+  if ((columns & kColMaskCtime) &&
+      !(s = decode_i64(set[kColCtime], rows, out->mtime, &out->ctime)).ok()) {
+    return s;
+  }
+  if ((columns & kColMaskUid) &&
+      !(s = decode_u32(set[kColUid], rows, &out->uid)).ok()) {
+    return s;
+  }
+  if ((columns & kColMaskGid) &&
+      !(s = decode_u32(set[kColGid], rows, &out->gid)).ok()) {
+    return s;
+  }
+  if ((columns & kColMaskMode) &&
+      !(s = decode_u32(set[kColMode], rows, &out->mode)).ok()) {
+    return s;
+  }
+  if ((columns & kColMaskInode) &&
+      !(s = decode_inodes(set[kColInode], rows, &out->inode)).ok()) {
+    return s;
+  }
+  if ((columns & kColMaskOsts) &&
+      !(s = decode_osts(set[kColOst], rows, &out->ost_offsets,
+                        &out->ost_values))
+           .ok()) {
+    return s;
+  }
+  return Status();
+}
+
+/// Decodes a parsed column set of `rows` rows and appends them to `table`.
 /// The inverse of encode_column_set; the whole v1 body, one v2 row group.
 /// On a non-ok Status `table` is untouched (rows append only at the end).
 ///
@@ -406,115 +515,43 @@ Status decode_osts(const ColumnBlock& block, std::size_t rows,
 /// the rest read back as zero/empty. Checksum validation and structural
 /// checks run for every block regardless, so a damaged image fails (or
 /// salvages) identically at any projection.
-Status decode_column_set(std::span<const std::uint8_t> bytes, std::size_t pos,
-                         std::size_t rows, SnapshotTable* table,
-                         ColumnMask columns) {
-  if (pos >= bytes.size()) return Status::truncated("truncated column set");
-  const std::uint8_t ncols = bytes[pos++];
-
-  std::map<std::uint8_t, ColumnBlock> blocks;
-  for (std::uint8_t c = 0; c < ncols; ++c) {
-    if (pos + 2 > bytes.size()) {
-      return Status::truncated("truncated column header");
-    }
-    const std::uint8_t id = bytes[pos++];
-    const Encoding enc = static_cast<Encoding>(bytes[pos++]);
-    std::uint64_t size = 0, checksum = 0;
-    if (!get_u64_le(bytes, pos, size) || !get_u64_le(bytes, pos, checksum)) {
-      return Status::truncated("truncated column header");
-    }
-    if (size > bytes.size() - pos) {
-      return Status::truncated("truncated payload");
-    }
-    const auto payload = bytes.subspan(pos, size);
-    if (payload_checksum(payload) != checksum) {
-      return Status::corruption("column checksum mismatch");
-    }
-    blocks[id] = ColumnBlock{enc, payload};
-    pos += size;
-  }
-  for (const std::uint8_t id :
-       {kColPaths, kColAtime, kColCtime, kColMtime, kColUid, kColGid,
-        kColMode, kColInode, kColOst}) {
-    if (!blocks.count(id)) return Status::corruption("missing column");
-  }
-
-  // atime/ctime are deltas against same-row mtime: requesting either means
-  // mtime has to be decoded (and is then materialized too — cheaper than a
-  // shadow column, and callers asking for access times nearly always want
-  // the modify time as well).
-  if (columns & (kColMaskAtime | kColMaskCtime)) columns |= kColMaskMtime;
-
-  std::vector<std::string> paths;
-  std::vector<std::int64_t> atime, ctime, mtime;
-  std::vector<std::uint32_t> uid, gid, mode, ost_offsets, ost_values;
-  std::vector<std::uint64_t> inode;
-  Status s;
-  if ((columns & kColMaskPaths) &&
-      !(s = decode_paths(blocks[kColPaths], rows, &paths)).ok()) {
-    return s;
-  }
-  if ((columns & kColMaskMtime) &&
-      !(s = decode_i64(blocks[kColMtime], rows, {}, &mtime)).ok()) {
-    return s;
-  }
-  if ((columns & kColMaskAtime) &&
-      !(s = decode_i64(blocks[kColAtime], rows, mtime, &atime)).ok()) {
-    return s;
-  }
-  if ((columns & kColMaskCtime) &&
-      !(s = decode_i64(blocks[kColCtime], rows, mtime, &ctime)).ok()) {
-    return s;
-  }
-  if ((columns & kColMaskUid) &&
-      !(s = decode_u32(blocks[kColUid], rows, &uid)).ok()) {
-    return s;
-  }
-  if ((columns & kColMaskGid) &&
-      !(s = decode_u32(blocks[kColGid], rows, &gid)).ok()) {
-    return s;
-  }
-  if ((columns & kColMaskMode) &&
-      !(s = decode_u32(blocks[kColMode], rows, &mode)).ok()) {
-    return s;
-  }
-  if ((columns & kColMaskInode) &&
-      !(s = decode_inodes(blocks[kColInode], rows, &inode)).ok()) {
-    return s;
-  }
-  if ((columns & kColMaskOsts) &&
-      !(s = decode_osts(blocks[kColOst], rows, &ost_offsets, &ost_values))
-           .ok()) {
-    return s;
-  }
+Status decode_column_set(const ColumnSet& set, std::size_t rows,
+                         SnapshotTable* table, ColumnMask columns) {
+  DecodedColumns c;
+  const Status s = decode_columns(set, rows, columns, &c);
+  if (!s.ok()) return s;
 
   table->reserve(table->size() + rows);
-  for (std::size_t i = 0; i < rows; ++i) {
+  const auto add_row = [&](std::size_t i, std::string_view path) {
     const std::span<const std::uint32_t> osts =
-        ost_offsets.empty()
+        c.ost_offsets.empty()
             ? std::span<const std::uint32_t>()
-            : std::span<const std::uint32_t>(ost_values)
-                  .subspan(ost_offsets[i], ost_offsets[i + 1] - ost_offsets[i]);
-    table->add(paths.empty() ? std::string_view() : std::string_view(paths[i]),
-               atime.empty() ? 0 : atime[i], ctime.empty() ? 0 : ctime[i],
-               mtime.empty() ? 0 : mtime[i], uid.empty() ? 0 : uid[i],
-               gid.empty() ? 0 : gid[i], mode.empty() ? 0 : mode[i],
-               inode.empty() ? 0 : inode[i], osts);
+            : std::span<const std::uint32_t>(c.ost_values)
+                  .subspan(c.ost_offsets[i],
+                           c.ost_offsets[i + 1] - c.ost_offsets[i]);
+    table->add(path, c.atime.empty() ? 0 : c.atime[i],
+               c.ctime.empty() ? 0 : c.ctime[i],
+               c.mtime.empty() ? 0 : c.mtime[i], c.uid.empty() ? 0 : c.uid[i],
+               c.gid.empty() ? 0 : c.gid[i], c.mode.empty() ? 0 : c.mode[i],
+               c.inode.empty() ? 0 : c.inode[i], osts);
+  };
+  if (!(columns & kColMaskPaths)) {
+    for (std::size_t i = 0; i < rows; ++i) add_row(i, {});
+    return Status();
   }
-  return Status();
+  // The walk passed decode_columns, so it cannot fail here.
+  std::size_t i = 0;
+  return walk_paths(set[kColPaths], rows,
+                    [&](std::string_view path) { add_row(i++, path); });
 }
 
-// ---- v1 (single column set; decode only) ----------------------------------
-
-Status decode_scol_v1(std::span<const std::uint8_t> bytes,
-                      SnapshotTable* table, ColumnMask columns) {
-  std::size_t pos = sizeof(kMagicV1);
-  std::uint64_t rows = 0;
-  if (!get_u64_le(bytes, pos, rows)) {
-    return Status::truncated("truncated header");
-  }
-  return decode_column_set(bytes, pos, rows, table, columns);
-}
+// ---- v1 (decode only) -----------------------------------------------------
+//
+//   magic "SCOL0001"
+//   u64 total rows
+//   one column set for the whole table
+//
+// ScolGroupReader presents it as a single group.
 
 // ---- v2 (row groups) ------------------------------------------------------
 //
@@ -762,6 +799,16 @@ struct ScolGroupReader::Impl {
   ScolV2Layout layout;
   bool v1 = false;
   bool is_open = false;
+
+  /// Group g's column set, parsed: kTruncated when its directory extent
+  /// runs past the image.
+  Status parse_group(std::size_t g, ColumnSet* set) const {
+    if (layout.group_truncated[g]) {
+      return Status::truncated("group extends past end of image");
+    }
+    return parse_column_set(
+        bytes.subspan(layout.group_begin[g], layout.group_len[g]), 0, set);
+  }
 };
 
 ScolGroupReader::ScolGroupReader() : impl_(std::make_unique<Impl>()) {}
@@ -830,16 +877,30 @@ const ScolOptions& ScolGroupReader::options() const { return impl_->options; }
 
 Status ScolGroupReader::decode_group(std::size_t g,
                                      SnapshotTable* table) const {
-  if (impl_->v1) {
-    return decode_scol_v1(impl_->bytes, table, impl_->options.columns);
-  }
-  if (impl_->layout.group_truncated[g]) {
-    return Status::truncated("group extends past end of image");
-  }
-  return decode_column_set(
-      impl_->bytes.subspan(impl_->layout.group_begin[g],
-                           impl_->layout.group_len[g]),
-      0, impl_->layout.group_rows[g], table, impl_->options.columns);
+  ColumnSet set;
+  const Status s = impl_->parse_group(g, &set);
+  if (!s.ok()) return s;
+  return decode_column_set(set, impl_->layout.group_rows[g], table,
+                           impl_->options.columns);
+}
+
+Status ScolGroupReader::scan_owners(std::size_t g,
+                                    const OwnerRowFn& fn) const {
+  ColumnSet set;
+  Status s = impl_->parse_group(g, &set);
+  if (!s.ok()) return s;
+  // Validate first, through the same decoders as decode_group, so a group
+  // that fails reaches fn with no row at all.
+  const std::size_t rows = impl_->layout.group_rows[g];
+  DecodedColumns owners;
+  s = decode_columns(set, rows, kColMaskPaths | kColMaskUid | kColMaskGid,
+                     &owners);
+  if (!s.ok()) return s;
+  std::size_t i = 0;
+  return walk_paths(set[kColPaths], rows, [&](std::string_view path) {
+    fn(path, owners.uid[i], owners.gid[i]);
+    ++i;
+  });
 }
 
 SalvageReport ScolGroupReader::make_report() const {

@@ -45,6 +45,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -242,6 +243,20 @@ class ScolGroupReader {
   /// past the image is kTruncated) without applying the salvage policy; on
   /// a non-ok Status `table` is untouched.
   Status decode_group(std::size_t g, SnapshotTable* table) const;
+
+  /// One row of scan_owners: the path (valid only during the call) and
+  /// its owner ids.
+  using OwnerRowFn = std::function<void(std::string_view path,
+                                        std::uint32_t uid, std::uint32_t gid)>;
+
+  /// Reads group `g`'s paths, uid and gid without building a table,
+  /// calling fn once per row in row order. Paths are rebuilt in one reused
+  /// buffer, so a row costs no allocation. Every block is still
+  /// checksummed, and the verdict equals decode_group's under a
+  /// paths|uid|gid projection; fn runs only when that verdict is ok, so
+  /// the rows of a damaged group never reach it. Facility inference
+  /// (synth/infer.h) reads every streamed week this way.
+  Status scan_owners(std::size_t g, const OwnerRowFn& fn) const;
 
   /// A report pre-filled with groups_total / rows_total.
   SalvageReport make_report() const;

@@ -76,7 +76,10 @@ struct WeekGroupStream {
 /// Consulted once per deliverable week, before any decode work: return
 /// true to receive the week through the stream visitor, false to receive
 /// a resident Snapshot. `rows_hint` comes from the file header — the only
-/// bytes touched so far — so the budget decision costs no decode.
+/// bytes touched so far — so the budget decision costs no decode. The
+/// study runner streams the weeks that overflow its memory budget;
+/// infer_facility (synth/infer.h) streams every week, because it reads
+/// only three columns and builds no table.
 using StreamChooser = std::function<bool(
     std::size_t week, std::int64_t taken_at, std::uint64_t rows_hint)>;
 
@@ -105,16 +108,17 @@ class SnapshotSource {
   /// a deep copy, so overriding is a pure optimization.
   virtual void visit_move(const SnapshotMoveVisitor& visitor);
 
-  /// The study runner's entry point for sources that hand snapshots over:
-  /// like visit_move(), but delivers only the weeks whose slot index is
-  /// >= `first_slot` (a checkpointed study resuming mid-series), and the
-  /// weeks a non-null `chooser` accepts arrive as open group readers
-  /// through `stream_visitor` instead of resident through `move_visitor`
-  /// (out-of-core weeks). The default filters visit_move() and ignores
-  /// the chooser — only sources that actually hold group-structured bytes
-  /// (DirectorySeries over .scol v2 files) can stream, so callers must not
-  /// assume streaming happened. gaps() still describes the whole
-  /// timeline, including slots before `first_slot`.
+  /// The entry point of the study runner and of infer_facility for
+  /// sources that hand snapshots over: like visit_move(), but delivers
+  /// only the weeks whose slot index is >= `first_slot` (a checkpointed
+  /// study resuming mid-series), and the weeks a non-null `chooser`
+  /// accepts arrive as open group readers through `stream_visitor`
+  /// instead of resident through `move_visitor` (out-of-core weeks in the
+  /// study, every week in inference). The default filters visit_move()
+  /// and ignores the chooser — only sources that actually hold
+  /// group-structured bytes (DirectorySeries over .scol files) can stream,
+  /// so callers must not assume streaming happened. gaps() still
+  /// describes the whole timeline, including slots before `first_slot`.
   virtual void visit_streaming(std::size_t first_slot,
                                const StreamChooser& chooser,
                                const SnapshotMoveVisitor& move_visitor,

@@ -18,15 +18,38 @@ void GrowthAnalyzer::record(const WeekObservation& obs) {
   result_.points.push_back(point);
 }
 
+namespace {
+
+// Points are saved field by field, so the blob holds no struct padding and
+// a damaged after_gap byte is rejected instead of loaded into a bool.
+constexpr std::size_t kPointBytes = 8 + 8 + 8 + 1;
+
+}  // namespace
+
 bool GrowthAnalyzer::save_state(StateWriter& w) const {
-  w.vec(result_.points);
+  w.u64(result_.points.size());
+  for (const GrowthPoint& point : result_.points) {
+    w.i64(point.date);
+    w.u64(point.files);
+    w.u64(point.dirs);
+    w.u8(point.after_gap ? 1 : 0);
+  }
   w.u64(result_.gap_weeks);
   return true;
 }
 
 bool GrowthAnalyzer::load_state(StateReader& r) {
-  std::vector<GrowthPoint> points;
-  if (!r.vec(&points)) return false;
+  const std::uint64_t count = r.u64();
+  if (!r.ok() || count > r.remaining() / kPointBytes) return false;
+  std::vector<GrowthPoint> points(static_cast<std::size_t>(count));
+  for (GrowthPoint& point : points) {
+    point.date = r.i64();
+    point.files = r.u64();
+    point.dirs = r.u64();
+    const std::uint8_t after_gap = r.u8();
+    if (after_gap > 1) return false;
+    point.after_gap = after_gap != 0;
+  }
   const std::uint64_t gap_weeks = r.u64();
   if (!r.ok()) return false;
   result_.points = std::move(points);

@@ -46,6 +46,9 @@ class GrowthAnalyzer : public StudyAnalyzer {
   void finish() override;
 
   std::string_view state_id() const override { return "growth"; }
+  /// v2: points are written field by field (v1 copied the structs,
+  /// padding included).
+  std::uint32_t state_version() const override { return 2; }
   bool save_state(StateWriter& w) const override;
   bool load_state(StateReader& r) override;
 

@@ -21,9 +21,19 @@ struct InferenceStats {
   std::size_t unmatched_projects = 0;
 };
 
-/// One pass over `source`; returns a plan suitable for Resolver/FullStudy.
-/// Users are ordered by first appearance; a user's primary domain is the
-/// domain where they own the most entries.
+/// One serial pass over `source`; returns a plan suitable for
+/// Resolver/FullStudy. Users and projects are ordered by first appearance
+/// (weeks in slot order, rows in row order); a project's gid is its first
+/// row's. A user's primary domain is the domain where they own the most
+/// entries; a tie goes to the highest domain index.
+///
+/// Only paths, uid and gid are read. A week a DirectorySeries can stream is
+/// scanned straight out of its mapped row groups, with no table built
+/// (ScolGroupReader::scan_owners); its salvage policy drops damaged groups,
+/// and strict damage makes the week a gap, as a decode would. Other weeks
+/// — in-memory series, a configured read seam, images the mapped reader
+/// cannot open — are read from their decoded tables. Stable sources are
+/// visited in place. The source is left without a projection.
 FacilityPlan infer_facility(SnapshotSource& source,
                             InferenceStats* stats = nullptr);
 

@@ -14,6 +14,7 @@
 
 #include "scol_v1_image.h"
 #include "snapshot/scol.h"
+#include "util/fault.h"
 #include "util/io.h"
 #include "util/prng.h"
 
@@ -284,6 +285,167 @@ TEST(ScolGroupReaderTest, V1ImagePresentsAsOneGroup) {
   SnapshotTable streamed;
   ASSERT_TRUE(reader.decode_group(0, &streamed).ok());
   expect_tables_equal(table, streamed);
+}
+
+// ---- scan_owners: the table-free row scan --------------------------------
+
+struct OwnerRow {
+  std::string path;
+  std::uint32_t uid = 0;
+  std::uint32_t gid = 0;
+};
+
+/// What the scan and decode_group (under the scan's paths|uid|gid
+/// projection) made of an image's groups.
+struct ScanParity {
+  bool opened = false;
+  std::size_t groups_failed = 0;
+};
+
+/// Scans and decodes every group of `image` and checks that each verdict
+/// (ok, code and message) is the same, that a passing group yields the
+/// decoded (path, uid, gid) rows, and that a failing one yields none.
+ScanParity expect_scan_matches_decode(const std::vector<std::uint8_t>& image,
+                                      ScolOptions options,
+                                      const std::string& what) {
+  options.columns = kColMaskPaths | kColMaskUid | kColMaskGid;
+  ScanParity parity;
+  ScolGroupReader reader;
+  if (!reader.open_bytes(image, options).ok()) return parity;
+  parity.opened = true;
+  for (std::size_t g = 0; g < reader.group_count(); ++g) {
+    SnapshotTable decoded;
+    const Status decoded_status = reader.decode_group(g, &decoded);
+    std::vector<OwnerRow> scanned;
+    const Status scanned_status = reader.scan_owners(
+        g, [&scanned](std::string_view path, std::uint32_t uid,
+                      std::uint32_t gid) {
+          scanned.push_back(OwnerRow{std::string(path), uid, gid});
+        });
+    EXPECT_EQ(scanned_status.ok(), decoded_status.ok()) << what << " g" << g;
+    if (!decoded_status.ok()) {
+      ++parity.groups_failed;
+      EXPECT_EQ(scanned_status.code(), decoded_status.code())
+          << what << " g" << g;
+      EXPECT_EQ(scanned_status.message(), decoded_status.message())
+          << what << " g" << g;
+      EXPECT_TRUE(scanned.empty()) << what << " g" << g;
+      continue;
+    }
+    EXPECT_EQ(scanned.size(), decoded.size()) << what << " g" << g;
+    std::size_t mismatched = 0;
+    for (std::size_t i = 0; i < scanned.size() && i < decoded.size(); ++i) {
+      mismatched += scanned[i].path != decoded.path(i) ||
+                    scanned[i].uid != decoded.uid(i) ||
+                    scanned[i].gid != decoded.gid(i);
+    }
+    EXPECT_EQ(mismatched, 0u) << what << " g" << g;
+  }
+  return parity;
+}
+
+TEST(ScolGroupReaderTest, ScanOwnersMatchesDecodeOnIntactImages) {
+  const SnapshotTable table = make_table(1000, 11);
+  ScolOptions plain = small_groups();
+  plain.front_code_paths = false;
+  plain.rle_ids = false;
+  for (const ScolOptions& options : {small_groups(), plain}) {
+    const ScanParity parity = expect_scan_matches_decode(
+        encode_scol(table, options), options, "intact");
+    EXPECT_TRUE(parity.opened);
+    EXPECT_EQ(parity.groups_failed, 0u);
+  }
+  const ScanParity v1 =
+      expect_scan_matches_decode(scol_v1_image(table), {}, "intact v1");
+  EXPECT_TRUE(v1.opened);
+  EXPECT_EQ(v1.groups_failed, 0u);
+}
+
+TEST(ScolGroupReaderTest, ScanOwnersMatchesDecodeOnDamagedImages) {
+  const SnapshotTable table = make_table(1000, 12);
+  const std::vector<std::uint8_t> clean = encode_scol(table, small_groups());
+  std::size_t opened = 0, failed = 0;
+  for (const FaultKind kind :
+       {FaultKind::kBitFlip, FaultKind::kTruncate, FaultKind::kTornTail}) {
+    for (std::uint64_t seed = 0; seed < 60; ++seed) {
+      std::vector<std::uint8_t> image = clean;
+      FaultInjector injector(seed * 3 + static_cast<std::uint64_t>(kind));
+      const FaultEvent event = injector.inject(kind, &image);
+      const ScanParity parity = expect_scan_matches_decode(
+          image, small_groups(), event.describe());
+      opened += parity.opened ? 1 : 0;
+      failed += parity.groups_failed;
+    }
+  }
+  // The sweep must reach the group decoders, not only fail at open.
+  EXPECT_GT(opened, 60u);
+  EXPECT_GT(failed, 60u);
+}
+
+TEST(ScolGroupReaderTest, ScanOwnersMatchesDecodeOnCutDirectories) {
+  const SnapshotTable table = make_table(1000, 13);
+  const std::vector<std::uint8_t> clean = encode_scol(table, small_groups());
+  ScolV2Layout layout;
+  ASSERT_TRUE(parse_scol_v2_layout(clean, &layout).ok());
+
+  // Cut inside the directory: neither reader opens.
+  std::vector<std::uint8_t> image(
+      clean.begin(), clean.begin() + static_cast<std::ptrdiff_t>(
+                                         layout.payload_start - 5));
+  EXPECT_FALSE(expect_scan_matches_decode(image, small_groups(), "mid-dir")
+                   .opened);
+
+  // Cut right after it: every group runs past the image.
+  image.assign(clean.begin(),
+               clean.begin() +
+                   static_cast<std::ptrdiff_t>(layout.payload_start));
+  ScanParity parity =
+      expect_scan_matches_decode(image, small_groups(), "after dir");
+  EXPECT_TRUE(parity.opened);
+  EXPECT_EQ(parity.groups_failed, layout.group_rows.size());
+
+  // A directory that moves one row from group 2 to group 3 still sums to
+  // the header's total, so it opens, and every checksum passes. Group 2
+  // then reads one row short (a decoder need not consume its payload);
+  // group 3 runs out of paths in its decoder.
+  image = clean;
+  const std::size_t dir = layout.payload_start - 16 * layout.group_rows.size();
+  image[dir + 2 * 16] -= 1;
+  image[dir + 3 * 16] += 1;
+  parity = expect_scan_matches_decode(image, small_groups(), "moved row");
+  EXPECT_TRUE(parity.opened);
+  EXPECT_EQ(parity.groups_failed, 1u);
+}
+
+TEST(ScolGroupReaderTest, ScanOwnersMatchesDecodeOnDamagedV1Images) {
+  const SnapshotTable table = make_table(600, 14);
+  const std::vector<std::uint8_t> clean = scol_v1_image(table);
+  std::size_t failed = 0;
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    std::vector<std::uint8_t> image = clean;
+    FaultInjector injector(seed);
+    const FaultEvent event = injector.bit_flip(&image);
+    failed += expect_scan_matches_decode(image, {}, "v1 " + event.describe())
+                  .groups_failed;
+  }
+  EXPECT_GT(failed, 20u);
+
+  // A v1 image's only row count is its header's, so a wrong count passes
+  // every checksum. Too few rows read a prefix; too many fail in the
+  // column decoders.
+  for (const std::uint64_t rows :
+       {std::uint64_t{1}, std::uint64_t{599}, std::uint64_t{601},
+        std::uint64_t{1} << 40}) {
+    std::vector<std::uint8_t> image = clean;
+    for (int byte = 0; byte < 8; ++byte) {
+      image[8 + static_cast<std::size_t>(byte)] =
+          static_cast<std::uint8_t>(rows >> (8 * byte));
+    }
+    const ScanParity parity = expect_scan_matches_decode(
+        image, {}, "v1 rows " + std::to_string(rows));
+    EXPECT_TRUE(parity.opened);
+    EXPECT_EQ(parity.groups_failed, rows > table.size() ? 1u : 0u) << rows;
+  }
 }
 
 TEST(ScolStreamWriterTest, ByteIdenticalToBufferedEncoder) {

@@ -2,6 +2,8 @@
 // exactly known answers (the integration suite covers the generated data).
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "study/access_patterns.h"
 #include "study/burstiness.h"
 #include "study/census.h"
@@ -96,6 +98,64 @@ TEST_F(AnalyzerTest, GrowthCountsFilesAndDirs) {
   EXPECT_EQ(r.points[1].files, 2u);
   EXPECT_DOUBLE_EQ(r.growth_factor, 2.0);
   EXPECT_DOUBLE_EQ(r.final_dir_share, 1.0 / 3.0);
+}
+
+/// Leaves `fill` in the stack below the caller and in freed heap chunks of
+/// the sizes a small vector grows through, so any byte a save copies
+/// without having written it differs between two fills.
+[[gnu::noinline]] void scribble(std::uint8_t fill) {
+  volatile std::uint8_t stack[1 << 14];
+  for (volatile std::uint8_t& byte : stack) byte = fill;
+  for (std::size_t n = 16; n <= 4096; n *= 2) {
+    void* p = ::operator new(n);
+    std::memset(p, fill, n);
+    asm volatile("" : : "r"(p) : "memory");
+    ::operator delete(p);
+  }
+}
+
+/// The checkpoint blob of a growth analyzer that saw six fixed weeks, its
+/// points built over memory scribbled with `fill`.
+std::vector<std::uint8_t> growth_blob(std::uint8_t fill) {
+  GrowthAnalyzer analyzer;
+  Snapshot snap;
+  snap.taken_at = epoch_from_civil({2015, 1, 12});
+  for (std::size_t week = 0; week < 6; ++week) {
+    WeekObservation obs;
+    obs.week = week;
+    obs.snap = &snap;
+    obs.file_count = 100 + week;
+    obs.dir_count = 10;
+    obs.gap_before = week == 3;
+    scribble(fill);
+    analyzer.merge(obs, {});
+  }
+  std::vector<std::uint8_t> blob;
+  StateWriter w(&blob);
+  EXPECT_TRUE(analyzer.save_state(w));
+  return blob;
+}
+
+TEST_F(AnalyzerTest, GrowthBlobDependsOnlyOnThePoints) {
+  const std::vector<std::uint8_t> blob = growth_blob(0xaa);
+  EXPECT_EQ(blob, growth_blob(0x55));
+
+  GrowthAnalyzer loaded;
+  StateReader r(blob);
+  ASSERT_TRUE(loaded.load_state(r));
+  EXPECT_TRUE(r.exhausted());
+  ASSERT_EQ(loaded.result().points.size(), 6u);
+  EXPECT_EQ(loaded.result().points[5].files, 105u);
+  EXPECT_TRUE(loaded.result().points[3].after_gap);
+  EXPECT_EQ(loaded.result().gap_weeks, 1u);
+
+  // A point is 25 bytes after the 8-byte count, its flag last; a flag
+  // byte that is neither 0 nor 1 is refused, not loaded into a bool.
+  std::vector<std::uint8_t> damaged = blob;
+  damaged[8 + 3 * 25 + 24] = 2;
+  GrowthAnalyzer refused;
+  StateReader damaged_reader(damaged);
+  EXPECT_FALSE(refused.load_state(damaged_reader));
 }
 
 TEST_F(AnalyzerTest, FileAgeExactArithmetic) {
