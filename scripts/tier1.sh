@@ -8,9 +8,10 @@
 # The sanitizer passes are scoped rather than suite-wide to keep the gate
 # fast: ASan+UBSan covers the ingest/robustness, aggregation, thread-pool,
 # single-analyzer and facility-inference tests, TSan covers the parallel
-# scan/prefetch/runner/aggregation-merge tests. SPIDER_SANITIZE=ON (address) or
-# SPIDER_SANITIZE=thread works on any target if a full sanitized run is
-# wanted.
+# scan/prefetch/runner/aggregation-merge tests. Both run the .scol decode
+# parity test, because a row group's paths and columns decode on pool
+# threads. SPIDER_SANITIZE=ON (address) or SPIDER_SANITIZE=thread works on
+# any target if a full sanitized run is wanted.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -41,16 +42,20 @@ echo "==> tier 1: ASan+UBSan build + robustness suites"
 cmake -B build-asan -S . -DSPIDER_SANITIZE=ON >/dev/null
 cmake --build build-asan -j"${JOBS}" --target \
     snapshot_fault_injection_test snapshot_scol_test snapshot_scol_v2_test \
-    snapshot_scol_stream_test snapshot_psv_test snapshot_psv_fuzz_test \
+    snapshot_scol_stream_test snapshot_decode_parity_test \
+    snapshot_psv_test snapshot_psv_fuzz_test \
     snapshot_series_test util_io_test util_retry_test util_status_test \
     util_parallel_test engine_agg_test engine_flat_map_test \
     engine_spill_test study_analyzers_test synth_infer_test \
     study_streaming_test study_checkpoint_test
 # snapshot_scol_stream_test holds the row scan's parity sweep against
 # decode_group on damaged images; synth_infer_test drives that scan
-# through infer_facility on gapped, corrupt and salvaged series.
+# through infer_facility on gapped, corrupt and salvaged series;
+# snapshot_decode_parity_test checks the pooled group decode against
+# row-by-row tables, including a failing group's rollback.
 for t in snapshot_fault_injection_test snapshot_scol_test \
-         snapshot_scol_v2_test snapshot_scol_stream_test snapshot_psv_test \
+         snapshot_scol_v2_test snapshot_scol_stream_test \
+         snapshot_decode_parity_test snapshot_psv_test \
          snapshot_psv_fuzz_test snapshot_series_test util_io_test \
          util_retry_test util_status_test util_parallel_test \
          engine_agg_test engine_flat_map_test engine_spill_test \
@@ -78,11 +83,15 @@ echo "--> study_checkpoint_test (sanitized, codec+resume cases)"
 echo "==> tier 1: TSan build + parallel scan/runner suites"
 cmake -B build-tsan -S . -DSPIDER_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"${JOBS}" --target \
-    util_parallel_test engine_scan_test engine_stream_test \
+    util_parallel_test snapshot_decode_parity_test \
+    engine_scan_test engine_stream_test \
     engine_partition_test engine_diff_parity_test engine_flat_map_test \
     study_runner_test study_scan_determinism_test study_incremental_test \
     study_streaming_test study_checkpoint_test
-for t in util_parallel_test engine_scan_test engine_stream_test \
+# snapshot_decode_parity_test: a row group's path stretches and its other
+# columns decode concurrently on pools of 2, 7 and hardware width.
+for t in util_parallel_test snapshot_decode_parity_test \
+         engine_scan_test engine_stream_test \
          engine_partition_test engine_diff_parity_test engine_flat_map_test \
          study_runner_test; do
   echo "--> ${t} (tsan)"

@@ -61,7 +61,8 @@ struct ScolMorselSource::Impl {
         std::exception_ptr error;
         try {
           slots[slot].clear();
-          s = reader->decode_group(group, &slots[slot]);
+          // On a worker of options.pool, so the group decodes inline.
+          s = reader->decode_group(group, &slots[slot], options.pool);
         } catch (...) {  // a pool task must not throw
           error = std::current_exception();
         }
@@ -105,7 +106,7 @@ Status ScolMorselSource::next(MorselBatch* batch) {
     s = im.take_pending();
   } else {
     im.slots[slot].clear();
-    s = im.reader->decode_group(group, &im.slots[slot]);
+    s = im.reader->decode_group(group, &im.slots[slot], im.options.pool);
   }
   if (!s.ok()) return s;
 

@@ -25,7 +25,8 @@ namespace spider {
 class ScolMorselSource : public MorselSource {
  public:
   struct Options {
-    /// Pool the decode-ahead task is submitted to; null = process-global.
+    /// Pool the decode-ahead task is submitted to, and that a group
+    /// decoded inside next() spreads over; null = process-global.
     ThreadPool* pool = nullptr;
     /// Decode group g+1 while the consumer scans group g. Off decodes
     /// synchronously inside next() — same batches, for debugging and

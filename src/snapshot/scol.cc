@@ -1,8 +1,11 @@
 #include "snapshot/scol.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <utility>
 
 #include <fcntl.h>
@@ -224,7 +227,10 @@ void encode_column_set(std::vector<std::uint8_t>& out, const SnapshotTable& t,
 // ---- column decoders ------------------------------------------------------
 // Decoders return a typed Status: kTruncated when the payload ends before
 // its own framing says it should, kCorruption for values that cannot be
-// valid (bad shared length, bad encoding id, overlong runs).
+// valid (bad shared length, bad encoding id, overlong runs). Each appends
+// its `rows` values to the end of a column, and only after the checks that
+// fail before any value is read, so a damaged row count fails there
+// instead of driving a huge allocation.
 
 struct ColumnBlock {
   Encoding enc = kEncPlainStrings;
@@ -278,9 +284,10 @@ Status parse_column_set(std::span<const std::uint8_t> bytes, std::size_t pos,
   return Status();
 }
 
-/// Walks a paths block and calls visit(path) once per row, in row order.
-/// Every path is rebuilt in one reused buffer, so a row costs no
-/// allocation; the view passed to visit dies at the next row.
+/// Walks a paths block and calls visit(path, end) once per row, in row
+/// order, where `end` is the payload offset just past the row. Every path
+/// is rebuilt in one reused buffer, so a row costs no allocation; the view
+/// passed to visit dies at the next row.
 template <typename Visit>
 Status walk_paths(const ColumnBlock& block, std::size_t rows, Visit&& visit) {
   // Every row costs at least one payload byte. Rejecting a larger row count
@@ -311,9 +318,112 @@ Status walk_paths(const ColumnBlock& block, std::size_t rows, Visit&& visit) {
     path.append(reinterpret_cast<const char*>(block.payload.data() + pos),
                 len);
     pos += len;
-    visit(std::string_view(path));
+    visit(std::string_view(path), pos);
   }
   return Status();
+}
+
+/// A group's paths are rebuilt in stretches of rows, spread over the pool.
+/// A stretch ends after kPathStretchRows rows or once it holds
+/// kPathStretchBytes of path bytes, whichever comes first; the byte cut
+/// keeps one stretch of very long paths (deep directory chains) from
+/// serializing the rebuild.
+constexpr std::size_t kPathStretchRows = 8192;
+constexpr std::size_t kPathStretchBytes = 256 * 1024;
+
+/// Where the rebuild of one stretch starts: its first row, that row's
+/// payload offset, its offset in the group's path block, and the previous
+/// row's path (the front-coding base), saved in PathPlan::prevs.
+struct PathStretch {
+  std::size_t row = 0;
+  std::size_t pos = 0;
+  std::size_t out = 0;
+  std::size_t prev = 0;
+  std::size_t prev_len = 0;
+};
+
+/// What the validating path walk learns for the rebuild.
+struct PathPlan {
+  std::vector<PathStretch> stretches;
+  std::string prevs;      // each stretch's previous path, back to back
+  std::size_t bytes = 0;  // every path's length, summed: the block size
+};
+
+/// decode_group's validating walk over a group's paths: walk_paths, the
+/// walk scan_owners validates with too, recording where each stretch
+/// starts and how large the path block must be.
+Status plan_paths(const ColumnBlock& block, std::size_t rows, PathPlan* plan) {
+  plan->stretches.assign(1, PathStretch{});
+  plan->prevs.clear();
+  std::size_t row = 0, bytes = 0;  // rows and path bytes walked so far
+  std::size_t open_row = 0, open_out = 0;  // where the open stretch began
+  const Status s =
+      walk_paths(block, rows, [&](std::string_view path, std::size_t end) {
+        bytes += path.size();
+        ++row;
+        if (row < rows && (row - open_row >= kPathStretchRows ||
+                           bytes - open_out >= kPathStretchBytes)) {
+          plan->stretches.push_back(
+              PathStretch{row, end, bytes, plan->prevs.size(), path.size()});
+          plan->prevs.append(path);
+          open_row = row;
+          open_out = bytes;
+        }
+      });
+  plan->bytes = bytes;
+  return s;
+}
+
+/// Path components that start in bytes [from, to) of `p`: non-slash bytes
+/// after a slash or at the start. Over a whole path this is path_depth.
+std::size_t component_starts(const char* p, std::size_t from,
+                             std::size_t to) {
+  std::size_t n = 0;
+  bool after_slash = from == 0 || p[from - 1] == '/';
+  for (std::size_t j = from; j < to; ++j) {
+    const bool slash = p[j] == '/';
+    n += static_cast<std::size_t>(!slash && after_slash);
+    after_slash = slash;
+  }
+  return n;
+}
+
+/// Rebuilds stretch `k` of a validated paths block, from its first row up
+/// to row `end`, into `block`, with each path's hash and depth while its
+/// bytes are in cache. A row that shares a prefix with the previous one
+/// counts the depth of its own tail only: the shared bytes' components are
+/// the previous row's, less those in the previous row's tail.
+void rebuild_stretch(const ColumnBlock& col, const PathPlan& plan,
+                     std::size_t k, std::size_t end, char* block,
+                     const SnapshotTable::BulkAppend::PathSpans& out) {
+  const PathStretch& stretch = plan.stretches[k];
+  const char* prev = plan.prevs.data() + stretch.prev;
+  std::size_t prev_len = stretch.prev_len;
+  std::size_t prev_depth = component_starts(prev, 0, prev_len);
+  char* dst = block + stretch.out;
+  std::size_t pos = stretch.pos;
+  for (std::size_t i = stretch.row; i < end; ++i) {
+    // plan_paths validated every varint and length: these reads succeed.
+    std::uint64_t shared = 0, len = 0;
+    if (col.enc == kEncFrontCoded) get_varint(col.payload, pos, shared);
+    get_varint(col.payload, pos, len);
+    std::memcpy(dst, prev, shared);
+    std::memcpy(dst + shared, col.payload.data() + pos, len);
+    pos += len;
+    const std::size_t n = shared + len;
+    const std::size_t depth =
+        shared == 0 ? component_starts(dst, 0, n)
+                    : prev_depth - component_starts(prev, shared, prev_len) +
+                          component_starts(dst, shared, n);
+    out.paths[i] = std::string_view(dst, n);
+    out.hashes[i] = hash_bytes(out.paths[i]);
+    out.depths[i] = static_cast<std::uint16_t>(std::min<std::size_t>(
+        depth, std::numeric_limits<std::uint16_t>::max()));
+    prev = dst;
+    prev_len = n;
+    prev_depth = depth;
+    dst += n;
+  }
 }
 
 Status decode_i64(const ColumnBlock& block, std::size_t rows,
@@ -322,7 +432,6 @@ Status decode_i64(const ColumnBlock& block, std::size_t rows,
   if (rows > block.payload.size()) {
     return Status::corruption("timestamp row count exceeds payload");
   }
-  out->clear();
   if (rows == 0) return Status();
   // Bulk varint decode (SIMD when available), then the per-encoding
   // transform over the raw values. Failure ordering matches the row-at-a-
@@ -343,22 +452,24 @@ Status decode_i64(const ColumnBlock& block, std::size_t rows,
     return Status::corruption(enc_ok ? "missing mtime base"
                                      : "bad timestamp encoding");
   }
-  std::vector<std::uint64_t> raw(rows);
+  out->resize(out->size() + rows);
+  std::int64_t* dst = out->data() + out->size() - rows;
+  // The raw varints land in the column itself and are decoded in place.
+  auto* raw = reinterpret_cast<std::uint64_t*>(dst);
   std::size_t pos = 0;
-  if (!get_varints(block.payload, pos, raw.data(), rows)) {
+  if (!get_varints(block.payload, pos, raw, rows)) {
     return Status::truncated("timestamp column truncated");
   }
-  out->resize(rows);
-  zigzag_decode_bulk(raw.data(), out->data(), rows);
+  zigzag_decode_bulk(raw, dst, rows);
   if (block.enc == kEncDeltaPrev) {
     std::int64_t prev = 0;
     for (std::size_t i = 0; i < rows; ++i) {
-      prev = wrapping_add((*out)[i], prev);
-      (*out)[i] = prev;
+      prev = wrapping_add(dst[i], prev);
+      dst[i] = prev;
     }
   } else if (block.enc == kEncDeltaMtime) {
     for (std::size_t i = 0; i < rows; ++i) {
-      (*out)[i] = wrapping_add((*out)[i], base[i]);
+      dst[i] = wrapping_add(dst[i], base[i]);
     }
   }
   return Status();
@@ -366,27 +477,33 @@ Status decode_i64(const ColumnBlock& block, std::size_t rows,
 
 Status decode_u32(const ColumnBlock& block, std::size_t rows,
                   std::vector<std::uint32_t>* out) {
-  out->clear();
-  out->reserve(rows);
   std::size_t pos = 0;
   if (block.enc == kEncPlainVarint) {
-    std::vector<std::uint64_t> raw(rows);
-    if (!get_varints(block.payload, pos, raw.data(), rows)) {
+    // Every value costs at least one byte.
+    if (rows > block.payload.size()) {
       return Status::truncated("u32 column truncated");
     }
+    out->resize(out->size() + rows);
+    std::uint32_t* dst = out->data() + out->size() - rows;
     for (std::size_t i = 0; i < rows; ++i) {
-      out->push_back(static_cast<std::uint32_t>(raw[i]));
+      std::uint64_t v = 0;
+      if (!get_varint(block.payload, pos, v)) {
+        return Status::truncated("u32 column truncated");
+      }
+      dst[i] = static_cast<std::uint32_t>(v);
     }
     return Status();
   }
   if (block.enc != kEncRle) return Status::corruption("bad u32 encoding");
-  while (out->size() < rows) {
+  // Runs are inserted as they are read: an RLE payload bounds no row count.
+  const std::size_t end = out->size() + rows;
+  while (out->size() < end) {
     std::uint64_t run = 0, value = 0;
     if (!get_varint(block.payload, pos, run) ||
         !get_varint(block.payload, pos, value)) {
       return Status::truncated("rle column truncated");
     }
-    if (run == 0 || out->size() + run > rows) {
+    if (run == 0 || run > end - out->size()) {
       return Status::corruption("rle run overflows row count");
     }
     out->insert(out->end(), run, static_cast<std::uint32_t>(value));
@@ -396,35 +513,40 @@ Status decode_u32(const ColumnBlock& block, std::size_t rows,
 
 Status decode_inodes(const ColumnBlock& block, std::size_t rows,
                      std::vector<std::uint64_t>* out) {
-  out->clear();
   if (rows == 0) return Status();
   if (block.enc != kEncDeltaPrev && block.enc != kEncPlainVarint) {
     // The reference loop rejects the encoding before reading any bytes.
     return Status::corruption("bad inode encoding");
   }
-  out->resize(rows);
+  // Every value costs at least one byte.
+  if (rows > block.payload.size()) {
+    return Status::truncated("inode column truncated");
+  }
+  out->resize(out->size() + rows);
+  std::uint64_t* dst = out->data() + out->size() - rows;
   std::size_t pos = 0;
-  if (!get_varints(block.payload, pos, out->data(), rows)) {
+  if (!get_varints(block.payload, pos, dst, rows)) {
     return Status::truncated("inode column truncated");
   }
   if (block.enc == kEncDeltaPrev) {
     std::uint64_t prev = 0;
     for (std::size_t i = 0; i < rows; ++i) {
-      prev += static_cast<std::uint64_t>(
-          zigzag_decode((*out)[i]));
-      (*out)[i] = prev;
+      prev += static_cast<std::uint64_t>(zigzag_decode(dst[i]));
+      dst[i] = prev;
     }
   }
   return Status();
 }
 
+/// Appends each row's OST values to `values` and the CSR end offset of its
+/// list (into `values`, as it then stands) to `ends`.
 Status decode_osts(const ColumnBlock& block, std::size_t rows,
-                   std::vector<std::uint32_t>* offsets,
+                   std::vector<std::uint32_t>* ends,
                    std::vector<std::uint32_t>* values) {
-  offsets->clear();
-  values->clear();
-  offsets->reserve(rows + 1);
-  offsets->push_back(0);
+  // Every row costs at least its stripe-count byte.
+  if (rows > block.payload.size()) {
+    return Status::truncated("ost column truncated");
+  }
   std::size_t pos = 0;
   for (std::size_t i = 0; i < rows; ++i) {
     std::uint64_t count = 0;
@@ -439,68 +561,63 @@ Status decode_osts(const ColumnBlock& block, std::size_t rows,
       }
       values->push_back(static_cast<std::uint32_t>(v));
     }
-    offsets->push_back(static_cast<std::uint32_t>(values->size()));
+    ends->push_back(static_cast<std::uint32_t>(values->size()));
   }
   return Status();
 }
 
-/// The columns of one column set other than paths, decoded. A column
-/// outside the projection stays empty and reads back as zero.
-struct DecodedColumns {
-  std::vector<std::int64_t> atime, ctime, mtime;
-  std::vector<std::uint32_t> uid, gid, mode, ost_offsets, ost_values;
-  std::vector<std::uint64_t> inode;
+/// Where decode_columns appends each column other than paths; a null sink
+/// is not decoded. atime and ctime need the mtime sink too (their deltas
+/// are against it).
+struct ColumnSinks {
+  std::vector<std::int64_t>* mtime = nullptr;
+  std::vector<std::int64_t>* atime = nullptr;
+  std::vector<std::int64_t>* ctime = nullptr;
+  std::vector<std::uint32_t>* uid = nullptr;
+  std::vector<std::uint32_t>* gid = nullptr;
+  std::vector<std::uint32_t>* mode = nullptr;
+  std::vector<std::uint64_t>* inode = nullptr;
+  std::vector<std::uint32_t>* ost_ends = nullptr;
+  std::vector<std::uint32_t>* ost_values = nullptr;
 };
 
-/// Decodes the projected columns of a parsed set in one fixed order, so
-/// every reader of a group reaches the same verdict at the same
-/// projection. Paths are only validated here; the caller walks them again
-/// to emit its rows, which costs less than holding every path of the
-/// group.
+/// Decodes the non-path columns of a parsed set in one fixed order, after
+/// plan_paths has validated the paths, so every reader of a group reaches
+/// the same verdict at the same projection.
 Status decode_columns(const ColumnSet& set, std::size_t rows,
-                      ColumnMask columns, DecodedColumns* out) {
-  // atime/ctime are deltas against same-row mtime: requesting either means
-  // mtime has to be decoded (and is then materialized too — cheaper than a
-  // shadow column, and callers asking for access times nearly always want
-  // the modify time as well).
-  if (columns & (kColMaskAtime | kColMaskCtime)) columns |= kColMaskMtime;
-
+                      const ColumnSinks& out) {
+  // The new rows' mtimes, the base of the atime and ctime deltas.
+  const auto mtimes = [&]() -> std::span<const std::int64_t> {
+    return out.mtime ? std::span<const std::int64_t>(*out.mtime).last(rows)
+                     : std::span<const std::int64_t>();
+  };
   Status s;
-  if ((columns & kColMaskPaths) &&
-      !(s = walk_paths(set[kColPaths], rows, [](std::string_view) {})).ok()) {
+  if (out.mtime &&
+      !(s = decode_i64(set[kColMtime], rows, {}, out.mtime)).ok()) {
     return s;
   }
-  if ((columns & kColMaskMtime) &&
-      !(s = decode_i64(set[kColMtime], rows, {}, &out->mtime)).ok()) {
+  if (out.atime &&
+      !(s = decode_i64(set[kColAtime], rows, mtimes(), out.atime)).ok()) {
     return s;
   }
-  if ((columns & kColMaskAtime) &&
-      !(s = decode_i64(set[kColAtime], rows, out->mtime, &out->atime)).ok()) {
+  if (out.ctime &&
+      !(s = decode_i64(set[kColCtime], rows, mtimes(), out.ctime)).ok()) {
     return s;
   }
-  if ((columns & kColMaskCtime) &&
-      !(s = decode_i64(set[kColCtime], rows, out->mtime, &out->ctime)).ok()) {
+  if (out.uid && !(s = decode_u32(set[kColUid], rows, out.uid)).ok()) {
     return s;
   }
-  if ((columns & kColMaskUid) &&
-      !(s = decode_u32(set[kColUid], rows, &out->uid)).ok()) {
+  if (out.gid && !(s = decode_u32(set[kColGid], rows, out.gid)).ok()) {
     return s;
   }
-  if ((columns & kColMaskGid) &&
-      !(s = decode_u32(set[kColGid], rows, &out->gid)).ok()) {
+  if (out.mode && !(s = decode_u32(set[kColMode], rows, out.mode)).ok()) {
     return s;
   }
-  if ((columns & kColMaskMode) &&
-      !(s = decode_u32(set[kColMode], rows, &out->mode)).ok()) {
+  if (out.inode && !(s = decode_inodes(set[kColInode], rows, out.inode)).ok()) {
     return s;
   }
-  if ((columns & kColMaskInode) &&
-      !(s = decode_inodes(set[kColInode], rows, &out->inode)).ok()) {
-    return s;
-  }
-  if ((columns & kColMaskOsts) &&
-      !(s = decode_osts(set[kColOst], rows, &out->ost_offsets,
-                        &out->ost_values))
+  if (out.ost_ends &&
+      !(s = decode_osts(set[kColOst], rows, out.ost_ends, out.ost_values))
            .ok()) {
     return s;
   }
@@ -509,40 +626,77 @@ Status decode_columns(const ColumnSet& set, std::size_t rows,
 
 /// Decodes a parsed column set of `rows` rows and appends them to `table`.
 /// The inverse of encode_column_set; the whole v1 body, one v2 row group.
-/// On a non-ok Status `table` is untouched (rows append only at the end).
+/// On a non-ok Status `table` is untouched.
+///
+/// One serial walk validates the paths and cuts them into stretches. Then,
+/// on `pool`, one task decodes the other columns straight into the table
+/// while the rest rebuild the path stretches into one exact-size block.
+/// Every stretch writes only its own rows and bytes, so the table is the
+/// same at any pool width.
 ///
 /// Projection: only columns in `columns` are decoded and materialized;
 /// the rest read back as zero/empty. Checksum validation and structural
 /// checks run for every block regardless, so a damaged image fails (or
 /// salvages) identically at any projection.
 Status decode_column_set(const ColumnSet& set, std::size_t rows,
-                         SnapshotTable* table, ColumnMask columns) {
-  DecodedColumns c;
-  const Status s = decode_columns(set, rows, columns, &c);
-  if (!s.ok()) return s;
+                         SnapshotTable* table, ColumnMask columns,
+                         ThreadPool* pool) {
+  // atime/ctime are deltas against same-row mtime: requesting either means
+  // mtime has to be decoded (and is then materialized too — cheaper than a
+  // shadow column, and callers asking for access times nearly always want
+  // the modify time as well).
+  if (columns & (kColMaskAtime | kColMaskCtime)) columns |= kColMaskMtime;
 
-  table->reserve(table->size() + rows);
-  const auto add_row = [&](std::size_t i, std::string_view path) {
-    const std::span<const std::uint32_t> osts =
-        c.ost_offsets.empty()
-            ? std::span<const std::uint32_t>()
-            : std::span<const std::uint32_t>(c.ost_values)
-                  .subspan(c.ost_offsets[i],
-                           c.ost_offsets[i + 1] - c.ost_offsets[i]);
-    table->add(path, c.atime.empty() ? 0 : c.atime[i],
-               c.ctime.empty() ? 0 : c.ctime[i],
-               c.mtime.empty() ? 0 : c.mtime[i], c.uid.empty() ? 0 : c.uid[i],
-               c.gid.empty() ? 0 : c.gid[i], c.mode.empty() ? 0 : c.mode[i],
-               c.inode.empty() ? 0 : c.inode[i], osts);
-  };
-  if (!(columns & kColMaskPaths)) {
-    for (std::size_t i = 0; i < rows; ++i) add_row(i, {});
-    return Status();
+  PathPlan plan;
+  Status s;
+  if ((columns & kColMaskPaths) &&
+      !(s = plan_paths(set[kColPaths], rows, &plan)).ok()) {
+    return s;
   }
-  // The walk passed decode_columns, so it cannot fail here.
-  std::size_t i = 0;
-  return walk_paths(set[kColPaths], rows,
-                    [&](std::string_view path) { add_row(i++, path); });
+
+  SnapshotTable::BulkAppend append(table, rows);
+  ColumnSinks sinks;
+  if (columns & kColMaskMtime) sinks.mtime = &append.mtimes();
+  if (columns & kColMaskAtime) sinks.atime = &append.atimes();
+  if (columns & kColMaskCtime) sinks.ctime = &append.ctimes();
+  if (columns & kColMaskUid) sinks.uid = &append.uids();
+  if (columns & kColMaskGid) sinks.gid = &append.gids();
+  if (columns & kColMaskMode) sinks.mode = &append.modes();
+  if (columns & kColMaskInode) sinks.inode = &append.inodes();
+  if (columns & kColMaskOsts) {
+    sinks.ost_ends = &append.ost_ends();
+    sinks.ost_values = &append.ost_values();
+  }
+  // Every row of a valid group costs at least one byte of its paths block,
+  // projected or not, and every OST value one byte of its own. Within that
+  // bound the columns are reserved here, on the calling thread, so the
+  // column task below allocates nothing even when it runs on a worker.
+  if (rows <= set[kColPaths].payload.size()) {
+    append.reserve(sinks.ost_values ? set[kColOst].payload.size() : 0);
+  }
+  // Empty paths need no rebuild: commit() stores them as add() would.
+  char* block = nullptr;
+  SnapshotTable::BulkAppend::PathSpans paths;
+  const std::size_t stretches =
+      (columns & kColMaskPaths) && plan.bytes > 0 ? plan.stretches.size() : 0;
+  if (stretches > 0) paths = append.paths(plan.bytes, &block);
+
+  parallel_for(
+      stretches + 1,
+      [&](std::size_t task) {
+        if (task == 0) {
+          s = decode_columns(set, rows, sinks);
+          return;
+        }
+        const std::size_t k = task - 1;
+        const std::size_t end =
+            k + 1 < stretches ? plan.stretches[k + 1].row : rows;
+        rebuild_stretch(set[kColPaths], plan, k, end, block, paths);
+      },
+      pool, /*grain=*/1);
+  if (!s.ok()) return s;
+  append.commit();
+  return Status();
 }
 
 // ---- v1 (decode only) -----------------------------------------------------
@@ -689,29 +843,21 @@ Status decode_scol(std::span<const std::uint8_t> bytes, SnapshotTable* table,
   // extents there is nothing to salvage against.
   if (!s.ok()) return s;
 
-  // Decode the groups concurrently into per-group staging tables, then
-  // fold the verdicts in group order, so the report and a strict-mode
-  // failure (the lowest damaged group) do not depend on the schedule.
-  const std::size_t ngroups = reader.group_count();
-  std::vector<SnapshotTable> staging(ngroups);
-  std::vector<Status> verdicts(ngroups);
-  parallel_for(
-      ngroups,
-      [&](std::size_t g) { verdicts[g] = reader.decode_group(g, &staging[g]); },
-      pool, /*grain=*/1);
+  // Groups decode in order, each spread over the pool, into a table of
+  // their own, and their verdicts fold as they come: the report and a
+  // strict-mode failure (the lowest damaged group) match a serial decode,
+  // and a failure leaves `table` untouched.
   *report = reader.make_report();
-  for (std::size_t g = 0; g < ngroups; ++g) {
-    if (verdicts[g].ok()) {
+  SnapshotTable decoded;
+  for (std::size_t g = 0; g < reader.group_count(); ++g) {
+    s = reader.decode_group(g, &decoded, pool);
+    if (s.ok()) {
       reader.note_success(g, report);
-    } else if (!(s = reader.dispose_failure(g, verdicts[g], report)).ok()) {
+    } else if (!(s = reader.dispose_failure(g, std::move(s), report)).ok()) {
       return s;
     }
   }
-
-  table->reserve(table->size() + report->rows_recovered);
-  for (std::size_t g = 0; g < ngroups; ++g) {
-    if (verdicts[g].ok()) table->append_table(std::move(staging[g]));
-  }
+  table->append_table(std::move(decoded));
   return Status();
 }
 
@@ -875,13 +1021,13 @@ std::size_t ScolGroupReader::group_bytes(std::size_t g) const {
 }
 const ScolOptions& ScolGroupReader::options() const { return impl_->options; }
 
-Status ScolGroupReader::decode_group(std::size_t g,
-                                     SnapshotTable* table) const {
+Status ScolGroupReader::decode_group(std::size_t g, SnapshotTable* table,
+                                     ThreadPool* pool) const {
   ColumnSet set;
   const Status s = impl_->parse_group(g, &set);
   if (!s.ok()) return s;
   return decode_column_set(set, impl_->layout.group_rows[g], table,
-                           impl_->options.columns);
+                           impl_->options.columns, pool);
 }
 
 Status ScolGroupReader::scan_owners(std::size_t g,
@@ -889,18 +1035,25 @@ Status ScolGroupReader::scan_owners(std::size_t g,
   ColumnSet set;
   Status s = impl_->parse_group(g, &set);
   if (!s.ok()) return s;
-  // Validate first, through the same decoders as decode_group, so a group
-  // that fails reaches fn with no row at all.
+  // Validate first, through the same path walk (without decode_group's
+  // stretch cuts) and decoders as decode_group, so a group that fails
+  // reaches fn with no row at all.
   const std::size_t rows = impl_->layout.group_rows[g];
-  DecodedColumns owners;
-  s = decode_columns(set, rows, kColMaskPaths | kColMaskUid | kColMaskGid,
-                     &owners);
+  s = walk_paths(set[kColPaths], rows, [](std::string_view, std::size_t) {});
   if (!s.ok()) return s;
+  std::vector<std::uint32_t> uids, gids;
+  uids.reserve(rows);  // the path walk bounded `rows` by the image
+  gids.reserve(rows);
+  ColumnSinks owners;
+  owners.uid = &uids;
+  owners.gid = &gids;
+  if (!(s = decode_columns(set, rows, owners)).ok()) return s;
   std::size_t i = 0;
-  return walk_paths(set[kColPaths], rows, [&](std::string_view path) {
-    fn(path, owners.uid[i], owners.gid[i]);
-    ++i;
-  });
+  return walk_paths(set[kColPaths], rows,
+                    [&](std::string_view path, std::size_t) {
+                      fn(path, uids[i], gids[i]);
+                      ++i;
+                    });
 }
 
 SalvageReport ScolGroupReader::make_report() const {

@@ -7,10 +7,16 @@
 // groups in Parquet style. Each group is self-contained — front-coding,
 // delta, and RLE state restart at the group boundary — and holds one
 // self-describing block per column: {column id, encoding id, payload size,
-// checksum, payload}. Self-contained groups are what makes the codec
-// parallel: groups encode and decode independently, and decode splices the
-// per-group staging tables into the destination in group order, so the
-// result is bit-identical to a serial pass.
+// checksum, payload}. Groups are the encoder's unit of parallelism: they
+// encode independently, and the image is byte-identical at any thread
+// count. Decode runs group by group in order, and spreads each group over
+// the pool: one serial walk validates the front-coded paths and cuts them
+// into stretches (every 8,192 rows and every 256 KB of path bytes), then
+// the stretches rebuild their paths, hashes and depths in parallel into
+// one exact-size arena block while one task decodes the other columns
+// straight into the table. A week stored as a single group therefore
+// decodes on every thread too, and the result is bit-identical to a
+// serial pass.
 //
 // v1 layout (magic SCOL0001): the same column blocks, but one block per
 // column for the whole table. Nothing writes v1 any more, but the version
@@ -41,7 +47,7 @@
 // rows, and reports exactly what was lost in a SalvageReport. The table is
 // never left with partial rows of a failed decode: on a non-ok Status the
 // destination is untouched, and in salvage mode only whole surviving
-// groups are spliced.
+// groups are appended.
 #pragma once
 
 #include <cstdint>
@@ -76,9 +82,11 @@ struct ScolOptions {
   bool rle_ids = true;            // off: plain varint per row
   bool delta_inodes = true;       // off: plain varint per row
 
-  /// Rows per row group (v2). Groups are the unit of parallelism; the
-  /// default keeps per-group encoder state amortized while giving a daily
-  /// snapshot (tens of millions of rows) plenty of groups to fan out.
+  /// Rows per row group (v2): the unit of encode parallelism, of damage
+  /// (each group is checksummed and salvaged on its own) and of streaming.
+  /// Decode spreads each group over the pool, so it needs no small groups
+  /// to use every thread. The default keeps per-group encoder state
+  /// amortized.
   std::size_t group_size = 256 * 1024;
 
   /// Decode-side salvage policy (see CorruptGroupPolicy).
@@ -158,9 +166,9 @@ std::vector<std::uint8_t> encode_scol(const SnapshotTable& table,
 
 /// Decodes an in-memory .scol image (either version, dispatched on the
 /// magic), appending rows into `table`. It drives a ScolGroupReader over
-/// the bytes: row groups decode in parallel on `pool`, and the splice
-/// preserves row order, so contents are identical to a single-threaded
-/// decode.
+/// the bytes: groups decode one after another, each spread over `pool`
+/// (null = the process-global pool) as decode_group does, so contents are
+/// identical to a single-threaded decode.
 ///
 /// Damage handling follows options.on_corrupt_group; with kSkip or
 /// kQuarantine the call succeeds whenever the header and directory are
@@ -241,8 +249,13 @@ class ScolGroupReader {
   /// options' projection mask. Returns the group's own verdict (checksums
   /// verified for every block regardless of projection; a directory extent
   /// past the image is kTruncated) without applying the salvage policy; on
-  /// a non-ok Status `table` is untouched.
-  Status decode_group(std::size_t g, SnapshotTable* table) const;
+  /// a non-ok Status `table` is untouched. After one serial walk over the
+  /// paths, the group's path stretches and its other columns decode in
+  /// parallel on `pool` (null = the process-global pool); called from one
+  /// of that pool's workers, the group decodes inline on it. The table is
+  /// the same at any pool width.
+  Status decode_group(std::size_t g, SnapshotTable* table,
+                      ThreadPool* pool = nullptr) const;
 
   /// One row of scan_owners: the path (valid only during the call) and
   /// its owner ids.
@@ -252,8 +265,9 @@ class ScolGroupReader {
   /// Reads group `g`'s paths, uid and gid without building a table,
   /// calling fn once per row in row order. Paths are rebuilt in one reused
   /// buffer, so a row costs no allocation. Every block is still
-  /// checksummed, and the verdict equals decode_group's under a
-  /// paths|uid|gid projection; fn runs only when that verdict is ok, so
+  /// checksummed, and the paths pass decode_group's own validating walk,
+  /// so the verdict equals decode_group's under a paths|uid|gid
+  /// projection; fn runs only when that verdict is ok, so
   /// the rows of a damaged group never reach it. Facility inference
   /// (synth/infer.h) reads every streamed week this way.
   Status scan_owners(std::size_t g, const OwnerRowFn& fn) const;

@@ -194,7 +194,6 @@ void DirectorySeries::visit_streaming(
   // keep whatever damage accounting the checkpoint restored; re-reading
   // them here would defeat the point of resuming.
   gaps_ = open_gaps_;
-  std::vector<std::uint8_t> bytes;
   for (std::size_t i = 0; i < files_.size(); ++i) {
     if (slots_[i] < first_slot) continue;
     // A scripted read_fn_ cannot feed the mapped reader, so its presence
@@ -229,6 +228,7 @@ void DirectorySeries::visit_streaming(
     Snapshot snap;
     snap.taken_at = taken_at_[i];
     SalvageReport report;
+    std::vector<std::uint8_t> bytes;
     const auto read_once = [&]() {
       bytes.clear();
       return read_fn_ ? read_fn_(files_[i], &bytes)
@@ -238,9 +238,12 @@ void DirectorySeries::visit_streaming(
                    ? retry_with_backoff(retry_policy_, &retry_stats_, read_once)
                    : read_once();
     if (s.ok()) {
-      s = decode_scol(bytes, &snap.table, scol_options_, &report)
+      s = decode_scol(bytes, &snap.table, scol_options_, &report, pool_)
               .with_context(files_[i]);
     }
+    // The image is dead once decoded; free it before the visitor, which
+    // may hold the week a while (a prefetching study waits to hand it on).
+    std::vector<std::uint8_t>().swap(bytes);
     if (!s.ok()) {
       gaps_.push_back(SeriesGap{slots_[i], taken_at_[i], files_[i], s});
       continue;

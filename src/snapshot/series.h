@@ -136,6 +136,13 @@ class SnapshotSource {
   /// required for correctness.
   virtual void set_columns(ColumnMask columns) { (void)columns; }
 
+  /// Decode threads: sources that decode from disk (DirectorySeries)
+  /// spread each week's row groups over `pool` (null = the process-global
+  /// pool); everything else may ignore it. run_study hands over a pool for
+  /// the length of the run: its own, so resident runs decode on the
+  /// study's threads, or a pool of one when it runs out of core.
+  virtual void set_pool(ThreadPool* pool) { (void)pool; }
+
   /// The known holes in the timeline, ascending by slot. Sources that
   /// discover damage lazily (DirectorySeries) report gaps found during the
   /// most recent visit() in addition to those found at open().
@@ -235,6 +242,7 @@ class DirectorySeries : public SnapshotSource {
   void set_columns(ColumnMask columns) override {
     scol_options_.columns = columns;
   }
+  void set_pool(ThreadPool* pool) override { pool_ = pool; }
   std::span<const SeriesGap> gaps() const override { return gaps_; }
 
   const std::vector<std::string>& files() const { return files_; }
@@ -247,6 +255,7 @@ class DirectorySeries : public SnapshotSource {
   std::vector<SeriesGap> open_gaps_;  // gaps found by open(); visit()
                                       // restarts from them each traversal
   ScolOptions scol_options_;
+  ThreadPool* pool_ = nullptr;  // decode threads; null = process-global
   RetryPolicy retry_policy_;
   RetryStats retry_stats_;
   ReadFileFn read_fn_;
@@ -279,6 +288,7 @@ class StridedSource : public SnapshotSource {
   }
   bool stable_snapshots() const override { return base_.stable_snapshots(); }
   void set_columns(ColumnMask columns) override { base_.set_columns(columns); }
+  void set_pool(ThreadPool* pool) override { base_.set_pool(pool); }
 
  private:
   SnapshotSource& base_;

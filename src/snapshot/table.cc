@@ -6,16 +6,7 @@
 namespace spider {
 
 void SnapshotTable::reserve(std::size_t rows) {
-  paths_.reserve(rows);
-  path_hash_.reserve(rows);
-  depth_.reserve(rows);
-  atime_.reserve(rows);
-  ctime_.reserve(rows);
-  mtime_.reserve(rows);
-  uid_.reserve(rows);
-  gid_.reserve(rows);
-  mode_.reserve(rows);
-  inode_.reserve(rows);
+  for_each_row_column([rows](auto& column) { column.reserve(rows); });
   ost_offsets_.reserve(rows + 1);
 }
 
@@ -76,18 +67,65 @@ void SnapshotTable::append_table(SnapshotTable&& other) {
   other = SnapshotTable();
 }
 
+SnapshotTable::BulkAppend::BulkAppend(SnapshotTable* table, std::size_t rows)
+    : t_(table),
+      first_(table->size()),
+      rows_(rows),
+      ost_values_(table->ost_values_.size()) {}
+
+SnapshotTable::BulkAppend::~BulkAppend() {
+  if (committed_) return;
+  t_->for_each_row_column([this](auto& column) { column.resize(first_); });
+  t_->ost_offsets_.resize(first_ + 1);
+  t_->ost_values_.resize(ost_values_);
+}
+
+void SnapshotTable::BulkAppend::reserve(std::size_t ost_values) {
+  // Geometric, as appends grow: groups decoded one after another into one
+  // table must not reallocate every column at every group.
+  const auto grow = [](auto& column, std::size_t need) {
+    if (column.capacity() < need) {
+      column.reserve(std::max(need, 2 * column.capacity()));
+    }
+  };
+  const std::size_t end = first_ + rows_;
+  t_->for_each_row_column([&](auto& column) { grow(column, end); });
+  grow(t_->ost_offsets_, end + 1);
+  grow(t_->ost_values_, t_->ost_values_.size() + ost_values);
+}
+
+SnapshotTable::BulkAppend::PathSpans SnapshotTable::BulkAppend::paths(
+    std::size_t bytes, char** block) {
+  t_->paths_.resize(first_ + rows_);
+  t_->path_hash_.resize(first_ + rows_);
+  t_->depth_.resize(first_ + rows_);
+  block_ = bytes == 0 ? nullptr : std::make_unique_for_overwrite<char[]>(bytes);
+  block_bytes_ = bytes;
+  *block = block_.get();
+  return PathSpans{std::span(t_->paths_).subspan(first_),
+                   std::span(t_->path_hash_).subspan(first_),
+                   std::span(t_->depth_).subspan(first_)};
+}
+
+void SnapshotTable::BulkAppend::commit() {
+  SnapshotTable& t = *t_;
+  const std::size_t end = first_ + rows_;
+  // A column the decoder left alone reads back as add() would store an
+  // empty path with zero fields.
+  t.path_hash_.resize(end, hash_bytes({}));
+  t.for_each_row_column([end](auto& column) { column.resize(end); });
+  t.ost_offsets_.resize(end + 1,
+                        static_cast<std::uint32_t>(t.ost_values_.size()));
+  if (block_) t.arena_.adopt(std::move(block_), block_bytes_);
+  for (std::size_t i = first_; i < end; ++i) {
+    t.file_count_ += mode_is_regular(t.mode_[i]) ? 1 : 0;
+  }
+  committed_ = true;
+}
+
 void SnapshotTable::clear() {
   arena_ = StringArena();
-  paths_.clear();
-  path_hash_.clear();
-  depth_.clear();
-  atime_.clear();
-  ctime_.clear();
-  mtime_.clear();
-  uid_.clear();
-  gid_.clear();
-  mode_.clear();
-  inode_.clear();
+  for_each_row_column([](auto& column) { column.clear(); });
   ost_offsets_.clear();
   ost_offsets_.push_back(0);
   ost_values_.clear();

@@ -7,10 +7,12 @@
 // keeps scans cache-friendly. Paths live in a StringArena; OST lists are
 // CSR-packed (offsets + values). Path hashes and depths are precomputed on
 // append because the diff join and the depth analyses both need them for
-// every row.
+// every row. Rows arrive one at a time through add() (PSV ingest, the
+// generator) or a whole decoded row group at a time through BulkAppend.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -64,8 +66,66 @@ class SnapshotTable {
   /// order, and leaves `other` empty. Arena blocks move wholesale (no string
   /// copies, precomputed hashes/depths carry over) and the CSR OST columns
   /// merge with one rebased offset pass — no per-row add() overhead. This is
-  /// the staging-table merge path of the parallel .scol and PSV readers.
+  /// the staging-table merge path of the parallel PSV reader and of
+  /// decode_scol into a non-empty table.
   void append_table(SnapshotTable&& other);
+
+  /// Bulk append: how the .scol decoder fills `rows` new rows without an
+  /// add() per row. The decoder appends whole columns straight into the
+  /// table's storage: exactly `rows` entries to each column it decodes
+  /// (any number of OST values, one end offset per row), and the path
+  /// views, hashes and depths into the spans of paths(). commit() gives
+  /// every column left alone what add() gives an empty path and zero
+  /// fields, adopts the path block and counts files. Destroyed without
+  /// commit(), it drops whatever was appended, so a decode that fails, by
+  /// status or by exception, leaves the table's rows as they were. A
+  /// cleared table is refilled within its capacity.
+  class BulkAppend {
+   public:
+    BulkAppend(SnapshotTable* table, std::size_t rows);
+    ~BulkAppend();
+    BulkAppend(const BulkAppend&) = delete;
+    BulkAppend& operator=(const BulkAppend&) = delete;
+
+    std::vector<std::int64_t>& atimes() { return t_->atime_; }
+    std::vector<std::int64_t>& ctimes() { return t_->ctime_; }
+    std::vector<std::int64_t>& mtimes() { return t_->mtime_; }
+    std::vector<std::uint32_t>& uids() { return t_->uid_; }
+    std::vector<std::uint32_t>& gids() { return t_->gid_; }
+    std::vector<std::uint32_t>& modes() { return t_->mode_; }
+    std::vector<std::uint64_t>& inodes() { return t_->inode_; }
+    /// CSR end offset of each new row's OST list into ost_values().
+    std::vector<std::uint32_t>& ost_ends() { return t_->ost_offsets_; }
+    std::vector<std::uint32_t>& ost_values() { return t_->ost_values_; }
+
+    /// The new rows' path columns, for the decoder to fill in place.
+    struct PathSpans {
+      std::span<std::string_view> paths;
+      std::span<std::uint64_t> hashes;
+      std::span<std::uint16_t> depths;
+    };
+    /// Reserves room for the new rows in every column and for `ost_values`
+    /// more OST values. A decoder that fills columns on pool workers calls
+    /// it first, on its own thread, so no worker allocates: memory a worker
+    /// allocates stays in that worker's malloc arena once freed.
+    void reserve(std::size_t ost_values);
+
+    /// Grows the path columns by the new rows and allocates, uninitialized,
+    /// the one block of `bytes` bytes their views must point into. The
+    /// arena adopts it on commit(); nothing else is ever written there.
+    PathSpans paths(std::size_t bytes, char** block);
+
+    void commit();
+
+   private:
+    SnapshotTable* t_;
+    std::size_t first_;       // the first new row
+    std::size_t rows_;
+    std::size_t ost_values_;  // ost_values_.size() before the append
+    std::unique_ptr<char[]> block_;
+    std::size_t block_bytes_ = 0;
+    bool committed_ = false;
+  };
 
   std::size_t size() const { return atime_.size(); }
   bool empty() const { return atime_.empty(); }
@@ -124,6 +184,22 @@ class SnapshotTable {
   void clear();
 
  private:
+  /// Calls f on every column with one entry per row (all but the OST CSR
+  /// pair).
+  template <typename F>
+  void for_each_row_column(F&& f) {
+    f(paths_);
+    f(path_hash_);
+    f(depth_);
+    f(atime_);
+    f(ctime_);
+    f(mtime_);
+    f(uid_);
+    f(gid_);
+    f(mode_);
+    f(inode_);
+  }
+
   StringArena arena_;
   std::vector<std::string_view> paths_;
   std::vector<std::uint64_t> path_hash_;

@@ -377,7 +377,23 @@ class StudyRun {
         report_->rebaseline_reason = s.to_string();
       }
     }
+    // Where the weeks decode. A resident run spreads each row group over
+    // the study's pool, beside the analysis of the week before. An
+    // out-of-core run takes each week's steps one after another on the
+    // visiting thread, so there a pooled decode would wait on the critical
+    // path for the slowest of the pool's threads, and the run's throughput
+    // would swing with how many cores other work leaves free (on a shared
+    // 4-vCPU host, perfbench's budget_stream read 0.62-0.83 M rows/s over
+    // five runs). Its groups decode on one thread instead, through a pool
+    // of one: parallel_for runs inline on it, and its worker takes the
+    // streamed scan's decode-ahead. Set last, so the destructor, which
+    // takes the pool back, runs whenever it is set.
+    if (out_of_core_) one_thread_.emplace(1u);
+    decode_pool_ = out_of_core_ ? &*one_thread_ : options_.pool;
+    source_.set_pool(decode_pool_);
   }
+  /// The source keeps no pointer to a pool that may not outlive the run.
+  ~StudyRun() { source_.set_pool(nullptr); }
   StudyRun(const StudyRun&) = delete;
   StudyRun& operator=(const StudyRun&) = delete;
 
@@ -411,8 +427,9 @@ class StudyRun {
   /// every other source hands its weeks over through visit_streaming, with
   /// a residency chooser only when the run is out of core. With prefetch,
   /// a pipeline thread analyzes week N while the visit decodes week N+1 —
-  /// one week in flight, analysis in arrival order on one thread, so
-  /// results are identical either way. Out-of-core runs stay synchronous:
+  /// one week in flight (the visit waits until the pipeline takes each
+  /// week), analysis in arrival order on one thread, so results are
+  /// identical either way. Out-of-core runs stay synchronous:
   /// a streamed week must run while its visit keeps the reader open, and a
   /// prefetched resident week would put a third week inside the budget.
   void run_pass(std::size_t first_slot) {
@@ -442,9 +459,12 @@ class StudyRun {
         return;
       }
       std::unique_lock<std::mutex> lock(mu);
-      slot_free.wait(lock, [&] { return !slot.has_value(); });
       slot = std::move(week);
       slot_filled.notify_one();
+      // Return only once the pipeline thread has taken the week: the visit
+      // then decodes week N+1 while week N is analyzed, and never a second
+      // week ahead into memory while the first waits in the slot.
+      slot_free.wait(lock, [&] { return !slot.has_value(); });
     };
 
     if (stable_) {
@@ -541,7 +561,7 @@ class StudyRun {
     SnapshotTable staging;
     for (std::size_t g = 0; g < reader.group_count(); ++g) {
       staging.clear();
-      Status s = reader.decode_group(g, &staging);
+      Status s = reader.decode_group(g, &staging, decode_pool_);
       if (!s.ok()) {
         s = reader.dispose_failure(g, std::move(s), &salvage);
         if (!s.ok()) return s;
@@ -564,8 +584,8 @@ class StudyRun {
       // Re-derives every partition from the mapped image; the spill is
       // deterministic, so the rewrite is byte-identical. Usable only
       // while the reader is open: retain() drops it.
-      cur->spill->regenerate = [&reader, skip = cur->skip,
-                                wopts](std::size_t) -> Status {
+      cur->spill->regenerate = [&reader, skip = cur->skip, wopts,
+                                pool = decode_pool_](std::size_t) -> Status {
         SpillPartitionWriter w;
         Status rs = w.open(wopts);
         std::size_t base = 0;
@@ -573,7 +593,7 @@ class StudyRun {
         for (std::size_t g = 0; rs.ok() && g < reader.group_count(); ++g) {
           if (skip[g]) continue;
           t.clear();
-          rs = reader.decode_group(g, &t);
+          rs = reader.decode_group(g, &t, pool);
           if (rs.ok()) rs = w.add_table(t, base);
           base += t.size();
         }
@@ -712,7 +732,7 @@ class StudyRun {
       return Status();
     }
     ScolMorselSource::Options mopts;
-    mopts.pool = options_.pool;
+    mopts.pool = decode_pool_;
     mopts.prefetch = options_.prefetch;
     mopts.skip = cur.skip;
     ScolMorselSource groups(cur.reader, std::move(mopts));
@@ -866,6 +886,8 @@ class StudyRun {
 
   bool stable_ = false;
   bool out_of_core_ = false;
+  std::optional<ThreadPool> one_thread_;  // out of core only
+  ThreadPool* decode_pool_ = nullptr;     // where weeks decode
   std::string spill_dir_;
   std::uint64_t spill_seq_ = 0;
 

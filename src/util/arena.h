@@ -9,6 +9,7 @@
 #include <cstddef>
 #include <memory>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace spider {
@@ -20,8 +21,29 @@ class StringArena {
   explicit StringArena(std::size_t block_size = kDefaultBlockSize)
       : block_size_(block_size) {}
 
-  StringArena(StringArena&&) noexcept = default;
-  StringArena& operator=(StringArena&&) noexcept = default;
+  // A moved-from arena owns no block, so it must not keep pointing into
+  // the open block it gave away.
+  StringArena(StringArena&& other) noexcept
+      : block_size_(other.block_size_),
+        blocks_(std::move(other.blocks_)),
+        open_(std::exchange(other.open_, nullptr)),
+        open_left_(std::exchange(other.open_left_, 0)),
+        bytes_used_(std::exchange(other.bytes_used_, 0)),
+        bytes_reserved_(std::exchange(other.bytes_reserved_, 0)) {
+    other.blocks_.clear();
+  }
+  StringArena& operator=(StringArena&& other) noexcept {
+    if (this != &other) {
+      block_size_ = other.block_size_;
+      blocks_ = std::move(other.blocks_);
+      other.blocks_.clear();
+      open_ = std::exchange(other.open_, nullptr);
+      open_left_ = std::exchange(other.open_left_, 0);
+      bytes_used_ = std::exchange(other.bytes_used_, 0);
+      bytes_reserved_ = std::exchange(other.bytes_reserved_, 0);
+    }
+    return *this;
+  }
   StringArena(const StringArena&) = delete;
   StringArena& operator=(const StringArena&) = delete;
 
@@ -45,23 +67,32 @@ class StringArena {
     return {dst, a.size() + b.size()};
   }
 
+  /// Takes ownership of a caller-filled block of `size` bytes, counted as
+  /// used in full. Later interns never write into it. The bulk decoder
+  /// rebuilds a row group's paths straight into one exact-size block and
+  /// hands it over here.
+  void adopt(std::unique_ptr<char[]> block, std::size_t size) {
+    blocks_.push_back(std::move(block));
+    bytes_used_ += size;
+    bytes_reserved_ += size;
+  }
+
   /// Steals every block of `other`, leaving it empty. Views into either
   /// arena stay valid: blocks are moved, never copied or reallocated. The
   /// bulk-splice path of SnapshotTable uses this to merge per-shard arenas
   /// without touching a single string byte.
   void absorb(StringArena&& other) {
-    if (other.blocks_.empty()) return;
-    const bool same_geometry = other.block_size_ == block_size_;
     for (auto& block : other.blocks_) blocks_.push_back(std::move(block));
-    // Keep appending into other's tail block only when its capacity math
-    // matches ours; otherwise start fresh on the next allocate.
-    used_in_block_ = same_geometry ? other.used_in_block_ : block_size_;
-    bytes_used_ += other.bytes_used_;
-    bytes_reserved_ += other.bytes_reserved_;
     other.blocks_.clear();
-    other.used_in_block_ = 0;
-    other.bytes_used_ = 0;
-    other.bytes_reserved_ = 0;
+    // Keep appending into whichever open block has more room left.
+    if (other.open_left_ > open_left_) {
+      open_ = other.open_;
+      open_left_ = other.open_left_;
+    }
+    bytes_used_ += std::exchange(other.bytes_used_, 0);
+    bytes_reserved_ += std::exchange(other.bytes_reserved_, 0);
+    other.open_ = nullptr;
+    other.open_left_ = 0;
   }
 
   std::size_t bytes_used() const { return bytes_used_; }
@@ -69,32 +100,29 @@ class StringArena {
 
  private:
   char* allocate(std::size_t n) {
-    if (n > block_size_) {
-      // Oversized strings get a dedicated block, inserted *before* the
-      // current block so the current block's spare capacity survives.
-      auto block = std::make_unique<char[]>(n);
-      char* ptr = block.get();
-      const std::size_t at = blocks_.empty() ? 0 : blocks_.size() - 1;
-      blocks_.insert(blocks_.begin() + static_cast<std::ptrdiff_t>(at),
-                     std::move(block));
-      bytes_used_ += n;
-      bytes_reserved_ += n;
-      return ptr;
-    }
-    if (blocks_.empty() || used_in_block_ + n > block_size_) {
-      blocks_.push_back(std::make_unique<char[]>(block_size_));
-      used_in_block_ = 0;
+    if (n > open_left_) {
+      if (n > block_size_) {
+        // Oversized strings get a dedicated block, so the open block's
+        // spare capacity survives.
+        adopt(std::make_unique_for_overwrite<char[]>(n), n);
+        return blocks_.back().get();
+      }
+      blocks_.push_back(std::make_unique_for_overwrite<char[]>(block_size_));
+      open_ = blocks_.back().get();
+      open_left_ = block_size_;
       bytes_reserved_ += block_size_;
     }
-    char* ptr = blocks_.back().get() + used_in_block_;
-    used_in_block_ += n;
+    char* ptr = open_;
+    open_ += n;
+    open_left_ -= n;
     bytes_used_ += n;
     return ptr;
   }
 
   std::size_t block_size_;
   std::vector<std::unique_ptr<char[]>> blocks_;
-  std::size_t used_in_block_ = 0;
+  char* open_ = nullptr;       // next free byte of the block interns fill
+  std::size_t open_left_ = 0;  // bytes left there
   std::size_t bytes_used_ = 0;
   std::size_t bytes_reserved_ = 0;
 };

@@ -372,6 +372,54 @@ TEST(StreamingStudyFaultTest, ScratchLossDegradesLikeResident) {
   }
 }
 
+/// Records every pool the study hands the series.
+class PoolRecordingSeries : public DirectorySeries {
+ public:
+  void set_pool(ThreadPool* pool) override {
+    pools.push_back(pool);
+    DirectorySeries::set_pool(pool);
+  }
+  std::vector<ThreadPool*> pools;
+};
+
+/// Wants the diff, so an out-of-core run spills; counts the weeks.
+class WeekCounter : public StudyAnalyzer {
+ public:
+  bool wants_diff() const override { return true; }
+  void merge(const WeekObservation&, ScanStateList) override { ++weeks; }
+  std::size_t weeks = 0;
+};
+
+// A resident run decodes its weeks on the study's pool; an out-of-core run
+// decodes them on one thread (DESIGN.md §15), through a pool of one. Either
+// way the study takes the pool back when it ends.
+TEST(StreamingStudyPoolTest, OutOfCoreRunsDecodeOnOneThread) {
+  TempDir dir("spider_streaming_decode_pool_test");
+  save_sized_series(dir.path(), {3000, 3000, 3000});
+  ThreadPool pool(4);
+  for (const std::size_t budget : {std::size_t{0}, std::size_t{1}}) {
+    PoolRecordingSeries series;
+    ASSERT_TRUE(series.open(dir.path()).ok());
+    StudyOptions options;
+    options.pool = &pool;
+    options.grain = kTestGrain;
+    options.memory_budget = budget;
+    WeekCounter counter;
+    run_study(series, counter, options);
+    ASSERT_EQ(counter.weeks, 3u);
+    EXPECT_TRUE(series.gaps().empty());
+    ASSERT_EQ(series.pools.size(), 2u) << "budget " << budget;
+    EXPECT_EQ(series.pools[1], nullptr) << "budget " << budget;
+    if (budget == 0) {
+      EXPECT_EQ(series.pools[0], &pool);
+    } else {
+      ASSERT_NE(series.pools[0], nullptr);
+      EXPECT_NE(series.pools[0], &pool);
+      EXPECT_EQ(series.pools[0]->size(), 1u);
+    }
+  }
+}
+
 /// Records everything an analyzer can see per week — counts, flags, and
 /// order-sensitive checksums of the diff lists — so a streamed run can be
 /// compared field-for-field against the resident reference, and records

@@ -1,6 +1,8 @@
 // Tests for arena, hashing, tables, time, and CLI utilities.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
 #include <set>
 #include <string>
 
@@ -41,6 +43,28 @@ TEST(StringArenaTest, OversizedStringsGetDedicatedBlocks) {
   EXPECT_EQ(a, "aa");
   EXPECT_EQ(b, std::string(500, 'y'));
   EXPECT_EQ(c, "cc");
+  // The first string opened the arena with a dedicated block; later
+  // interns must not have landed in it.
+  EXPECT_EQ(v, big);
+}
+
+TEST(StringArenaTest, AdoptedBlocksTakeNoInterns) {
+  StringArena arena(64);
+  auto block = std::make_unique_for_overwrite<char[]>(8);
+  std::memcpy(block.get(), "adopted!", 8);
+  const std::string_view adopted(block.get(), 8);
+  arena.adopt(std::move(block), 8);
+  EXPECT_EQ(arena.bytes_used(), 8u);
+  for (int i = 0; i < 20; ++i) arena.intern("0123456789");
+  EXPECT_EQ(adopted, "adopted!");
+
+  StringArena other(64);
+  const std::string_view kept = other.intern("kept");
+  arena.absorb(std::move(other));
+  for (int i = 0; i < 20; ++i) arena.intern("0123456789");
+  EXPECT_EQ(kept, "kept");
+  EXPECT_EQ(adopted, "adopted!");
+  EXPECT_EQ(other.bytes_used(), 0u);
 }
 
 TEST(StringArenaTest, EmptyAndConcat) {
