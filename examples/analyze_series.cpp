@@ -87,6 +87,10 @@ int main(int argc, char** argv) {
   if (!options.checkpoint.path.empty()) {
     std::cout << "checkpoint: " << ckpt_report.checkpoints_written
               << " written to " << options.checkpoint.path;
+    if (ckpt_report.write_failures > 0) {
+      std::cout << ", " << ckpt_report.write_failures << " failed (first: "
+                << ckpt_report.first_write_failure.to_string() << ")";
+    }
     if (ckpt_report.resumed) {
       std::cout << " (resumed after week " << ckpt_report.resumed_week << ")";
     } else if (!ckpt_report.rebaseline_reason.empty()) {

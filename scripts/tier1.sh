@@ -45,21 +45,23 @@ cmake --build build-asan -j"${JOBS}" --target \
     snapshot_scol_stream_test snapshot_decode_parity_test \
     snapshot_psv_test snapshot_psv_fuzz_test \
     snapshot_series_test util_io_test util_retry_test util_status_test \
-    util_parallel_test engine_agg_test engine_flat_map_test \
-    engine_spill_test study_analyzers_test synth_infer_test \
-    study_streaming_test study_checkpoint_test
+    util_parallel_test util_serialize_test engine_agg_test \
+    engine_flat_map_test engine_spill_test study_analyzers_test \
+    synth_infer_test study_streaming_test study_checkpoint_test
 # snapshot_scol_stream_test holds the row scan's parity sweep against
 # decode_group on damaged images; synth_infer_test drives that scan
 # through infer_facility on gapped, corrupt and salvaged series;
 # snapshot_decode_parity_test checks the pooled group decode against
-# row-by-row tables, including a failing group's rollback.
+# row-by-row tables, including a failing group's rollback;
+# util_serialize_test holds the golden bytes of every StateWriter method,
+# which append straight into a checkpoint image.
 for t in snapshot_fault_injection_test snapshot_scol_test \
          snapshot_scol_v2_test snapshot_scol_stream_test \
          snapshot_decode_parity_test snapshot_psv_test \
          snapshot_psv_fuzz_test snapshot_series_test util_io_test \
          util_retry_test util_status_test util_parallel_test \
-         engine_agg_test engine_flat_map_test engine_spill_test \
-         study_analyzers_test synth_infer_test; do
+         util_serialize_test engine_agg_test engine_flat_map_test \
+         engine_spill_test study_analyzers_test synth_infer_test; do
   echo "--> ${t} (sanitized)"
   ./build-asan/tests/"${t}"
 done
@@ -114,11 +116,14 @@ echo "--> study_incremental_test (tsan, gap+salvage re-baseline cases)"
 # Checkpoint/resume under TSan: checkpoint writes interleave with the
 # prefetch pipeline and the resume path hands restored state to the
 # parallel scan — the gap-resume case crosses both boundaries on a
-# multi-thread pool. The exhaustive kill sweep stays in the plain build
-# (same big-fixture reasoning as above).
-echo "--> study_checkpoint_test (tsan, resume cases)"
+# multi-thread pool. Each checkpoint is hashed on the study pool and
+# written on a thread of its own behind the next week: the width-2 file
+# case and the cadence case run that writer beside prefetch. The
+# exhaustive kill sweep stays in the plain build (same big-fixture
+# reasoning as above).
+echo "--> study_checkpoint_test (tsan, resume and write-behind cases)"
 ./build-tsan/tests/study_checkpoint_test \
-    --gtest_filter='CheckpointResumeTest.ResumeAcrossGapPreservesDataQuality:CheckpointResumeTest.ScanOnlyMarkersForceFullRun'
+    --gtest_filter='CheckpointResumeTest.ResumeAcrossGapPreservesDataQuality:CheckpointResumeTest.ScanOnlyMarkersForceFullRun:CheckpointResumeTest.CadenceEveryNWritesFewerCheckpoints:Widths/CheckpointFileTest.*/t2'
 # Streaming parity under TSan: the mixed-residency case runs the streamed
 # weeks' prefetch pipeline, the spill writers, and the resident weeks'
 # parallel scan on one multi-thread pool — the residency boundary is

@@ -6,7 +6,7 @@
 
 #include "util/hash.h"
 #include "util/io.h"
-#include "util/serialize.h"
+#include "util/parallel.h"
 
 namespace spider {
 
@@ -18,30 +18,16 @@ constexpr std::uint32_t kSectionRunner = 1;
 constexpr std::uint32_t kSectionGaps = 2;
 constexpr std::uint32_t kSectionAnalyzer = 3;
 
-constexpr std::size_t kSectionHeaderBytes = 4 + 8 + 8;  // kind, size, sum
+// Section header: u32 kind, u64 payload size, u64 payload checksum.
+constexpr std::size_t kSectionHeaderBytes = 4 + 8 + 8;
+constexpr std::size_t kSectionSizeAt = 4;
+constexpr std::size_t kSectionSumAt = 12;
 
-void append_section(std::uint32_t kind,
-                    const std::vector<std::uint8_t>& payload,
-                    std::vector<std::uint8_t>* out) {
-  StateWriter w(out);
-  w.u32(kind);
-  w.u64(payload.size());
-  w.u64(hash_bytes(std::string_view(
-      reinterpret_cast<const char*>(payload.data()), payload.size())));
-  out->insert(out->end(), payload.begin(), payload.end());
-}
-
-void encode_runner(const StudyCheckpoint& ckpt,
-                   std::vector<std::uint8_t>* out) {
-  StateWriter w(out);
-  w.u64(ckpt.week);
-  w.i64(ckpt.taken_at);
-  w.u8(ckpt.degraded ? 1 : 0);
-  w.u64(ckpt.table_fingerprint);
-  w.u64(ckpt.columns_mask);
-  w.u64(ckpt.grain);
-  w.u64(ckpt.hash_probe);
-  w.u32(static_cast<std::uint32_t>(ckpt.analyzers.size()));
+/// The bytes of a span of trivially-copyable values, as hash_bytes takes
+/// them.
+template <typename T>
+std::string_view as_chars(std::span<const T> values) {
+  return {reinterpret_cast<const char*>(values.data()), values.size_bytes()};
 }
 
 bool decode_runner(StateReader& r, StudyCheckpoint* out,
@@ -103,18 +89,6 @@ bool decode_status(StateReader& r, Status* out) {
   return r.ok();
 }
 
-void encode_gaps(std::span<const SeriesGap> gaps,
-                 std::vector<std::uint8_t>* out) {
-  StateWriter w(out);
-  w.u32(static_cast<std::uint32_t>(gaps.size()));
-  for (const SeriesGap& gap : gaps) {
-    w.u64(gap.week);
-    w.i64(gap.taken_at);
-    w.str(gap.file);
-    encode_status(w, gap.status);
-  }
-}
-
 bool decode_gaps(StateReader& r, std::vector<SeriesGap>* out) {
   const std::uint32_t count = r.u32();
   if (!r.ok()) return false;
@@ -129,15 +103,6 @@ bool decode_gaps(StateReader& r, std::vector<SeriesGap>* out) {
     out->push_back(std::move(gap));
   }
   return r.exhausted();
-}
-
-void encode_analyzer(const AnalyzerCheckpoint& a,
-                     std::vector<std::uint8_t>* out) {
-  StateWriter w(out);
-  w.str(a.id);
-  w.u32(a.version);
-  w.u8(a.has_state ? 1 : 0);
-  w.bytes(a.blob);
 }
 
 bool decode_analyzer(StateReader& r, AnalyzerCheckpoint* out) {
@@ -175,9 +140,7 @@ Status next_section(std::span<const std::uint8_t> bytes, std::size_t* pos,
   }
   *payload = bytes.subspan(*pos, static_cast<std::size_t>(header->size));
   *pos += static_cast<std::size_t>(header->size);
-  const std::uint64_t sum = hash_bytes(std::string_view(
-      reinterpret_cast<const char*>(payload->data()), payload->size()));
-  if (sum != header->checksum) {
+  if (hash_bytes(as_chars(*payload)) != header->checksum) {
     return Status::corruption("section checksum mismatch (kind " +
                               std::to_string(header->kind) + ")");
   }
@@ -209,50 +172,134 @@ std::uint64_t checkpoint_hash_probe() {
 }
 
 std::uint64_t table_fingerprint(const SnapshotTable& table,
-                                ColumnMask columns) {
-  const auto fold_span = [](std::uint64_t h, const auto& span) {
-    const std::string_view view =
-        span.empty() ? std::string_view()
-                     : std::string_view(
-                           reinterpret_cast<const char*>(span.data()),
-                           span.size_bytes());
-    return hash_combine(h, hash_bytes(view));
-  };
-  std::uint64_t h = hash_combine(table.size(), table.file_count());
+                                ColumnMask columns, ThreadPool* pool) {
+  std::vector<std::string_view> spans;  // fold order
   if (columns & kColMaskPaths) {
-    h = fold_span(h, table.path_hashes());
-    h = fold_span(h, table.depths());
+    spans.push_back(as_chars(table.path_hashes()));
+    spans.push_back(as_chars(table.depths()));
   }
-  if (columns & kColMaskAtime) h = fold_span(h, table.atimes());
-  if (columns & kColMaskCtime) h = fold_span(h, table.ctimes());
-  if (columns & kColMaskMtime) h = fold_span(h, table.mtimes());
-  if (columns & kColMaskUid) h = fold_span(h, table.uids());
-  if (columns & kColMaskGid) h = fold_span(h, table.gids());
-  if (columns & kColMaskMode) h = fold_span(h, table.modes());
-  if (columns & kColMaskInode) h = fold_span(h, table.inodes());
+  if (columns & kColMaskAtime) spans.push_back(as_chars(table.atimes()));
+  if (columns & kColMaskCtime) spans.push_back(as_chars(table.ctimes()));
+  if (columns & kColMaskMtime) spans.push_back(as_chars(table.mtimes()));
+  if (columns & kColMaskUid) spans.push_back(as_chars(table.uids()));
+  if (columns & kColMaskGid) spans.push_back(as_chars(table.gids()));
+  if (columns & kColMaskMode) spans.push_back(as_chars(table.modes()));
+  if (columns & kColMaskInode) spans.push_back(as_chars(table.inodes()));
+  std::vector<std::uint64_t> sums(spans.size());
+  parallel_for(
+      spans.size(), [&](std::size_t i) { sums[i] = hash_bytes(spans[i]); },
+      pool, /*grain=*/1);
   if (columns & kColMaskOsts) {
-    for (std::size_t i = 0; i < table.size(); ++i) {
-      h = fold_span(h, table.osts(i));
-    }
+    const std::size_t at = sums.size();
+    sums.resize(at + table.size());
+    parallel_for(
+        table.size(),
+        [&](std::size_t i) {
+          sums[at + i] = hash_bytes(as_chars(table.osts(i)));
+        },
+        pool);
   }
+  std::uint64_t h = hash_combine(table.size(), table.file_count());
+  for (const std::uint64_t sum : sums) h = hash_combine(h, sum);
   return h;
+}
+
+template <typename T>
+void CheckpointEncoder::patch(std::size_t at, T v) {
+  const auto bytes = le_bytes(v);
+  std::copy(bytes.begin(), bytes.end(), out_->data() + at);
+}
+
+CheckpointEncoder::CheckpointEncoder(const StudyCheckpoint& head,
+                                     std::vector<std::uint8_t>* out)
+    : out_(out) {
+  out_->assign(kCheckpointMagic.begin(), kCheckpointMagic.end());
+  StateWriter w(out_);
+
+  std::size_t at = open_section(kSectionRunner);
+  w.u64(head.week);
+  w.i64(head.taken_at);
+  w.u8(head.degraded ? 1 : 0);
+  w.u64(head.table_fingerprint);
+  w.u64(head.columns_mask);
+  w.u64(head.grain);
+  w.u64(head.hash_probe);
+  count_at_ = out_->size();
+  w.u32(0);  // analyzer count, patched by seal()
+  close_section(at);
+
+  at = open_section(kSectionGaps);
+  w.u32(static_cast<std::uint32_t>(head.gaps.size()));
+  for (const SeriesGap& gap : head.gaps) {
+    w.u64(gap.week);
+    w.i64(gap.taken_at);
+    w.str(gap.file);
+    encode_status(w, gap.status);
+  }
+  close_section(at);
+}
+
+void CheckpointEncoder::analyzer(
+    std::string_view id, std::uint32_t version,
+    const std::function<bool(StateWriter&)>& save) {
+  const std::size_t at = open_section(kSectionAnalyzer);
+  StateWriter w(out_);
+  w.str(id);
+  w.u32(version);
+  const std::size_t flag_at = out_->size();
+  w.u8(0);   // has_state, patched below
+  w.u64(0);  // blob length, patched below
+  const std::size_t blob_at = out_->size();
+  const bool has_state = save(w);
+  if (!has_state) out_->resize(blob_at);
+  patch<std::uint8_t>(flag_at, has_state ? 1 : 0);
+  patch<std::uint64_t>(flag_at + 1, out_->size() - blob_at);
+  close_section(at);
+}
+
+void CheckpointEncoder::seal(ThreadPool* pool) {
+  patch<std::uint32_t>(count_at_,
+                       static_cast<std::uint32_t>(sections_.size() - 2));
+  // Sections are disjoint byte ranges: each task reads its own payload and
+  // writes its own header's checksum field.
+  parallel_for(
+      sections_.size(),
+      [this](std::size_t i) {
+        const std::size_t begin = sections_[i] + kSectionHeaderBytes;
+        const std::size_t end =
+            i + 1 < sections_.size() ? sections_[i + 1] : out_->size();
+        const std::uint64_t sum = hash_bytes(as_chars(
+            std::span<const std::uint8_t>(out_->data() + begin, end - begin)));
+        patch<std::uint64_t>(sections_[i] + kSectionSumAt, sum);
+      },
+      pool, /*grain=*/1);
+}
+
+std::size_t CheckpointEncoder::open_section(std::uint32_t kind) {
+  const std::size_t at = out_->size();
+  StateWriter w(out_);
+  w.u32(kind);
+  w.u64(0);  // payload size, patched by close_section()
+  w.u64(0);  // checksum, patched by seal()
+  sections_.push_back(at);
+  return at;
+}
+
+void CheckpointEncoder::close_section(std::size_t at) {
+  patch<std::uint64_t>(at + kSectionSizeAt,
+                       out_->size() - at - kSectionHeaderBytes);
 }
 
 Status encode_checkpoint(const StudyCheckpoint& ckpt,
                          std::vector<std::uint8_t>* out) {
-  out->clear();
-  out->insert(out->end(), kCheckpointMagic.begin(), kCheckpointMagic.end());
-  std::vector<std::uint8_t> payload;
-  encode_runner(ckpt, &payload);
-  append_section(kSectionRunner, payload, out);
-  payload.clear();
-  encode_gaps(ckpt.gaps, &payload);
-  append_section(kSectionGaps, payload, out);
+  CheckpointEncoder encoder(ckpt, out);
   for (const AnalyzerCheckpoint& a : ckpt.analyzers) {
-    payload.clear();
-    encode_analyzer(a, &payload);
-    append_section(kSectionAnalyzer, payload, out);
+    encoder.analyzer(a.id, a.version, [&a](StateWriter& w) {
+      w.out()->insert(w.out()->end(), a.blob.begin(), a.blob.end());
+      return a.has_state;
+    });
   }
+  encoder.seal(nullptr);
   return Status();
 }
 
@@ -331,13 +378,6 @@ std::vector<SeriesGap> merge_gap_timelines(std::span<const SeriesGap> restored,
               return a.week < b.week;
             });
   return out;
-}
-
-Status save_checkpoint(const std::string& path, const StudyCheckpoint& ckpt) {
-  std::vector<std::uint8_t> bytes;
-  const Status s = encode_checkpoint(ckpt, &bytes);
-  if (!s.ok()) return s;
-  return write_file_atomic(path, bytes);
 }
 
 Status load_checkpoint(const std::string& path, StudyCheckpoint* out) {

@@ -18,18 +18,31 @@
 // marker instead of state — degrades to the ordinary full run, which is
 // always correct. Files are written with util/io's write_file_atomic, so
 // a crash mid-checkpoint leaves the previous checkpoint intact.
+//
+// One encoder builds every image: CheckpointEncoder writes the sections
+// in place, in one pass over the bytes, and checksums them on a pool. The
+// study runner feeds it each analyzer's save_state directly and writes
+// the sealed image behind the next week (runner.cc), one write in flight;
+// run_study waits for the last one, so CheckpointReport's counts are final
+// when it returns. The codec's encode_checkpoint feeds the encoder a
+// decoded StudyCheckpoint's blobs.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "snapshot/series.h"
 #include "snapshot/table.h"
+#include "util/serialize.h"
 #include "util/status.h"
 
 namespace spider {
+
+class ThreadPool;
 
 /// Magic + version tag. The first 5 bytes identify the family; the last 3
 /// are the format version, so a mismatch there is version skew rather
@@ -69,18 +82,62 @@ std::uint64_t checkpoint_hash_probe();
 
 /// Order-sensitive content hash of the table's decoded columns, limited
 /// to the projection in `columns` (both sides of a resume computed it
-/// under the same mask, which the checkpoint records).
+/// under the same mask, which the checkpoint records). Each column and
+/// each row's OST list is hashed on `pool` (null = the process-global
+/// pool); the hashes fold serially in column order, then row order, so
+/// the value does not depend on the pool's width.
 std::uint64_t table_fingerprint(const SnapshotTable& table,
-                                ColumnMask columns);
+                                ColumnMask columns, ThreadPool* pool = nullptr);
 
+/// Builds one .sckpt image in place, in a single pass over its bytes. Each
+/// section's header is reserved, its payload is written straight behind
+/// it, and the header's size is patched when the section ends; an
+/// analyzer's state is written by its own save_state, straight into the
+/// image. seal() then checksums every section on a pool.
+///
+/// The image lives in the caller's buffer, which a recurring writer
+/// reuses: the constructor clears it and keeps its capacity.
+class CheckpointEncoder {
+ public:
+  /// Starts an image in `out`: the magic, the runner section (from every
+  /// field of `head` but `analyzers`) and the gaps section.
+  CheckpointEncoder(const StudyCheckpoint& head,
+                    std::vector<std::uint8_t>* out);
+
+  /// Appends one analyzer section, in roster order. `save` writes the
+  /// state through the writer it is handed and returns true, or returns
+  /// false for a re-baseline marker; a marker's blob is empty, whatever
+  /// `save` wrote first.
+  void analyzer(std::string_view id, std::uint32_t version,
+                const std::function<bool(StateWriter&)>& save);
+
+  /// Patches the analyzer count into the runner section and every
+  /// section's checksum into its header, hashing the sections on `pool`
+  /// (null = the process-global pool). The image is complete once this
+  /// returns; nothing may be appended after it.
+  void seal(ThreadPool* pool);
+
+ private:
+  std::size_t open_section(std::uint32_t kind);
+  void close_section(std::size_t at);
+  template <typename T>
+  void patch(std::size_t at, T v);
+
+  std::vector<std::uint8_t>* out_;
+  std::vector<std::size_t> sections_;  // offset of each section's header
+  std::size_t count_at_ = 0;           // the runner section's count field
+};
+
+/// The image of `ckpt` through CheckpointEncoder, as the study runner
+/// writes it (a marker's blob encodes empty).
 Status encode_checkpoint(const StudyCheckpoint& ckpt,
                          std::vector<std::uint8_t>* out);
 Status decode_checkpoint(std::span<const std::uint8_t> bytes,
                          StudyCheckpoint* out);
 
-/// Whole-file wrappers: atomic write (temp + fsync + rename + dir fsync),
-/// and read + decode with the file as Status context.
-Status save_checkpoint(const std::string& path, const StudyCheckpoint& ckpt);
+/// Reads and decodes a checkpoint file, with the file as Status context.
+/// (The study runner writes its images with util/io's write_file_atomic:
+/// temp + fsync + rename + dir fsync.)
 Status load_checkpoint(const std::string& path, StudyCheckpoint* out);
 
 /// Per-section damage report for `snapshot_tool checkpoint`: mirrors the

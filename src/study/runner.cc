@@ -4,12 +4,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <condition_variable>
 #include <filesystem>
+#include <future>
 #include <initializer_list>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <system_error>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -18,6 +21,7 @@
 #include "engine/spill.h"
 #include "engine/stream.h"
 #include "study/checkpoint.h"
+#include "util/io.h"
 
 namespace spider {
 
@@ -126,17 +130,22 @@ struct PendingWeek {
   const Snapshot& snap() const { return view ? *view : owned; }
 };
 
-/// Ascending union of disjoint, already-ascending row lists.
+/// Ascending union of disjoint, already-ascending row lists, merged one
+/// list at a time.
 std::vector<std::uint32_t> merged_union(
     std::initializer_list<std::span<const std::uint32_t>> lists) {
   std::size_t total = 0;
-  for (const auto& list : lists) total += list.size();
+  for (const auto& list : lists) {
+    assert(std::is_sorted(list.begin(), list.end()));
+    total += list.size();
+  }
   std::vector<std::uint32_t> out;
   out.reserve(total);
   for (const auto& list : lists) {
+    const auto mid = static_cast<std::ptrdiff_t>(out.size());
     out.insert(out.end(), list.begin(), list.end());
+    std::inplace_merge(out.begin(), out.begin() + mid, out.end());
   }
-  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -416,6 +425,7 @@ class StudyRun {
       run_pass(0);
     }
     for (StudyAnalyzer* analyzer : analyzers_) analyzer->finish();
+    finish_write();
     if (!spill_dir_.empty()) {
       std::error_code ec;
       fs::remove_all(spill_dir_, ec);
@@ -764,41 +774,67 @@ class StudyRun {
     if (prev_->spill) prev_->spill->regenerate = nullptr;
   }
 
-  /// Checkpoints the just-retained week every ckpt_every_ weeks.
+  /// Checkpoints the just-retained week every ckpt_every_ weeks: encodes
+  /// the image in place on this thread, where the analyzers' state is
+  /// stable until the next week, and writes it behind that week.
   void checkpoint() {
     if (!ckpt_enabled_ || ++weeks_since_ckpt_ < ckpt_every_) return;
     weeks_since_ckpt_ = 0;
-    StudyCheckpoint ckpt;
-    ckpt.week = prev_->week;
-    ckpt.taken_at = prev_->snap().taken_at;
-    ckpt.degraded = prev_->snap().degraded;
-    ckpt.table_fingerprint = table_fingerprint(prev_->snap().table, columns_);
-    ckpt.columns_mask = columns_;
-    ckpt.grain = options_.grain;
-    ckpt.hash_probe = checkpoint_hash_probe();
+    finish_write();  // the image buffer is reused
+    StudyCheckpoint head;
+    head.week = prev_->week;
+    head.taken_at = prev_->snap().taken_at;
+    head.degraded = prev_->snap().degraded;
+    head.table_fingerprint =
+        table_fingerprint(prev_->snap().table, columns_, options_.pool);
+    head.columns_mask = columns_;
+    head.grain = options_.grain;
+    head.hash_probe = checkpoint_hash_probe();
     // Keep pre-resume damage alive across checkpoint generations: the
     // source never re-read those weeks, so its own gap list cannot
     // contain them.
-    ckpt.gaps = report_->restored_gaps.empty()
+    head.gaps = report_->restored_gaps.empty()
                     ? prev_->gaps_so_far
                     : merge_gap_timelines(report_->restored_gaps,
                                           prev_->gaps_so_far);
-    ckpt.analyzers.reserve(analyzers_.size());
+    // Each image is a little larger than the last: leave room to grow
+    // without a reallocation that copies the image.
+    image_.reserve(image_.size() + image_.size() / 4);
+    CheckpointEncoder encoder(head, &image_);
     for (StudyAnalyzer* analyzer : analyzers_) {
-      AnalyzerCheckpoint a;
-      a.id = std::string(analyzer->state_id());
-      a.version = analyzer->state_version();
-      StateWriter w(&a.blob);
-      a.has_state = analyzer->save_state(w);
-      if (!a.has_state) a.blob.clear();
-      ckpt.analyzers.push_back(std::move(a));
+      encoder.analyzer(
+          analyzer->state_id(), analyzer->state_version(),
+          [analyzer](StateWriter& w) { return analyzer->save_state(w); });
     }
-    // Best-effort: a failed write leaves the previous checkpoint on disk
-    // intact (atomic replace), and the study itself continues.
-    if (save_checkpoint(options_.checkpoint.path, ckpt).ok()) {
+    encoder.seal(options_.pool);
+    start_write();
+  }
+
+  /// Writes the sealed image on a thread of its own while the next week
+  /// is analyzed; inline when no thread can be started. At most one write
+  /// is in flight: the next checkpoint and the end of run() wait for it.
+  void start_write() {
+    try {
+      write_ = std::async(std::launch::async, [this] {
+        return write_file_atomic(options_.checkpoint.path, image_);
+      });
+    } catch (const std::system_error&) {
+      count_write(write_file_atomic(options_.checkpoint.path, image_));
+    }
+  }
+
+  /// Waits for the write in flight, if any, and counts its outcome.
+  void finish_write() {
+    if (write_.valid()) count_write(write_.get());
+  }
+
+  /// Best-effort: a failed write leaves the previous checkpoint on disk
+  /// intact (atomic replace), and the study itself continues.
+  void count_write(const Status& s) {
+    if (s.ok()) {
       ++report_->checkpoints_written;
-    } else {
-      ++report_->write_failures;
+    } else if (report_->write_failures++ == 0) {
+      report_->first_write_failure = s;
     }
   }
 
@@ -841,7 +877,7 @@ class StudyRun {
     if (cur.week != restored_.week ||
         cur.snap().taken_at != restored_.taken_at ||
         cur.snap().degraded != restored_.degraded ||
-        table_fingerprint(cur.snap().table, columns_) !=
+        table_fingerprint(cur.snap().table, columns_, options_.pool) !=
             restored_.table_fingerprint) {
       report_->rebaseline_reason =
           "checkpointed week " + std::to_string(restored_.week) +
@@ -893,6 +929,12 @@ class StudyRun {
 
   std::optional<PendingWeek> prev_;
   std::size_t weeks_since_ckpt_ = 0;
+  /// The last checkpoint's image, and its write while in flight. Declared
+  /// in this order so that the future, whose destructor waits for the
+  /// writer, goes first: the run never unwinds while a writer still reads
+  /// the image.
+  std::vector<std::uint8_t> image_;
+  std::future<Status> write_;
 };
 
 }  // namespace

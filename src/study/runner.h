@@ -7,7 +7,8 @@
 // WeekObservation, diff, one shared parallel scan feeding every analyzer's
 // chunk kernels (a resident table through engine/scan, a streamed week one
 // .scol row group at a time through engine/stream), apply deltas, retain
-// the week as the next diff's previous side, and checkpoint. The union
+// the week as the next diff's previous side, and checkpoint (the image is
+// encoded on the analyst thread and written behind the next week). The union
 // column projection is pushed into the source, and on resident runs the
 // decode of week N+1 overlaps the analysis of week N.
 //
@@ -24,6 +25,7 @@
 #include "engine/scan.h"
 #include "snapshot/series.h"
 #include "util/serialize.h"
+#include "util/status.h"
 
 namespace spider {
 
@@ -215,14 +217,18 @@ class StudyAnalyzer {
 struct CheckpointOptions {
   /// Where to write/read the .sckpt file; empty disables checkpointing.
   std::string path;
-  /// Write a checkpoint every N analyzed weeks (1 = every week).
+  /// Write a checkpoint every N analyzed weeks (1 = every week). Each is
+  /// written while the next week is analyzed, so a crash recomputes at
+  /// most N + 1 weeks.
   std::size_t every = 1;
   /// Attempt to resume from an existing checkpoint at `path`. Off forces
   /// a fresh run even when a valid checkpoint exists.
   bool resume = true;
 };
 
-/// What the checkpoint layer did during one run_study call.
+/// What the checkpoint layer did during one run_study call. Checkpoints
+/// are written behind the analysis, and run_study waits for the last one:
+/// every count is final when run_study returns.
 struct CheckpointReport {
   /// True when the run resumed from a checkpoint instead of starting at
   /// the first week.
@@ -237,6 +243,9 @@ struct CheckpointReport {
   /// Checkpoint writes that failed (the study continues; the previous
   /// checkpoint on disk stays valid thanks to the atomic write).
   std::size_t write_failures = 0;
+  /// Why the first failed write failed (ok when none did). It names the
+  /// checkpoint path.
+  Status first_write_failure;
   /// Timeline damage restored from the checkpoint — gaps in weeks the
   /// resumed run never revisited. Callers rendering data quality union
   /// these with the source's own gaps() (dedup by week).

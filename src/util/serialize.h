@@ -1,8 +1,9 @@
 // Bounds-checked binary state serialization for the checkpoint layer
-// (DESIGN.md §14): StateWriter appends primitives to a byte buffer,
-// StateReader parses them back with every read validated against the
-// remaining span — a truncated or hostile payload turns the reader
-// permanently !ok() instead of reading out of bounds.
+// (DESIGN.md §14): StateWriter appends primitives to a byte buffer — a
+// checkpoint hands analyzers a writer over its image, so their state
+// lands in place — and StateReader parses them back with every read
+// validated against the remaining span — a truncated or hostile payload
+// turns the reader permanently !ok() instead of reading out of bounds.
 //
 // Scalars are little-endian (matching the .scol framing); bulk vectors of
 // trivially-copyable elements are raw memcpy. Checkpoints are host-local
@@ -11,6 +12,7 @@
 // version in the enclosing .sckpt header guards against skew.
 #pragma once
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -22,21 +24,33 @@
 
 namespace spider {
 
+/// Little-endian image of an unsigned scalar: the byte order of every
+/// StateWriter scalar, and what a checkpoint patches into a header it
+/// reserved (study/checkpoint.cc).
+template <typename T>
+std::array<std::uint8_t, sizeof(T)> le_bytes(T v) {
+  static_assert(std::is_unsigned_v<T>);
+  std::array<std::uint8_t, sizeof(T)> b;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(b.data(), &v, sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  }
+  return b;
+}
+
+/// Appends to a caller-owned buffer, which may already hold bytes: a
+/// checkpoint writes each analyzer's state straight into its image. Every
+/// method appends its value in one step.
 class StateWriter {
  public:
   explicit StateWriter(std::vector<std::uint8_t>* out) : out_(out) {}
 
   void u8(std::uint8_t v) { out_->push_back(v); }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      out_->push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      out_->push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  }
+  void u32(std::uint32_t v) { scalar(v); }
+  void u64(std::uint64_t v) { scalar(v); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   /// Exact bit pattern: doubles round-trip bit-for-bit, which the
   /// byte-identical resume guarantee requires.
@@ -44,7 +58,7 @@ class StateWriter {
 
   void bytes(std::span<const std::uint8_t> b) {
     u64(b.size());
-    out_->insert(out_->end(), b.begin(), b.end());
+    append(b.data(), b.size());
   }
   void str(std::string_view s) {
     bytes({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
@@ -54,9 +68,7 @@ class StateWriter {
   template <typename T>
   void pod(const T& v) {
     static_assert(std::is_trivially_copyable_v<T>);
-    const std::size_t at = out_->size();
-    out_->resize(at + sizeof(T));
-    std::memcpy(out_->data() + at, &v, sizeof(T));
+    append(&v, sizeof(T));
   }
 
   /// Length-prefixed raw image of a trivially-copyable element vector.
@@ -64,10 +76,7 @@ class StateWriter {
   void vec(const std::vector<T>& v) {
     static_assert(std::is_trivially_copyable_v<T>);
     u64(v.size());
-    const std::size_t n = v.size() * sizeof(T);
-    const std::size_t at = out_->size();
-    out_->resize(at + n);
-    if (n > 0) std::memcpy(out_->data() + at, v.data(), n);
+    append(v.data(), v.size() * sizeof(T));
   }
 
   /// Count-prefixed vector of vectors (each inner one length-prefixed).
@@ -80,6 +89,16 @@ class StateWriter {
   std::vector<std::uint8_t>* out() { return out_; }
 
  private:
+  template <typename T>
+  void scalar(T v) {
+    const std::array<std::uint8_t, sizeof(T)> b = le_bytes(v);
+    append(b.data(), b.size());
+  }
+  void append(const void* p, std::size_t n) {
+    const auto* b = static_cast<const std::uint8_t*>(p);
+    out_->insert(out_->end(), b, b + n);
+  }
+
   std::vector<std::uint8_t>* out_;
 };
 

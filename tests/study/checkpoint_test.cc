@@ -11,7 +11,11 @@
 // Around the sweep: codec round-trips, per-section damage inspection,
 // corruption/truncation/torn-tail and version-skew checkpoints (re-baseline,
 // never wrong output), roster mismatches, the scan-only re-baseline marker
-// (FullStudy never resumes), and the checkpoint cadence knob.
+// (FullStudy never resumes), and the checkpoint cadence knob. The runner
+// encodes each image in place, hashes on its pool and writes behind the
+// next week, so further cases pin what that must not change: the file at
+// every width, the fingerprint against a serial fold, a save_state that
+// gives up, and write outcomes counted by the time run_study returns.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -19,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "snapshot/record.h"
 #include "snapshot/scol.h"
 #include "snapshot/series.h"
 #include "study/access_patterns.h"
@@ -33,6 +38,7 @@
 #include "study/user_profile.h"
 #include "synth/generator.h"
 #include "util/fault.h"
+#include "util/hash.h"
 #include "util/io.h"
 #include "util/parallel.h"
 
@@ -117,7 +123,8 @@ struct DeltaRun {
   CheckpointReport report;
 };
 
-/// One study run over the on-disk series: DeltaStudy roster, salvage
+/// One study run over the on-disk series: DeltaStudy roster (less its
+/// last `drop_last` analyzers, behind `extra` when set), salvage
 /// decode, checkpointing at `ckpt_path` (empty = off). The bundle appends
 /// the merged gap timeline, so damaged-week accounting is part of the
 /// byte-identity check exactly as FullStudy::render_data_quality makes it.
@@ -125,7 +132,8 @@ DeltaRun run_delta(const std::string& dir, const Resolver& resolver,
                    unsigned threads, bool prefetch,
                    const std::string& ckpt_path, bool incremental = true,
                    std::size_t every = 1, bool resume = true,
-                   std::size_t drop_last = 0) {
+                   std::size_t drop_last = 0,
+                   StudyAnalyzer* extra = nullptr) {
   DirectorySeries series;
   EXPECT_TRUE(series.open(dir).ok());
   ScolOptions salvage;
@@ -145,6 +153,7 @@ DeltaRun run_delta(const std::string& dir, const Resolver& resolver,
   options.checkpoint_report = &run.report;
   std::vector<StudyAnalyzer*> roster = study.roster();
   roster.resize(roster.size() - drop_last);
+  if (extra != nullptr) roster.insert(roster.begin(), extra);
   run_study(series, roster, options);
 
   run.bundle = study.render() + render_gaps(merge_gap_timelines(
@@ -331,6 +340,70 @@ TEST(CheckpointCodecTest, InspectionWalksSectionsAndFlagsDamage) {
   const CheckpointInspection skew = inspect_checkpoint_bytes(skewed);
   EXPECT_FALSE(skew.ok);
   EXPECT_TRUE(skew.version_skew);
+}
+
+/// table_fingerprint as it was written before its hashing moved onto a
+/// pool: one serial fold, column by column, then row by row. The oracle
+/// for the pooled version.
+std::uint64_t serial_fingerprint(const SnapshotTable& table,
+                                 ColumnMask columns) {
+  const auto fold_span = [](std::uint64_t h, const auto& span) {
+    const std::string_view view =
+        span.empty() ? std::string_view()
+                     : std::string_view(
+                           reinterpret_cast<const char*>(span.data()),
+                           span.size_bytes());
+    return hash_combine(h, hash_bytes(view));
+  };
+  std::uint64_t h = hash_combine(table.size(), table.file_count());
+  if (columns & kColMaskPaths) {
+    h = fold_span(h, table.path_hashes());
+    h = fold_span(h, table.depths());
+  }
+  if (columns & kColMaskAtime) h = fold_span(h, table.atimes());
+  if (columns & kColMaskCtime) h = fold_span(h, table.ctimes());
+  if (columns & kColMaskMtime) h = fold_span(h, table.mtimes());
+  if (columns & kColMaskUid) h = fold_span(h, table.uids());
+  if (columns & kColMaskGid) h = fold_span(h, table.gids());
+  if (columns & kColMaskMode) h = fold_span(h, table.modes());
+  if (columns & kColMaskInode) h = fold_span(h, table.inodes());
+  if (columns & kColMaskOsts) {
+    for (std::size_t i = 0; i < table.size(); ++i) {
+      h = fold_span(h, table.osts(i));
+    }
+  }
+  return h;
+}
+
+TEST(CheckpointCodecTest, TableFingerprintMatchesTheSerialFold) {
+  // Enough rows that the OST hashing splits into many chunks; every third
+  // row (the directories) has no OST list.
+  SnapshotTable table;
+  for (std::uint32_t i = 0; i < 20000; ++i) {
+    const bool dir = i % 3 == 0;
+    std::vector<std::uint32_t> osts;
+    if (!dir) {
+      for (std::uint32_t k = 0; k <= i % 4; ++k) osts.push_back(i * 7 + k);
+    }
+    table.add("/lustre/atlas/proj" + std::to_string(i % 17) + "/f" +
+                  std::to_string(i),
+              1000 + i, 2000 + i, 3000 + i, i % 5, i % 11,
+              dir ? kModeDirectory | 0755 : 0100644, 90000 + i, osts);
+  }
+  const SnapshotTable empty;
+  const ColumnMask masks[] = {kColMaskAll, kColMaskOsts,
+                              kColMaskPaths | kColMaskUid, kColMaskNone};
+  for (const unsigned threads : {1u, 2u, 7u, 0u}) {
+    ThreadPool pool(threads);
+    for (const ColumnMask mask : masks) {
+      EXPECT_EQ(table_fingerprint(table, mask, &pool),
+                serial_fingerprint(table, mask))
+          << "threads=" << threads << " mask=" << mask;
+      EXPECT_EQ(table_fingerprint(empty, mask, &pool),
+                serial_fingerprint(empty, mask))
+          << "threads=" << threads << " mask=" << mask;
+    }
+  }
 }
 
 // The acceptance sweep: crash the checkpoint writer at every write stage
@@ -616,6 +689,160 @@ TEST(CheckpointResumeTest, CadenceEveryNWritesFewerCheckpoints) {
   EXPECT_EQ(resumed.bundle, fx.reference);
   fs::remove(ckpt);
 }
+
+/// Delta-capable, so a run with it checkpoints, but its save_state writes
+/// part of a blob and then gives up.
+class HalfSaveAnalyzer : public StudyAnalyzer {
+ public:
+  bool supports_delta() const override { return true; }
+  std::string_view state_id() const override { return "half-save"; }
+  bool save_state(StateWriter& w) const override {
+    w.str("partial state");
+    w.u64(42);
+    return false;
+  }
+};
+
+TEST(CheckpointResumeTest, FailedSaveLeavesAnEmptyMarker) {
+  const SeriesFixture& fx = fixture();
+  const std::string ckpt = temp_ckpt("spider_ckpt_half_save.sckpt");
+  fs::remove(ckpt);
+  HalfSaveAnalyzer half;
+  const DeltaRun run = run_delta(fx.dir.path(), *fx.resolver, 2, true, ckpt,
+                                 true, 1, true, 0, &half);
+  EXPECT_EQ(run.report.checkpoints_written, 11u);
+  EXPECT_EQ(run.bundle, fx.reference);
+
+  std::vector<std::uint8_t> bytes;
+  ASSERT_TRUE(read_file(ckpt, &bytes).ok());
+  StudyCheckpoint decoded;
+  ASSERT_TRUE(decode_checkpoint(bytes, &decoded).ok());
+  ASSERT_EQ(decoded.analyzers.size(), 9u);
+  EXPECT_EQ(decoded.analyzers[0].id, "half-save");
+  EXPECT_FALSE(decoded.analyzers[0].has_state);
+  EXPECT_TRUE(decoded.analyzers[0].blob.empty());
+  // The sections behind the marker are intact.
+  for (std::size_t i = 1; i < decoded.analyzers.size(); ++i) {
+    EXPECT_TRUE(decoded.analyzers[i].has_state) << decoded.analyzers[i].id;
+  }
+  std::vector<std::uint8_t> reencoded;
+  ASSERT_TRUE(encode_checkpoint(decoded, &reencoded).ok());
+  EXPECT_EQ(reencoded, bytes);
+
+  // A run pointed at it re-baselines on the marker.
+  HalfSaveAnalyzer again;
+  const DeltaRun rerun = run_delta(fx.dir.path(), *fx.resolver, 2, true, ckpt,
+                                   true, 1, true, 0, &again);
+  EXPECT_FALSE(rerun.report.resumed);
+  EXPECT_NE(rerun.report.rebaseline_reason.find("re-baseline marker"),
+            std::string::npos)
+      << rerun.report.rebaseline_reason;
+  fs::remove(ckpt);
+}
+
+// Each checkpoint is written behind the next week; the run waits for the
+// last one, so the report counts every due write when run_study returns.
+TEST(CheckpointResumeTest, WriteOutcomesAreCountedWhenTheRunReturns) {
+  const SeriesFixture& fx = fixture();
+  const std::string ckpt = temp_ckpt("spider_ckpt_outcomes.sckpt");
+  // Each write has 5 stages: op 50 opens the 11th and last write, op 27
+  // is inside the 6th. A dead writer fails every later write too.
+  for (const bool prefetch : {true, false}) {
+    for (const std::size_t kill : {50u, 27u}) {
+      fs::remove(ckpt);
+      WriteFaultInjector injector(/*seed=*/17, kill);
+      InterceptorScope scope(&injector);
+      const DeltaRun run =
+          run_delta(fx.dir.path(), *fx.resolver, 2, prefetch, ckpt);
+      const std::size_t failed = 11 - kill / 5;
+      EXPECT_EQ(run.report.checkpoints_written, 11 - failed)
+          << "kill=" << kill << " prefetch=" << prefetch;
+      EXPECT_EQ(run.report.write_failures, failed)
+          << "kill=" << kill << " prefetch=" << prefetch;
+      EXPECT_TRUE(injector.killed());
+      const std::string why = run.report.first_write_failure.to_string();
+      EXPECT_NE(why.find("injected fault"), std::string::npos) << why;
+      EXPECT_NE(why.find(ckpt), std::string::npos) << why;
+      EXPECT_EQ(run.bundle, fx.reference);
+    }
+  }
+  for (const auto& entry :
+       fs::directory_iterator(fs::temp_directory_path())) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("spider_ckpt_outcomes", 0) == 0 &&
+        name.find(unique_suffix()) != std::string::npos) {
+      fs::remove(entry.path());
+    }
+  }
+}
+
+TEST(CheckpointResumeTest, MissingDirectoryFailsEveryWriteWithThePath) {
+  const SeriesFixture& fx = fixture();
+  const std::string ckpt =
+      (fs::temp_directory_path() / ("spider_no_such_dir" + unique_suffix()) /
+       "x.sckpt")
+          .string();
+  const DeltaRun run = run_delta(fx.dir.path(), *fx.resolver, 2, true, ckpt);
+  EXPECT_EQ(run.report.checkpoints_written, 0u);
+  EXPECT_EQ(run.report.write_failures, 11u);
+  EXPECT_FALSE(run.report.first_write_failure.ok());
+  const std::string why = run.report.first_write_failure.to_string();
+  EXPECT_NE(why.find(ckpt), std::string::npos) << why;
+  EXPECT_EQ(run.bundle, fx.reference);
+  EXPECT_FALSE(fs::exists(fs::path(ckpt).parent_path()));
+}
+
+/// The checkpoint file a width-1 run of the delta roster leaves behind.
+const std::vector<std::uint8_t>& width1_checkpoint() {
+  static const std::vector<std::uint8_t> bytes = [] {
+    const SeriesFixture& fx = fixture();
+    const std::string ckpt = temp_ckpt("spider_ckpt_file_ref.sckpt");
+    fs::remove(ckpt);
+    (void)run_delta(fx.dir.path(), *fx.resolver, 1, true, ckpt);
+    std::vector<std::uint8_t> out;
+    EXPECT_TRUE(read_file(ckpt, &out).ok());
+    fs::remove(ckpt);
+    return out;
+  }();
+  return bytes;
+}
+
+// The runner's in-place encoder, with section checksums and the table
+// fingerprint hashed on the study pool, leaves the image encode_checkpoint
+// makes from the file's own decode, and the same file at every width.
+class CheckpointFileTest : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(CheckpointFileTest, FileMatchesItsReencodedDecode) {
+  const SeriesFixture& fx = fixture();
+  const unsigned threads = GetParam();  // 0 = hardware
+  const std::string ckpt =
+      temp_ckpt("spider_ckpt_file_" + std::to_string(threads) + ".sckpt");
+  fs::remove(ckpt);
+  const DeltaRun run =
+      run_delta(fx.dir.path(), *fx.resolver, threads, true, ckpt);
+  EXPECT_EQ(run.report.checkpoints_written, 11u);
+  EXPECT_EQ(run.bundle, fx.reference);
+
+  std::vector<std::uint8_t> bytes;
+  ASSERT_TRUE(read_file(ckpt, &bytes).ok());
+  StudyCheckpoint decoded;
+  ASSERT_TRUE(decode_checkpoint(bytes, &decoded).ok());
+  EXPECT_EQ(decoded.week, 11u);
+  ASSERT_EQ(decoded.analyzers.size(), 8u);
+  std::vector<std::uint8_t> reencoded;
+  ASSERT_TRUE(encode_checkpoint(decoded, &reencoded).ok());
+  EXPECT_EQ(reencoded, bytes) << "threads=" << threads;
+  EXPECT_EQ(bytes, width1_checkpoint()) << "threads=" << threads;
+  fs::remove(ckpt);
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, CheckpointFileTest,
+                         ::testing::Values(1u, 2u, 7u, 0u),
+                         [](const ::testing::TestParamInfo<unsigned>& info) {
+                           return info.param == 0
+                                      ? std::string("hw")
+                                      : "t" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace spider
