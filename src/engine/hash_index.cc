@@ -6,104 +6,50 @@
 
 namespace spider {
 
-namespace {
-
-constexpr std::uint64_t kSlotLowMask = 0xffff'ffffull;
-
-}  // namespace
-
-PathIndex::PathIndex(const SnapshotTable& table, bool files_only)
-    : table_(table) {
-  const std::size_t rows = table.size();
-  // Load factor <= 0.5 keeps linear-probe chains short.
+void PathIndex::reset(std::size_t keys) {
   const std::size_t capacity =
-      std::bit_ceil(std::max<std::size_t>(rows * 2, 16));
+      std::bit_ceil(std::max<std::size_t>(keys * 2, 16));
   slots_.assign(capacity, 0);
   mask_ = capacity - 1;
+  size_ = 0;
+}
 
-  for (std::size_t row = 0; row < rows; ++row) {
+PathIndex::PathIndex(const SnapshotTable& table, bool files_only)
+    : table_(&table) {
+  reset(table.size());
+  for (std::size_t row = 0; row < table.size(); ++row) {
     if (files_only && table.is_dir(row)) continue;
-    const std::uint64_t hash = table.path_hash(row);
-    const std::uint32_t fp = fingerprint_of(hash);
-    std::uint64_t slot = hash & mask_;
-    for (;;) {
-      const std::uint64_t stored = slots_[slot];
-      if ((stored & kSlotLowMask) == 0) {
-        slots_[slot] = (static_cast<std::uint64_t>(fp) << 32) |
-                       (static_cast<std::uint64_t>(row) + 1);
-        ++size_;
-        break;
-      }
-      const std::uint32_t other = static_cast<std::uint32_t>(stored) - 1;
-      if (static_cast<std::uint32_t>(stored >> 32) == fp &&
-          table_.path(other) == table.path(row)) {
-        break;  // duplicate path: keep the first row
-      }
-      slot = (slot + 1) & mask_;
-    }
+    const std::string_view path = table.path(row);
+    insert(static_cast<std::uint32_t>(row), table.path_hash(row),
+           [&table, path](std::uint32_t other) {
+             return table.path(other) == path;
+           });
   }
 }
 
 PathIndex::PathIndex(const SnapshotTable& table,
                      std::span<const std::uint32_t> rows)
-    : table_(table), subset_(rows), subset_mode_(true) {
-  const std::size_t capacity =
-      std::bit_ceil(std::max<std::size_t>(rows.size() * 2, 16));
-  slots_.assign(capacity, 0);
-  mask_ = capacity - 1;
-
+    : table_(&table), subset_(rows) {
+  reset(rows.size());
   for (std::size_t pos = 0; pos < rows.size(); ++pos) {
-    const std::uint32_t row = rows[pos];
-    const std::uint64_t hash = table.path_hash(row);
-    const std::uint32_t fp = fingerprint_of(hash);
-    std::uint64_t slot = hash & mask_;
-    for (;;) {
-      const std::uint64_t stored = slots_[slot];
-      if ((stored & kSlotLowMask) == 0) {
-        slots_[slot] = (static_cast<std::uint64_t>(fp) << 32) |
-                       (static_cast<std::uint64_t>(pos) + 1);
-        ++size_;
-        break;
-      }
-      const std::uint32_t other =
-          subset_[static_cast<std::uint32_t>(stored) - 1];
-      if (static_cast<std::uint32_t>(stored >> 32) == fp &&
-          table_.path(other) == table.path(row)) {
-        break;  // duplicate path: keep the first position
-      }
-      slot = (slot + 1) & mask_;
-    }
+    const std::string_view path = table.path(rows[pos]);
+    insert(static_cast<std::uint32_t>(pos), table.path_hash(rows[pos]),
+           [&table, rows, path](std::uint32_t other) {
+             return table.path(rows[other]) == path;
+           });
   }
 }
 
 DetachedPathIndex::DetachedPathIndex(const SnapshotTable& table,
                                      std::vector<std::uint32_t> rows)
-    : rows_(std::move(rows)) {
-  const std::size_t capacity =
-      std::bit_ceil(std::max<std::size_t>(rows_.size() * 2, 16));
-  slots_.assign(capacity, 0);
-  mask_ = capacity - 1;
-
+    : rows_(std::move(rows)), index_(rows_.size()) {
   for (std::size_t pos = 0; pos < rows_.size(); ++pos) {
-    const std::uint32_t row = rows_[pos];
-    const std::uint64_t hash = table.path_hash(row);
-    const std::uint32_t fp = static_cast<std::uint32_t>(hash >> 32);
-    std::uint64_t slot = hash & mask_;
-    for (;;) {
-      const std::uint64_t stored = slots_[slot];
-      if ((stored & kSlotLowMask) == 0) {
-        slots_[slot] = (static_cast<std::uint64_t>(fp) << 32) |
-                       (static_cast<std::uint64_t>(pos) + 1);
-        break;
-      }
-      const std::uint32_t other =
-          rows_[static_cast<std::uint32_t>(stored) - 1];
-      if (static_cast<std::uint32_t>(stored >> 32) == fp &&
-          table.path(other) == table.path(row)) {
-        break;  // duplicate path: keep the first position
-      }
-      slot = (slot + 1) & mask_;
-    }
+    const std::string_view path = table.path(rows_[pos]);
+    index_.insert(static_cast<std::uint32_t>(pos),
+                  table.path_hash(rows_[pos]),
+                  [this, &table, path](std::uint32_t other) {
+                    return table.path(rows_[other]) == path;
+                  });
   }
 }
 

@@ -6,7 +6,10 @@
 //
 //   PathIndex — one open-addressing table over the whole snapshot (or a
 //   caller-provided row subset). Serial build; the original join's build
-//   side and still the reference implementation.
+//   side and still the reference implementation. Its slot table also
+//   stands alone, over positions of any keyed column set whose compare the
+//   caller supplies: DetachedPathIndex and the spill join (engine/spill.h)
+//   use it that way.
 //
 //   PartitionedPathIndex — the radix-partitioned build side (DESIGN.md
 //   §11): file rows are partitioned by the top bits of the path hash
@@ -42,6 +45,13 @@ class PathIndex {
  public:
   static constexpr std::uint32_t kNotFound = 0xffff'ffffu;
 
+  /// An empty index with room for `keys` positions (see reset()). insert()
+  /// fills it and find() reads it. In this form the index holds no
+  /// reference to the columns its positions stand for: the caller's
+  /// compare confirms every fingerprint hit, so any keyed column set can
+  /// be indexed (the spill join indexes mapped partition records).
+  explicit PathIndex(std::size_t keys = 0) { reset(keys); }
+
   /// Indexes `table`. With files_only, directories are skipped — the
   /// paper's access-pattern analysis intersects regular files only.
   /// The table must outlive the index and must not contain duplicate paths
@@ -55,11 +65,42 @@ class PathIndex {
   /// the index.
   PathIndex(const SnapshotTable& table, std::span<const std::uint32_t> rows);
 
-  /// Row of `path` in the indexed table — or, in subset mode, its position
-  /// in the subset — or kNotFound. Thread-safe. Defined inline: the diff
-  /// probe calls this once per current-week row, and keeping the slot walk
-  /// inlined into that loop is worth ~2x on the probe phase.
-  std::uint32_t lookup(std::uint64_t hash, std::string_view path) const {
+  /// Empties the index and sizes it for at most `keys` insertions at load
+  /// factor <= 0.5 (linear-probe chains stay short). Keeps the slot
+  /// array's capacity, so an index reused across partitions allocates
+  /// only when one outgrows the last.
+  void reset(std::size_t keys);
+
+  /// Adds position `pos` under `hash`, unless a position already stored
+  /// under an equal fingerprint is the same key — `same_key(other)` says
+  /// so — in which case the first position stays. Serial.
+  template <typename SameKey>
+  void insert(std::uint32_t pos, std::uint64_t hash, SameKey&& same_key) {
+    const std::uint64_t entry =
+        (static_cast<std::uint64_t>(fingerprint_of(hash)) << 32) |
+        (static_cast<std::uint64_t>(pos) + 1);
+    std::uint64_t slot = hash & mask_;
+    for (;;) {
+      const std::uint64_t stored = slots_[slot];
+      if (static_cast<std::uint32_t>(stored) == 0) {
+        slots_[slot] = entry;
+        ++size_;
+        return;
+      }
+      if ((stored >> 32) == (entry >> 32) &&
+          same_key(static_cast<std::uint32_t>(stored) - 1)) {
+        return;  // duplicate key: keep the first position
+      }
+      slot = (slot + 1) & mask_;
+    }
+  }
+
+  /// The position stored under `hash` whose key `is_key(pos)` confirms, or
+  /// kNotFound. Thread-safe. Defined inline: the diff probe calls this
+  /// once per current-week row, and keeping the slot walk inlined into
+  /// that loop is worth ~2x on the probe phase.
+  template <typename IsKey>
+  std::uint32_t find(std::uint64_t hash, IsKey&& is_key) const {
     const std::uint32_t fp = fingerprint_of(hash);
     std::uint64_t slot = hash & mask_;
     for (;;) {
@@ -67,11 +108,18 @@ class PathIndex {
       if (static_cast<std::uint32_t>(stored) == 0) return kNotFound;
       if (static_cast<std::uint32_t>(stored >> 32) == fp) {
         const std::uint32_t pos = static_cast<std::uint32_t>(stored) - 1;
-        const std::uint32_t row = subset_mode_ ? subset_[pos] : pos;
-        if (table_.path(row) == path) return pos;
+        if (is_key(pos)) return pos;
       }
       slot = (slot + 1) & mask_;
     }
+  }
+
+  /// Row of `path` in the indexed table — or, in subset mode, its position
+  /// in the subset — or kNotFound. Table-built indexes only. Thread-safe.
+  std::uint32_t lookup(std::uint64_t hash, std::string_view path) const {
+    return find(hash, [this, path](std::uint32_t pos) {
+      return table_->path(subset_.empty() ? pos : subset_[pos]) == path;
+    });
   }
 
   /// Pulls the slot line a future lookup(hash, ...) will start at into
@@ -89,9 +137,8 @@ class PathIndex {
     return static_cast<std::uint32_t>(hash >> 32);
   }
 
-  const SnapshotTable& table_;
+  const SnapshotTable* table_ = nullptr;   // table-built indexes only
   std::span<const std::uint32_t> subset_;  // empty span in whole-table mode
-  bool subset_mode_ = false;
   // fingerprint << 32 | (position + 1); 0 in the low half = empty. The
   // fingerprint lives inside the slot so non-matching candidates are
   // rejected without a memory access outside this array.
@@ -123,18 +170,9 @@ class DetachedPathIndex {
   /// Thread-safe.
   std::uint32_t lookup(const SnapshotTable& table, std::uint64_t hash,
                        std::string_view path) const {
-    if (slots_.empty()) return kNotFound;
-    const std::uint32_t fp = static_cast<std::uint32_t>(hash >> 32);
-    std::uint64_t slot = hash & mask_;
-    for (;;) {
-      const std::uint64_t stored = slots_[slot];
-      if (static_cast<std::uint32_t>(stored) == 0) return kNotFound;
-      if (static_cast<std::uint32_t>(stored >> 32) == fp) {
-        const std::uint32_t pos = static_cast<std::uint32_t>(stored) - 1;
-        if (table.path(rows_[pos]) == path) return pos;
-      }
-      slot = (slot + 1) & mask_;
-    }
+    return index_.find(hash, [this, &table, path](std::uint32_t pos) {
+      return table.path(rows_[pos]) == path;
+    });
   }
 
   /// Indexed rows in insertion order; lookup() returns positions in it.
@@ -144,10 +182,7 @@ class DetachedPathIndex {
 
  private:
   std::vector<std::uint32_t> rows_;
-  // Same slot packing as PathIndex: fingerprint << 32 | (position + 1),
-  // 0 in the low half = empty.
-  std::vector<std::uint64_t> slots_;
-  std::uint64_t mask_ = 0;
+  PathIndex index_;  // positions in rows_
 };
 
 /// Radix-partitioned build side of the diff join. Deliberately does NOT

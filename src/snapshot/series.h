@@ -138,9 +138,9 @@ class SnapshotSource {
 
   /// Decode threads: sources that decode from disk (DirectorySeries)
   /// spread each week's row groups over `pool` (null = the process-global
-  /// pool); everything else may ignore it. run_study hands over a pool for
-  /// the length of the run: its own, so resident runs decode on the
-  /// study's threads, or a pool of one when it runs out of core.
+  /// pool); everything else may ignore it. run_study hands over its own
+  /// pool for the length of the run, resident or out of core, so weeks
+  /// decode on the study's threads.
   virtual void set_pool(ThreadPool* pool) { (void)pool; }
 
   /// The known holes in the timeline, ascending by slot. Sources that

@@ -386,20 +386,10 @@ class StudyRun {
         report_->rebaseline_reason = s.to_string();
       }
     }
-    // Where the weeks decode. A resident run spreads each row group over
-    // the study's pool, beside the analysis of the week before. An
-    // out-of-core run takes each week's steps one after another on the
-    // visiting thread, so there a pooled decode would wait on the critical
-    // path for the slowest of the pool's threads, and the run's throughput
-    // would swing with how many cores other work leaves free (on a shared
-    // 4-vCPU host, perfbench's budget_stream read 0.62-0.83 M rows/s over
-    // five runs). Its groups decode on one thread instead, through a pool
-    // of one: parallel_for runs inline on it, and its worker takes the
-    // streamed scan's decode-ahead. Set last, so the destructor, which
+    // Every week decodes on the study's pool, resident or streamed, and
+    // the spill join runs on it too. Set last, so the destructor, which
     // takes the pool back, runs whenever it is set.
-    if (out_of_core_) one_thread_.emplace(1u);
-    decode_pool_ = out_of_core_ ? &*one_thread_ : options_.pool;
-    source_.set_pool(decode_pool_);
+    source_.set_pool(options_.pool);
   }
   /// The source keeps no pointer to a pool that may not outlive the run.
   ~StudyRun() { source_.set_pool(nullptr); }
@@ -571,7 +561,7 @@ class StudyRun {
     SnapshotTable staging;
     for (std::size_t g = 0; g < reader.group_count(); ++g) {
       staging.clear();
-      Status s = reader.decode_group(g, &staging, decode_pool_);
+      Status s = reader.decode_group(g, &staging, options_.pool);
       if (!s.ok()) {
         s = reader.dispose_failure(g, std::move(s), &salvage);
         if (!s.ok()) return s;
@@ -595,7 +585,7 @@ class StudyRun {
       // deterministic, so the rewrite is byte-identical. Usable only
       // while the reader is open: retain() drops it.
       cur->spill->regenerate = [&reader, skip = cur->skip, wopts,
-                                pool = decode_pool_](std::size_t) -> Status {
+                                pool = options_.pool](std::size_t) -> Status {
         SpillPartitionWriter w;
         Status rs = w.open(wopts);
         std::size_t base = 0;
@@ -711,7 +701,10 @@ class StudyRun {
     } else if (s.ok()) {
       s = spill_resident(cur.snap().table, bits, &cur_side);
     }
-    if (s.ok()) s = spill_diff_join(prev_side, cur_side, DiffOptions{}, out);
+    if (s.ok()) {
+      s = spill_diff_join(prev_side, cur_side, DiffOptions{}, out,
+                          options_.pool);
+    }
     if (!prev_->streamed) remove_files(prev_side);
     if (!cur.streamed) remove_files(cur_side);
     if (s.ok()) {
@@ -742,7 +735,7 @@ class StudyRun {
       return Status();
     }
     ScolMorselSource::Options mopts;
-    mopts.pool = decode_pool_;
+    mopts.pool = options_.pool;
     mopts.prefetch = options_.prefetch;
     mopts.skip = cur.skip;
     ScolMorselSource groups(cur.reader, std::move(mopts));
@@ -922,8 +915,6 @@ class StudyRun {
 
   bool stable_ = false;
   bool out_of_core_ = false;
-  std::optional<ThreadPool> one_thread_;  // out of core only
-  ThreadPool* decode_pool_ = nullptr;     // where weeks decode
   std::string spill_dir_;
   std::uint64_t spill_seq_ = 0;
 
