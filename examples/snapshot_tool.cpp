@@ -20,7 +20,9 @@
 // checksum, prints a per-file OK/damage summary, and exits nonzero when
 // any file is damaged. `checkpoint` does the same for a study runner
 // .sckpt checkpoint (DESIGN.md §14): one OK/CORRUPT/VERSION-SKEW line per
-// section, nonzero exit when any section is damaged.
+// section — the runner's first-seen map with its entry count, each
+// analyzer with its state size — and a nonzero exit when any section is
+// damaged.
 #include <filesystem>
 #include <iostream>
 #include <string>

@@ -26,7 +26,10 @@
 # scan/prefetch/runner/aggregation-merge tests. Both run the .scol decode
 # parity test, because a row group's paths and columns decode on pool
 # threads, and the spill join test, because partition loads and the
-# join's probe run on pool threads. SPIDER_SANITIZE=ON (address) or
+# join's probe run on pool threads. Both run all of study_runner_test: the
+# analyzers index the first-seen verdicts by candidate position and read
+# each candidate's row through the morsel, so a chunk lookup that names
+# the wrong chunk (the misaligned-group case) reads past a staging table. SPIDER_SANITIZE=ON (address) or
 # SPIDER_SANITIZE=thread works on any target if a full sanitized run is
 # wanted.
 set -euo pipefail
@@ -51,7 +54,8 @@ cmake --build build-asan -j"${JOBS}" --target \
     snapshot_series_test util_io_test util_retry_test util_status_test \
     util_parallel_test util_serialize_test engine_agg_test \
     engine_flat_map_test engine_spill_test study_analyzers_test \
-    synth_infer_test study_streaming_test study_checkpoint_test
+    study_runner_test synth_infer_test study_streaming_test \
+    study_checkpoint_test
 # snapshot_scol_stream_test holds the row scan's parity sweep against
 # decode_group on damaged images; synth_infer_test drives that scan
 # through infer_facility on gapped, corrupt and salvaged series;
@@ -65,7 +69,8 @@ for t in snapshot_fault_injection_test snapshot_scol_test \
          snapshot_psv_fuzz_test snapshot_series_test util_io_test \
          util_retry_test util_status_test util_parallel_test \
          util_serialize_test engine_agg_test engine_flat_map_test \
-         engine_spill_test study_analyzers_test synth_infer_test; do
+         engine_spill_test study_analyzers_test study_runner_test \
+         synth_infer_test; do
   echo "--> ${t} (sanitized)"
   ./build-asan/tests/"${t}"
 done

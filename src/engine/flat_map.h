@@ -3,8 +3,8 @@
 //   * FlatMap<V, KeyMix> — key → V. Values live in a parallel array, so
 //     probes touch only the key lane (one cache line covers eight
 //     candidate slots).
-//   * FlatSet<KeyMix> — keys only, 8 bytes per slot: the distinct-path
-//     sets and the (user, project) membership sets.
+//   * FlatSet<KeyMix> — keys only, 8 bytes per slot: the (user, project)
+//     membership sets and the partitions of the census parent union.
 //
 // Both forms share one implementation (detail::FlatTable) of home-slot
 // selection, linear probing, growth, key 0 and the checkpoint image. The

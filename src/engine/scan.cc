@@ -28,14 +28,14 @@ void scan_batch(const SnapshotTable& table, std::size_t base,
   parallel_for_chunked(
       n, grain,
       [&](std::size_t begin, std::size_t end) {
-        const std::size_t chunk = chunk0 + begin / grain;
         ScanMorsel m;
         m.table = &table;
         m.begin = base + begin;
         m.end = base + end;
         m.base = base;
+        m.chunk = chunk0 + begin / grain;
         for (std::size_t k = 0; k < kernels.size(); ++k) {
-          kernels[k]->observe_chunk((*states)[k][chunk].get(), m);
+          kernels[k]->observe_chunk((*states)[k][m.chunk].get(), m);
         }
       },
       pool);

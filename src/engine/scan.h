@@ -54,11 +54,19 @@ inline constexpr std::size_t kScanGrainRows = 8192;
 /// `i - base` and record global row numbers, so their outputs are
 /// independent of how the scan was staged. Resident scans have base == 0
 /// and the two coordinate systems coincide.
+///
+/// `chunk` is the morsel's index among the scan's chunk states — the
+/// position of its state in every kernel's merge list. It equals
+/// begin / grain only when every staged batch starts on a grain
+/// boundary, which a streaming scan over row groups of any other size
+/// does not; a kernel that looks up a sibling's per-chunk output must
+/// use `chunk`.
 struct ScanMorsel {
   const SnapshotTable* table = nullptr;
   std::size_t begin = 0;  // global row range [begin, end)
   std::size_t end = 0;
   std::size_t base = 0;  // global row index of table's local row 0
+  std::size_t chunk = 0;  // index of this morsel's chunk states
 
   /// Local (table) row of a global row inside this morsel.
   std::size_t local(std::size_t global_row) const { return global_row - base; }

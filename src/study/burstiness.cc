@@ -80,7 +80,7 @@ void BurstinessAnalyzer::observe_chunk(ScanChunkState* state,
     // Fused diff: obs.diff is not assembled until merge time, but the
     // diff kernel (registered ahead of us) has already classified exactly
     // this chunk — its lists ARE our [m.begin, m.end) slice.
-    const DiffChunkRows* rows = obs.diff_chunks->chunk_rows(m.begin);
+    const DiffChunkRows* rows = obs.diff_chunks->chunk_rows(m);
     if (rows == nullptr) return;
     accumulate_rows(m, rows->rows[DiffChunkRows::kNew],
                     /*use_atime=*/false, window_start, chunk->write_by_gid);

@@ -29,12 +29,11 @@ CensusAnalyzer::CensusAnalyzer(const Resolver& resolver)
 }
 
 namespace {
-/// A row whose path hash was absent from the cross-week distinct set when
-/// the chunk scanned it — possibly first-seen, resolved in merge(). The
-/// resolver lookups happen here, in parallel, so merge() stays a cheap
-/// insert-and-count loop.
+/// A row the runner's first-seen probe found unseen (kFirstSeenEntry) —
+/// possibly first-seen, settled before merge(). The resolver lookups
+/// happen here, in parallel, so merge() stays a cheap count loop.
 struct CensusCandidate {
-  std::uint64_t hash = 0;
+  std::uint32_t at = 0;  // index into the chunk's first-seen candidates
   std::uint16_t depth = 0;
   bool is_dir = false;
   std::int32_t project = -1;
@@ -45,8 +44,8 @@ struct CensusCandidate {
 struct CensusChunk : ScanChunkState {
   std::vector<std::uint64_t> parent_hashes;  // every row's parent dir
   std::vector<std::uint64_t> dir_hashes;     // path hash of each dir row
+  const FirstSeenChunk* seen = nullptr;      // settled by merge time
   std::vector<CensusCandidate> candidates;   // row order
-  FlatSet<IdentityKeyMix> local;             // chunk-local candidate dedup
 };
 }  // namespace
 
@@ -55,7 +54,7 @@ std::unique_ptr<ScanChunkState> CensusAnalyzer::make_chunk_state() const {
 }
 
 void CensusAnalyzer::observe_chunk(ScanChunkState* state,
-                                   const WeekObservation&,
+                                   const WeekObservation& obs,
                                    const ScanMorsel& m) {
   auto* chunk = static_cast<CensusChunk*>(state);
   const SnapshotTable& table = *m.table;
@@ -63,13 +62,17 @@ void CensusAnalyzer::observe_chunk(ScanChunkState* state,
   for (std::size_t i = m.begin; i < m.end; ++i) {
     const std::size_t r = m.local(i);
     chunk->parent_hashes.push_back(hash_bytes(path_parent(table.path(r))));
-    const bool is_dir = table.is_dir(r);
-    if (is_dir) chunk->dir_hashes.push_back(table.path_hash(r));
+    if (table.is_dir(r)) chunk->dir_hashes.push_back(table.path_hash(r));
+  }
 
-    const std::uint64_t hash = table.path_hash(r);
-    if (distinct_.contains(hash) || !chunk->local.insert(hash)) continue;
+  const FirstSeenChunk& seen = obs.first_seen->candidates(m);
+  chunk->seen = &seen;
+  for (std::size_t j = 0; j < seen.rows.size(); ++j) {
+    if ((seen.bits[j] & kFirstSeenEntry) == 0) continue;
+    const std::size_t r = m.local(seen.rows[j]);
+    const bool is_dir = table.is_dir(r);
     CensusCandidate cand;
-    cand.hash = hash;
+    cand.at = static_cast<std::uint32_t>(j);
     cand.depth = table.depth(r);
     cand.is_dir = is_dir;
     cand.project = resolver_.project_of_gid(table.gid(r));
@@ -119,14 +122,27 @@ void CensusAnalyzer::merge(const WeekObservation& obs, ScanStateList states) {
       obs.pool, /*grain=*/1);
   result_.final_empty_dirs = tally.empty;
   result_.final_dirs = tally.dirs;
-  if (obs.incremental) rebuild_live_maps(obs.snap->table);
+  if (obs.incremental) {
+    // The delta path's live maps, rebuilt from the hashes the chunks
+    // already took: chunk order is row order, so every map sees the
+    // insertion sequence a walk over the table's rows would give it.
+    parent_live_.clear();
+    dirs_live_.clear();
+    for (const auto& state : states) {
+      const auto* chunk = static_cast<const CensusChunk*>(state.get());
+      for (const std::uint64_t h : chunk->parent_hashes) {
+        ++parent_live_.slot(h);
+      }
+      for (const std::uint64_t h : chunk->dir_hashes) ++dirs_live_.slot(h);
+    }
+  }
 
-  // Unique-entry census: first-seen resolution in chunk (= row) order, so
-  // the result is the same at every thread count.
+  // Unique-entry census: the rows whose entry bit the runner settled,
+  // counted in chunk (= row) order.
   for (const auto& state : states) {
     const auto* chunk = static_cast<const CensusChunk*>(state.get());
     for (const CensusCandidate& cand : chunk->candidates) {
-      if (!distinct_.insert(cand.hash)) continue;  // seen in earlier chunk
+      if ((chunk->seen->bits[cand.at] & kFirstSeenEntry) == 0) continue;
       result_.max_depth = std::max<std::uint64_t>(result_.max_depth,
                                                   cand.depth);
       if (cand.is_dir) {
@@ -154,15 +170,6 @@ void CensusAnalyzer::merge(const WeekObservation& obs, ScanStateList states) {
         }
       }
     }
-  }
-}
-
-void CensusAnalyzer::rebuild_live_maps(const SnapshotTable& table) {
-  parent_live_.clear();
-  dirs_live_.clear();
-  for (std::size_t i = 0; i < table.size(); ++i) {
-    ++parent_live_.slot(hash_bytes(path_parent(table.path(i))));
-    if (table.is_dir(i)) ++dirs_live_.slot(table.path_hash(i));
   }
 }
 
@@ -203,10 +210,11 @@ void CensusAnalyzer::apply_delta(const WeekObservation&,
   result_.final_empty_dirs = empty;
   result_.final_dirs = dirs;
 
-  // Unique-entry census: only new rows can be first-seen, in the same
-  // ascending order the scan path resolves candidates.
-  for (const std::uint32_t row : delta.added_rows) {
-    if (!distinct_.insert(cur.path_hash(row))) continue;
+  // Unique-entry census: only new rows can be first-seen; the runner
+  // settled their entry bits in ascending order, as a scan settles them.
+  for (std::size_t k = 0; k < delta.added_rows.size(); ++k) {
+    if ((delta.first_seen[k] & kFirstSeenEntry) == 0) continue;
+    const std::uint32_t row = delta.added_rows[k];
     const int project = resolver_.project_of_gid(cur.gid(row));
     const int domain = project < 0
                            ? -1
@@ -241,7 +249,6 @@ void CensusAnalyzer::apply_delta(const WeekObservation&,
 }
 
 bool CensusAnalyzer::save_state(StateWriter& w) const {
-  distinct_.save_state(w);
   w.vec(files_by_user_);
   w.vec(files_by_project_);
   w.vec(max_depth_by_project_);
@@ -259,17 +266,15 @@ bool CensusAnalyzer::save_state(StateWriter& w) const {
 }
 
 bool CensusAnalyzer::load_state(StateReader& r) {
-  FlatSet<IdentityKeyMix> distinct;
   std::vector<std::uint64_t> files_by_user, files_by_project;
   std::vector<std::uint16_t> max_depth_by_project;
   std::vector<std::vector<double>> dir_depths;
   FlatMap<std::int64_t, IdentityKeyMix> parent_live, dirs_live;
   std::vector<std::uint64_t> files_by_domain, dirs_by_domain;
-  if (!distinct.load_state(r) || !r.vec(&files_by_user) ||
-      !r.vec(&files_by_project) || !r.vec(&max_depth_by_project) ||
-      !r.vec2(&dir_depths) || !parent_live.load_state(r) ||
-      !dirs_live.load_state(r) || !r.vec(&files_by_domain) ||
-      !r.vec(&dirs_by_domain)) {
+  if (!r.vec(&files_by_user) || !r.vec(&files_by_project) ||
+      !r.vec(&max_depth_by_project) || !r.vec2(&dir_depths) ||
+      !parent_live.load_state(r) || !dirs_live.load_state(r) ||
+      !r.vec(&files_by_domain) || !r.vec(&dirs_by_domain)) {
     return false;
   }
   const std::uint64_t total_files = r.u64();
@@ -287,7 +292,6 @@ bool CensusAnalyzer::load_state(StateReader& r) {
       dirs_by_domain.size() != result_.dirs_by_domain.size()) {
     return false;
   }
-  distinct_ = std::move(distinct);
   files_by_user_ = std::move(files_by_user);
   files_by_project_ = std::move(files_by_project);
   max_depth_by_project_ = std::move(max_depth_by_project);

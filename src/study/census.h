@@ -5,7 +5,9 @@
 //   Fig 8(b) — CDF of unique file counts per user and per project;
 //   Fig 9 — per-domain directory-depth five-number summaries.
 // "Unique" counts deduplicate by path across the whole series (deleted
-// files still count once), exactly as the paper aggregates.
+// files still count once), exactly as the paper aggregates: a row counts
+// when the runner's first-seen pass settles its entry bit (a path never
+// seen before, file or directory).
 #pragma once
 
 #include <string>
@@ -58,26 +60,27 @@ class CensusAnalyzer : public StudyAnalyzer {
   ColumnMask columns_needed() const override {
     return kColMaskPaths | kColMaskUid | kColMaskGid | kColMaskMode;
   }
+  bool wants_first_seen() const override { return true; }
   std::unique_ptr<ScanChunkState> make_chunk_state() const override;
   void observe_chunk(ScanChunkState* state, const WeekObservation& obs,
                      const ScanMorsel& m) override;
   void merge(const WeekObservation& obs, ScanStateList states) override;
 
-  /// Delta port: the unique-entry census consumes only new rows (a matched
-  /// row kept its path, so its hash was already claimed), and the per-week
-  /// empty-directory census rolls forward two retained reference-count
-  /// maps — parent hash -> rows naming it as parent, and live dir hashes —
-  /// adjusted only by created and deleted rows (renames don't exist;
-  /// updated rows keep their paths).
+  /// Delta port: the unique-entry census consumes only new rows whose
+  /// entry bit the runner settled (a matched row kept its path, so it was
+  /// seen before), and the per-week empty-directory census rolls forward
+  /// two retained reference-count maps — parent hash -> rows naming it as
+  /// parent, and live dir hashes — adjusted only by created and deleted
+  /// rows (renames don't exist; updated rows keep their paths).
   bool supports_delta() const override { return true; }
   void apply_delta(const WeekObservation& obs,
                    const WeekDelta& delta) override;
   void finish() override;
 
   std::string_view state_id() const override { return "census"; }
-  /// v2: the distinct-path set allocates lazily from 16 slots, so an
-  /// empty or small set saves a different slot image.
-  std::uint32_t state_version() const override { return 2; }
+  /// v3: the distinct-path set left the blob for the runner's first-seen
+  /// map.
+  std::uint32_t state_version() const override { return 3; }
   bool save_state(StateWriter& w) const override;
   bool load_state(StateReader& r) override;
 
@@ -85,18 +88,16 @@ class CensusAnalyzer : public StudyAnalyzer {
   std::string render() const;
 
  private:
-  void rebuild_live_maps(const SnapshotTable& table);
-
   const Resolver& resolver_;
-  FlatSet<IdentityKeyMix> distinct_;
   std::vector<std::uint64_t> files_by_user_;     // dense user index
   std::vector<std::uint64_t> files_by_project_;  // dense project index
   std::vector<std::uint16_t> max_depth_by_project_;
   std::vector<std::vector<double>> dir_depths_by_domain_;
   /// Retained live-population state for the delta path, rebuilt on every
-  /// full-scan week of an incremental run (baseline and re-baseline):
-  /// reference counts of parent-path hashes over all rows, and of dir-path
-  /// hashes. Signed so transient decrement-then-increment orders are safe.
+  /// full-scan week of an incremental run (baseline and re-baseline) from
+  /// the hashes the chunks took: reference counts of parent-path hashes
+  /// over all rows, and of dir-path hashes. Signed so transient
+  /// decrement-then-increment orders are safe.
   FlatMap<std::int64_t, IdentityKeyMix> parent_live_;
   FlatMap<std::int64_t, IdentityKeyMix> dirs_live_;
   CensusResult result_;

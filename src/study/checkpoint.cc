@@ -13,10 +13,13 @@ namespace spider {
 namespace {
 
 // Section kinds. The runner section must come first (decode depends on it
-// for the analyzer count); analyzer sections follow in roster order.
+// for the analyzer count), then the gaps; the first-seen section, when the
+// run has one, precedes the analyzer sections, which follow in roster
+// order.
 constexpr std::uint32_t kSectionRunner = 1;
 constexpr std::uint32_t kSectionGaps = 2;
 constexpr std::uint32_t kSectionAnalyzer = 3;
+constexpr std::uint32_t kSectionFirstSeen = 4;
 
 // Section header: u32 kind, u64 payload size, u64 payload checksum.
 constexpr std::size_t kSectionHeaderBytes = 4 + 8 + 8;
@@ -103,6 +106,16 @@ bool decode_gaps(StateReader& r, std::vector<SeriesGap>* out) {
     out->push_back(std::move(gap));
   }
   return r.exhausted();
+}
+
+/// The section payload: the entry count, then the image to its end.
+bool decode_first_seen(std::span<const std::uint8_t> payload,
+                       FirstSeenCheckpoint* out) {
+  StateReader r(payload);
+  out->entries = r.u64();
+  if (!r.ok()) return false;
+  out->image.assign(payload.begin() + 8, payload.end());
+  return true;
 }
 
 bool decode_analyzer(StateReader& r, AnalyzerCheckpoint* out) {
@@ -239,9 +252,19 @@ CheckpointEncoder::CheckpointEncoder(const StudyCheckpoint& head,
   close_section(at);
 }
 
+void CheckpointEncoder::first_seen(
+    std::uint64_t entries, const std::function<void(StateWriter&)>& save) {
+  const std::size_t at = open_section(kSectionFirstSeen);
+  StateWriter w(out_);
+  w.u64(entries);
+  save(w);
+  close_section(at);
+}
+
 void CheckpointEncoder::analyzer(
     std::string_view id, std::uint32_t version,
     const std::function<bool(StateWriter&)>& save) {
+  ++analyzers_;
   const std::size_t at = open_section(kSectionAnalyzer);
   StateWriter w(out_);
   w.str(id);
@@ -258,8 +281,7 @@ void CheckpointEncoder::analyzer(
 }
 
 void CheckpointEncoder::seal(ThreadPool* pool) {
-  patch<std::uint32_t>(count_at_,
-                       static_cast<std::uint32_t>(sections_.size() - 2));
+  patch<std::uint32_t>(count_at_, analyzers_);
   // Sections are disjoint byte ranges: each task reads its own payload and
   // writes its own header's checksum field.
   parallel_for(
@@ -293,6 +315,12 @@ void CheckpointEncoder::close_section(std::size_t at) {
 Status encode_checkpoint(const StudyCheckpoint& ckpt,
                          std::vector<std::uint8_t>* out) {
   CheckpointEncoder encoder(ckpt, out);
+  if (ckpt.first_seen) {
+    const FirstSeenCheckpoint& fs = *ckpt.first_seen;
+    encoder.first_seen(fs.entries, [&fs](StateWriter& w) {
+      w.out()->insert(w.out()->end(), fs.image.begin(), fs.image.end());
+    });
+  }
   for (const AnalyzerCheckpoint& a : ckpt.analyzers) {
     encoder.analyzer(a.id, a.version, [&a](StateWriter& w) {
       w.out()->insert(w.out()->end(), a.blob.begin(), a.blob.end());
@@ -335,6 +363,19 @@ Status decode_checkpoint(std::span<const std::uint8_t> bytes,
     if (!decode_gaps(r, &out->gaps)) {
       return Status::corruption("gaps section does not parse");
     }
+  }
+
+  // The first-seen section is optional; its kind tells it apart from the
+  // first analyzer section.
+  if (bytes.size() - pos >= kSectionHeaderBytes &&
+      StateReader(bytes.subspan(pos, 4)).u32() == kSectionFirstSeen) {
+    s = next_section(bytes, &pos, &header, &payload);
+    if (!s.ok()) return s;
+    FirstSeenCheckpoint fs;
+    if (!decode_first_seen(payload, &fs)) {
+      return Status::corruption("first-seen section does not parse");
+    }
+    out->first_seen = std::move(fs);
   }
 
   out->analyzers.reserve(analyzer_count);
@@ -445,6 +486,18 @@ CheckpointInspection inspect_checkpoint_bytes(
                   (gaps.size() == 1 ? "" : "s"));
         } else {
           add(CheckpointSection::State::kCorrupt, "gaps", "does not parse");
+        }
+        break;
+      }
+      case kSectionFirstSeen: {
+        FirstSeenCheckpoint fs;
+        if (decode_first_seen(payload, &fs)) {
+          add(CheckpointSection::State::kOk, "first-seen",
+              std::to_string(fs.entries) + " paths, " +
+                  std::to_string(fs.image.size()) + "-byte map");
+        } else {
+          add(CheckpointSection::State::kCorrupt, "first-seen",
+              "does not parse");
         }
         break;
       }

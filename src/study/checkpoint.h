@@ -3,7 +3,8 @@
 // A .sckpt file captures everything the incremental engine needs to resume
 // a crashed study run mid-series: the runner position (last analyzed slot,
 // its collection time and salvage flag, a content fingerprint of its
-// table), the series-gap timeline discovered so far, and one opaque
+// table), the series-gap timeline discovered so far, the runner's
+// first-seen path map when the run has a first-seen pass, and one opaque
 // save_state blob per analyzer. The framing borrows the .scol v2
 // discipline — a fixed magic with an embedded version, then checksummed
 // sections — so damage detection is mechanical: any torn, bit-flipped, or
@@ -30,6 +31,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -47,7 +49,7 @@ class ThreadPool;
 /// Magic + version tag. The first 5 bytes identify the family; the last 3
 /// are the format version, so a mismatch there is version skew rather
 /// than corruption.
-inline constexpr std::string_view kCheckpointMagic = "SCKPT001";
+inline constexpr std::string_view kCheckpointMagic = "SCKPT002";
 
 /// One analyzer's checkpointed state. `has_state` false is a re-baseline
 /// marker: the analyzer (a scan-only one) cannot reconstruct its
@@ -60,6 +62,14 @@ struct AnalyzerCheckpoint {
   std::vector<std::uint8_t> blob;
 };
 
+/// The runner's first-seen map (DESIGN.md §10): its entry count, and its
+/// slot image as the runner's FlatMap::save_state writes it. The codec
+/// keeps the image opaque; the runner validates it on resume.
+struct FirstSeenCheckpoint {
+  std::uint64_t entries = 0;
+  std::vector<std::uint8_t> image;
+};
+
 struct StudyCheckpoint {
   std::uint64_t week = 0;        // last analyzed slot index
   std::int64_t taken_at = 0;     // collection time of that snapshot
@@ -69,6 +79,8 @@ struct StudyCheckpoint {
   std::uint64_t grain = 0;              // scan grain (chunk boundaries)
   std::uint64_t hash_probe = 0;         // hash-function drift guard
   std::vector<SeriesGap> gaps;   // timeline damage known when written
+  /// Present only when the run had a first-seen pass.
+  std::optional<FirstSeenCheckpoint> first_seen;
   std::vector<AnalyzerCheckpoint> analyzers;  // roster order
 };
 
@@ -100,9 +112,16 @@ std::uint64_t table_fingerprint(const SnapshotTable& table,
 class CheckpointEncoder {
  public:
   /// Starts an image in `out`: the magic, the runner section (from every
-  /// field of `head` but `analyzers`) and the gaps section.
+  /// field of `head` but `first_seen` and `analyzers`) and the gaps
+  /// section.
   CheckpointEncoder(const StudyCheckpoint& head,
                     std::vector<std::uint8_t>* out);
+
+  /// Appends the first-seen section: `entries`, then the map image that
+  /// `save` writes through the writer it is handed. At most once, before
+  /// any analyzer section.
+  void first_seen(std::uint64_t entries,
+                  const std::function<void(StateWriter&)>& save);
 
   /// Appends one analyzer section, in roster order. `save` writes the
   /// state through the writer it is handed and returns true, or returns
@@ -126,6 +145,7 @@ class CheckpointEncoder {
   std::vector<std::uint8_t>* out_;
   std::vector<std::size_t> sections_;  // offset of each section's header
   std::size_t count_at_ = 0;           // the runner section's count field
+  std::uint32_t analyzers_ = 0;        // analyzer sections appended
 };
 
 /// The image of `ckpt` through CheckpointEncoder, as the study runner
@@ -146,7 +166,8 @@ Status load_checkpoint(const std::string& path, StudyCheckpoint* out);
 struct CheckpointSection {
   enum class State : std::uint8_t { kOk, kCorrupt, kVersionSkew };
   State state = State::kOk;
-  std::string name;    // "magic", "runner", "gaps", "analyzer 'census'"
+  std::string name;    // "magic", "runner", "gaps", "first-seen",
+                       // "analyzer 'census'"
   std::string detail;  // human-readable summary or failure description
 };
 

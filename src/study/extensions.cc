@@ -31,8 +31,10 @@ std::uint64_t count_at(const std::vector<std::uint64_t>& counts,
   return id < counts.size() ? counts[id] : 0;
 }
 
+/// A file row the runner's first-seen probe found unseen as a file
+/// (kFirstSeenFile), settled before merge().
 struct ExtensionsCandidate {
-  std::uint64_t hash = 0;
+  std::uint32_t at = 0;  // index into the chunk's first-seen candidates
   std::int32_t domain = -1;
   std::int32_t ext_id = -1;  // chunk-local id; -1 = extensionless
 };
@@ -45,8 +47,8 @@ struct ExtensionsChunk : ScanChunkState {
   std::vector<std::uint64_t> counts;  // [local id], every file row
   std::uint64_t files = 0;
   std::uint64_t none = 0;
+  const FirstSeenChunk* seen = nullptr;  // settled by merge time
   std::vector<ExtensionsCandidate> candidates;  // row order
-  FlatSet<IdentityKeyMix> local;
 };
 
 }  // namespace
@@ -56,10 +58,13 @@ std::unique_ptr<ScanChunkState> ExtensionsAnalyzer::make_chunk_state() const {
 }
 
 void ExtensionsAnalyzer::observe_chunk(ScanChunkState* state,
-                                       const WeekObservation&,
+                                       const WeekObservation& obs,
                                        const ScanMorsel& m) {
   auto* chunk = static_cast<ExtensionsChunk*>(state);
   const SnapshotTable& table = *m.table;
+  const FirstSeenChunk& seen = obs.first_seen->candidates(m);
+  chunk->seen = &seen;
+  std::size_t next = 0;  // the first candidate at or after row i
   // Rows are path-sorted, so runs of files share an extension; memoizing
   // the previous row's intern skips the hash + probe (the memo copies into
   // the chunk dictionary, so nothing outlives the staging table).
@@ -84,10 +89,13 @@ void ExtensionsAnalyzer::observe_chunk(ScanChunkState* state,
       ++chunk->counts[last_id];
       ext_id = static_cast<std::int32_t>(last_id);
     }
-    const std::uint64_t hash = table.path_hash(r);
-    if (distinct_.contains(hash) || !chunk->local.insert(hash)) continue;
+    while (next < seen.rows.size() && seen.rows[next] < i) ++next;
+    if (next == seen.rows.size() || seen.rows[next] != i ||
+        (seen.bits[next] & kFirstSeenFile) == 0) {
+      continue;
+    }
     ExtensionsCandidate cand;
-    cand.hash = hash;
+    cand.at = static_cast<std::uint32_t>(next);
     cand.ext_id = ext_id;
     if (!ext.empty()) cand.domain = resolver_.domain_of_gid(table.gid(r));
     chunk->candidates.push_back(cand);
@@ -111,7 +119,7 @@ void ExtensionsAnalyzer::merge(const WeekObservation& obs,
       bump(weekly, local_to_global[lid], chunk->counts[lid]);
     }
     for (const ExtensionsCandidate& cand : chunk->candidates) {
-      if (!distinct_.insert(cand.hash)) continue;
+      if ((chunk->seen->bits[cand.at] & kFirstSeenFile) == 0) continue;
       ++result_.unique_files;
       if (cand.ext_id < 0) {
         ++result_.unique_no_extension;
@@ -150,7 +158,8 @@ void ExtensionsAnalyzer::apply_delta(const WeekObservation& obs,
       --weekly[dict_.intern(ext)];
     }
   }
-  for (const std::uint32_t row : delta.added_rows) {
+  for (std::size_t k = 0; k < delta.added_rows.size(); ++k) {
+    const std::uint32_t row = delta.added_rows[k];
     if (cur.is_dir(row)) continue;
     const std::string_view ext = path_extension(cur.path(row));
     ++files;
@@ -161,10 +170,9 @@ void ExtensionsAnalyzer::apply_delta(const WeekObservation& obs,
       id = dict_.intern(ext);
       bump(weekly, static_cast<std::uint32_t>(id), 1);
     }
-    // insert() can fail here: a deleted-then-recreated path was first seen
-    // in an earlier week (same behavior as the scan path's candidate
-    // filter).
-    if (distinct_.insert(cur.path_hash(row))) {
+    // The file bit can be unset here: a deleted-then-recreated path was
+    // first seen as a file in an earlier week.
+    if ((delta.first_seen[k] & kFirstSeenFile) != 0) {
       ++result_.unique_files;
       if (id < 0) {
         ++result_.unique_no_extension;
@@ -185,7 +193,6 @@ void ExtensionsAnalyzer::apply_delta(const WeekObservation& obs,
 }
 
 bool ExtensionsAnalyzer::save_state(StateWriter& w) const {
-  distinct_.save_state(w);
   dict_.save_state(w);
   w.vec(unique_global_);
   w.vec2(unique_by_domain_);
@@ -199,13 +206,12 @@ bool ExtensionsAnalyzer::save_state(StateWriter& w) const {
 }
 
 bool ExtensionsAnalyzer::load_state(StateReader& r) {
-  FlatSet<IdentityKeyMix> distinct;
   StringDict dict;
   std::vector<std::uint64_t> unique_global;
   std::vector<std::vector<std::uint64_t>> unique_by_domain, weekly_counts;
   std::vector<std::uint64_t> weekly_files, weekly_none;
   std::vector<std::int64_t> snapshot_dates;
-  if (!distinct.load_state(r) || !dict.load_state(r) ||
+  if (!dict.load_state(r) ||
       !r.vec(&unique_global) || !r.vec2(&unique_by_domain) ||
       !r.vec2(&weekly_counts) || !r.vec(&weekly_files) ||
       !r.vec(&weekly_none)) {
@@ -222,7 +228,6 @@ bool ExtensionsAnalyzer::load_state(StateReader& r) {
       snapshot_dates.size() != weekly_files.size()) {
     return false;
   }
-  distinct_ = std::move(distinct);
   dict_ = std::move(dict);
   unique_global_ = std::move(unique_global);
   unique_by_domain_ = std::move(unique_by_domain);

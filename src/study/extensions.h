@@ -4,6 +4,8 @@
 //   Fig 10 — the weekly share of the 20 globally most popular extensions
 //            (plus "no extension" and "other"), which exposes the .bb and
 //            .xyz campaign spikes.
+// A file is unique when the runner's first-seen pass settles its file bit
+// (a path never seen as a file), the same verdict languages reads.
 #pragma once
 
 #include <string>
@@ -11,7 +13,6 @@
 
 #include "engine/agg.h"
 #include "engine/dict.h"
-#include "engine/flat_map.h"
 #include "study/resolve.h"
 #include "study/runner.h"
 
@@ -42,6 +43,7 @@ class ExtensionsAnalyzer : public StudyAnalyzer {
   ColumnMask columns_needed() const override {
     return kColMaskPaths | kColMaskGid | kColMaskMode;
   }
+  bool wants_first_seen() const override { return true; }
   std::unique_ptr<ScanChunkState> make_chunk_state() const override;
   void observe_chunk(ScanChunkState* state, const WeekObservation& obs,
                      const ScanMorsel& m) override;
@@ -49,7 +51,7 @@ class ExtensionsAnalyzer : public StudyAnalyzer {
 
   /// Delta port: matched rows keep their paths (hence extensions), so the
   /// week's counts are the previous week's counts minus deleted files plus
-  /// new files, and first-seen/intern work touches only new rows. New
+  /// new files, and unique-file/intern work touches only new rows. New
   /// dictionary ids can only come from new rows — any extension on a
   /// matched or deleted row already existed last week — so the intern
   /// order (ascending new rows) matches the scan path's chunk-fold order.
@@ -59,9 +61,9 @@ class ExtensionsAnalyzer : public StudyAnalyzer {
   void finish() override;
 
   std::string_view state_id() const override { return "extensions"; }
-  /// v2: the distinct-path set allocates lazily from 16 slots, so an
-  /// empty or small set saves a different slot image.
-  std::uint32_t state_version() const override { return 2; }
+  /// v3: the distinct-path set left the blob for the runner's first-seen
+  /// map.
+  std::uint32_t state_version() const override { return 3; }
   bool save_state(StateWriter& w) const override;
   bool load_state(StateReader& r) override;
 
@@ -71,7 +73,6 @@ class ExtensionsAnalyzer : public StudyAnalyzer {
  private:
   const Resolver& resolver_;
   std::size_t top_k_;
-  FlatSet<IdentityKeyMix> distinct_;
   /// Study-long extension dictionary (DESIGN.md §12): every distinct
   /// extension interned once, counts below are dense vectors indexed by
   /// id. All rendered output sorts by count with NAME tie-breaks, so the

@@ -40,17 +40,18 @@ LanguagesAnalyzer::LanguagesAnalyzer(const Resolver& resolver)
 }
 
 namespace {
+/// A file row the runner's first-seen probe found unseen as a file
+/// (kFirstSeenFile) whose extension maps to a language. The runner claims
+/// an unmapped file's path itself, so unmapped rows are never kept.
 struct LanguagesCandidate {
-  std::uint64_t hash = 0;
-  // lang < 0 still claims the hash's first-seen slot (a path is seen
-  // once, whatever its extension maps to), so unmapped rows stay in.
+  std::uint32_t at = 0;  // index into the chunk's first-seen candidates
   std::int32_t lang = -1;
   std::int32_t domain = -1;
 };
 
 struct LanguagesChunk : ScanChunkState {
+  const FirstSeenChunk* seen = nullptr;  // settled by merge time
   std::vector<LanguagesCandidate> candidates;  // row order
-  FlatSet<IdentityKeyMix> local;
 };
 }  // namespace
 
@@ -59,19 +60,20 @@ std::unique_ptr<ScanChunkState> LanguagesAnalyzer::make_chunk_state() const {
 }
 
 void LanguagesAnalyzer::observe_chunk(ScanChunkState* state,
-                                      const WeekObservation&,
+                                      const WeekObservation& obs,
                                       const ScanMorsel& m) {
   auto* chunk = static_cast<LanguagesChunk*>(state);
   const SnapshotTable& table = *m.table;
-  for (std::size_t i = m.begin; i < m.end; ++i) {
-    const std::size_t r = m.local(i);
-    if (table.is_dir(r)) continue;
-    const std::uint64_t hash = table.path_hash(r);
-    if (distinct_.contains(hash) || !chunk->local.insert(hash)) continue;
+  const FirstSeenChunk& seen = obs.first_seen->candidates(m);
+  chunk->seen = &seen;
+  for (std::size_t j = 0; j < seen.rows.size(); ++j) {
+    if ((seen.bits[j] & kFirstSeenFile) == 0) continue;
+    const std::size_t r = m.local(seen.rows[j]);
     LanguagesCandidate cand;
-    cand.hash = hash;
     cand.lang = language_for_extension(path_extension(table.path(r)));
-    if (cand.lang >= 0) cand.domain = resolver_.domain_of_gid(table.gid(r));
+    if (cand.lang < 0) continue;
+    cand.at = static_cast<std::uint32_t>(j);
+    cand.domain = resolver_.domain_of_gid(table.gid(r));
     chunk->candidates.push_back(cand);
   }
 }
@@ -80,8 +82,7 @@ void LanguagesAnalyzer::merge(const WeekObservation&, ScanStateList states) {
   for (const auto& state : states) {
     const auto* chunk = static_cast<const LanguagesChunk*>(state.get());
     for (const LanguagesCandidate& cand : chunk->candidates) {
-      if (!distinct_.insert(cand.hash)) continue;
-      if (cand.lang < 0) continue;
+      if ((chunk->seen->bits[cand.at] & kFirstSeenFile) == 0) continue;
       ++global_[static_cast<std::size_t>(cand.lang)];
       if (cand.domain >= 0) {
         ++result_.by_domain[static_cast<std::size_t>(cand.domain)]
@@ -94,9 +95,9 @@ void LanguagesAnalyzer::merge(const WeekObservation&, ScanStateList states) {
 void LanguagesAnalyzer::apply_delta(const WeekObservation&,
                                     const WeekDelta& delta) {
   const SnapshotTable& table = *delta.cur;
-  for (const std::uint32_t row : delta.added_rows) {
-    if (table.is_dir(row)) continue;
-    if (!distinct_.insert(table.path_hash(row))) continue;
+  for (std::size_t k = 0; k < delta.added_rows.size(); ++k) {
+    if ((delta.first_seen[k] & kFirstSeenFile) == 0) continue;
+    const std::uint32_t row = delta.added_rows[k];
     const int lang = language_for_extension(path_extension(table.path(row)));
     if (lang < 0) continue;
     ++global_[static_cast<std::size_t>(lang)];
@@ -109,18 +110,15 @@ void LanguagesAnalyzer::apply_delta(const WeekObservation&,
 }
 
 bool LanguagesAnalyzer::save_state(StateWriter& w) const {
-  distinct_.save_state(w);
   w.vec(global_);
   w.vec2(result_.by_domain);
   return true;
 }
 
 bool LanguagesAnalyzer::load_state(StateReader& r) {
-  FlatSet<IdentityKeyMix> distinct;
   std::vector<std::uint64_t> global;
   std::vector<std::vector<std::uint64_t>> by_domain;
-  if (!distinct.load_state(r) || !r.vec(&global) || !r.vec2(&by_domain) ||
-      !r.ok()) {
+  if (!r.vec(&global) || !r.vec2(&by_domain) || !r.ok()) {
     return false;
   }
   // Fixed shape: one counter per known language, one row per domain.
@@ -131,7 +129,6 @@ bool LanguagesAnalyzer::load_state(StateReader& r) {
   for (const auto& row : by_domain) {
     if (row.size() != global_.size()) return false;
   }
-  distinct_ = std::move(distinct);
   global_ = std::move(global);
   result_.by_domain = std::move(by_domain);
   return true;

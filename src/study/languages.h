@@ -1,13 +1,14 @@
 // Figs 11-12: programming-language popularity, ranked purely by counting
 // files whose extensions map to a language (the paper's method, quirks
 // included). Fig 11 compares the facility ranking against IEEE Spectrum;
-// Fig 12 breaks language shares down per science domain.
+// Fig 12 breaks language shares down per science domain. A file counts
+// once, when the runner's first-seen pass settles its file bit (a path
+// never seen as a file), the same verdict extensions reads.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "engine/flat_map.h"
 #include "study/resolve.h"
 #include "study/runner.h"
 
@@ -37,23 +38,24 @@ class LanguagesAnalyzer : public StudyAnalyzer {
   ColumnMask columns_needed() const override {
     return kColMaskPaths | kColMaskGid | kColMaskMode;
   }
+  bool wants_first_seen() const override { return true; }
   std::unique_ptr<ScanChunkState> make_chunk_state() const override;
   void observe_chunk(ScanChunkState* state, const WeekObservation& obs,
                      const ScanMorsel& m) override;
   void merge(const WeekObservation& obs, ScanStateList states) override;
 
-  /// Delta port: a matched row kept its path, so its hash is already in
-  /// the first-seen set — only the week's new rows can contribute, and
-  /// they arrive in the same ascending order the scan path inserts them.
+  /// Delta port: a matched row kept its path, so it was seen as a file
+  /// before — only the week's new rows can contribute, with the file bits
+  /// the runner settled in the ascending order a scan settles them.
   bool supports_delta() const override { return true; }
   void apply_delta(const WeekObservation& obs,
                    const WeekDelta& delta) override;
   void finish() override;
 
   std::string_view state_id() const override { return "languages"; }
-  /// v2: the distinct-path set allocates lazily from 16 slots, so an
-  /// empty or small set saves a different slot image.
-  std::uint32_t state_version() const override { return 2; }
+  /// v3: the distinct-path set left the blob for the runner's first-seen
+  /// map.
+  std::uint32_t state_version() const override { return 3; }
   bool save_state(StateWriter& w) const override;
   bool load_state(StateReader& r) override;
 
@@ -62,7 +64,6 @@ class LanguagesAnalyzer : public StudyAnalyzer {
 
  private:
   const Resolver& resolver_;
-  FlatSet<IdentityKeyMix> distinct_;
   std::vector<std::uint64_t> global_;
   LanguagesResult result_;
 };

@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "engine/flat_map.h"
 #include "engine/hash_index.h"
 #include "engine/spill.h"
 #include "engine/stream.h"
@@ -34,6 +35,10 @@ namespace fs = std::filesystem;
 constexpr ColumnMask kDiffColumns = kColMaskPaths | kColMaskAtime |
                                     kColMaskCtime | kColMaskMtime |
                                     kColMaskMode;
+
+/// Columns the first-seen kernel reads: the path hash, and the mode for
+/// the file/directory split.
+constexpr ColumnMask kFirstSeenColumns = kColMaskPaths | kColMaskMode;
 
 /// Rough resident bytes per decoded snapshot row (fixed columns, path and
 /// OST-list bytes, per-week index overhead), used to predict a week's
@@ -91,6 +96,9 @@ struct WeekPlan {
   /// neither side salvage-degraded: a damaged snapshot forces a full-scan
   /// re-baseline that rebuilds the retained state.
   bool delta = false;
+  /// The first-seen kernel joins the scan: every scan week of a run with a
+  /// first-seen pass. A delta week settles its added rows instead.
+  bool first_seen = false;
 };
 
 /// One week in flight between the visiting thread and analysis and, once
@@ -164,7 +172,8 @@ void remove_files(const SpilledSide& side) {
 /// source?) happens later, against the re-decoded snapshot.
 Status validate_checkpoint(const StudyCheckpoint& ckpt,
                            std::span<StudyAnalyzer* const> analyzers,
-                           ColumnMask columns, std::size_t grain) {
+                           ColumnMask columns, std::size_t grain,
+                           bool first_seen) {
   if (ckpt.hash_probe != checkpoint_hash_probe()) {
     return Status::failed_precondition(
         "hash-function drift: the checkpoint's probe fingerprint does not "
@@ -207,6 +216,13 @@ Status validate_checkpoint(const StudyCheckpoint& ckpt,
           std::to_string(analyzers[i]->state_version()));
     }
   }
+  if (ckpt.first_seen.has_value() != first_seen) {
+    return Status::failed_precondition(
+        first_seen ? "the checkpoint holds no first-seen map, and this run "
+                     "keeps one"
+                   : "the checkpoint holds a first-seen map, and this run "
+                     "keeps none");
+  }
   return Status();
 }
 
@@ -224,13 +240,12 @@ class DiffScanKernel : public ScanKernel, public DiffChunkProvider {
   /// `record_prev` turns on the prev-row mapping and `dir_index` the
   /// directory diff.
   void set_week(const PartitionedPathIndex& index, const SnapshotTable& prev,
-                DiffResult* out, std::size_t grain, std::size_t cur_files,
-                bool record_prev, const DetachedPathIndex* dir_index) {
+                DiffResult* out, std::size_t cur_files, bool record_prev,
+                const DetachedPathIndex* dir_index) {
     index_ = &index;
     prev_ = &prev;
     out_ = out;
     cur_files_ = cur_files;
-    grain_ = grain == 0 ? kScanGrainRows : grain;
     record_prev_ = record_prev;
     dir_index_ = dir_index;
     chunk_rows_.clear();
@@ -272,9 +287,8 @@ class DiffScanKernel : public ScanKernel, public DiffChunkProvider {
     out_->cur_files = cur_files_;
   }
 
-  const DiffChunkRows* chunk_rows(std::size_t begin) const override {
-    const std::size_t chunk = begin / grain_;
-    return chunk < chunk_rows_.size() ? chunk_rows_[chunk] : nullptr;
+  const DiffChunkRows* chunk_rows(const ScanMorsel& m) const override {
+    return m.chunk < chunk_rows_.size() ? chunk_rows_[m.chunk] : nullptr;
   }
 
  private:
@@ -293,13 +307,127 @@ class DiffScanKernel : public ScanKernel, public DiffChunkProvider {
   const PartitionedPathIndex* index_ = nullptr;
   const SnapshotTable* prev_ = nullptr;
   DiffResult* out_ = nullptr;
-  std::size_t grain_ = kScanGrainRows;
   std::size_t cur_files_ = 0;
   bool record_prev_ = false;
   const DetachedPathIndex* dir_index_ = nullptr;
   mutable std::vector<const DiffChunkRows*> chunk_rows_;
   MatchFlags matched_;
   MatchFlags dir_matched_;
+};
+
+/// The cross-series path map behind the first-seen verdicts: path hash to
+/// the bits (kFirstSeenEntry, kFirstSeenFile) claimed so far.
+using FirstSeenMap = FlatMap<std::uint8_t, IdentityKeyMix>;
+
+/// First-seen tracking as a scan kernel (DESIGN.md §10), in the roster of
+/// every scan week of a run with a consumer (an analyzer that
+/// wants_first_seen()). It is registered after the diff kernel and before
+/// every analyzer. Each chunk probes the map, frozen during the scan, once per
+/// row and publishes the rows that can still claim a bit; merge_chunks
+/// settles them in chunk (= row) order, claiming the bits in the map,
+/// before any analyzer merges. Delta weeks settle their added rows
+/// through settle_rows() instead. Either way each bit of a path goes to
+/// the first row in series order that wants it.
+class FirstSeenKernel : public ScanKernel, public FirstSeenProvider {
+ public:
+  /// Resets the chunk registry. Must be called before every scan that
+  /// includes the kernel.
+  void begin_week() { chunks_.clear(); }
+
+  std::unique_ptr<ScanChunkState> make_chunk_state() const override {
+    auto state = std::make_unique<Chunk>();
+    // make_chunk_state runs serially in chunk order before the scan, so
+    // the registry index equals the chunk index.
+    chunks_.push_back(state.get());
+    return state;
+  }
+
+  void observe_chunk(ScanChunkState* state, const ScanMorsel& m) override {
+    auto* chunk = static_cast<Chunk*>(state);
+    const SnapshotTable& table = *m.table;
+    for (std::size_t i = m.begin; i < m.end; ++i) {
+      const std::size_t r = m.local(i);
+      const std::uint64_t hash = table.path_hash(r);
+      const std::uint8_t bits = unclaimed(hash, !table.is_dir(r));
+      if (bits == 0) continue;
+      chunk->seen.rows.push_back(static_cast<std::uint32_t>(i));
+      chunk->seen.bits.push_back(bits);
+      chunk->hashes.push_back(hash);
+    }
+  }
+
+  void merge_chunks(ScanStateList states, ThreadPool*) override {
+    for (const auto& state : states) {
+      auto* chunk = static_cast<Chunk*>(state.get());
+      for (std::size_t j = 0; j < chunk->hashes.size(); ++j) {
+        // A candidate is a file row exactly when it could claim the file
+        // bit: a file row always can when it is a candidate at all.
+        std::uint8_t& bits = chunk->seen.bits[j];
+        bits = claim(chunk->hashes[j], (bits & kFirstSeenFile) != 0);
+      }
+    }
+  }
+
+  const FirstSeenChunk& candidates(const ScanMorsel& m) const override {
+    assert(m.chunk < chunks_.size());
+    return chunks_[m.chunk]->seen;
+  }
+
+  /// Settles `rows` of `table`, ascending, and returns their bits: the
+  /// delta week's settle, over the only rows that can claim a bit.
+  std::vector<std::uint8_t> settle_rows(const SnapshotTable& table,
+                                        std::span<const std::uint32_t> rows) {
+    std::vector<std::uint8_t> bits(rows.size());
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      bits[k] = claim(table.path_hash(rows[k]), !table.is_dir(rows[k]));
+    }
+    return bits;
+  }
+
+  /// The checkpoint's first-seen section (DESIGN.md §14).
+  void save(CheckpointEncoder& encoder) const {
+    encoder.first_seen(seen_.size(),
+                       [this](StateWriter& w) { seen_.save_state(w); });
+  }
+  /// Parses a checkpointed map; false when the image does not parse or
+  /// disagrees with its entry count.
+  static bool parse(const FirstSeenCheckpoint& ckpt, FirstSeenMap* out) {
+    StateReader r(ckpt.image);
+    return out->load_state(r) && r.exhausted() &&
+           out->size() == ckpt.entries;
+  }
+  void adopt(FirstSeenMap&& seen) { seen_ = std::move(seen); }
+
+ private:
+  struct Chunk : ScanChunkState {
+    FirstSeenChunk seen;
+    std::vector<std::uint64_t> hashes;  // index-parallel with seen.rows
+  };
+
+  /// The bits a row can claim: every row the entry bit, a file row the
+  /// file bit too.
+  static std::uint8_t wanted(bool is_file) {
+    return is_file ? kFirstSeenEntry | kFirstSeenFile : kFirstSeenEntry;
+  }
+
+  /// The probe: the wanted bits that no earlier week claimed.
+  std::uint8_t unclaimed(std::uint64_t hash, bool is_file) const {
+    const std::uint8_t* have = seen_.find(hash);
+    if (have == nullptr) return wanted(is_file);
+    // A path in the map was seen; only a file row can still claim a bit.
+    return is_file ? static_cast<std::uint8_t>(kFirstSeenFile & ~*have) : 0;
+  }
+
+  /// The settle: claims the wanted bits and returns those still free.
+  std::uint8_t claim(std::uint64_t hash, bool is_file) {
+    std::uint8_t& have = seen_.slot(hash);
+    const auto fresh = static_cast<std::uint8_t>(wanted(is_file) & ~have);
+    have |= fresh;
+    return fresh;
+  }
+
+  FirstSeenMap seen_;
+  mutable std::vector<Chunk*> chunks_;
 };
 
 /// One run_study call: the configuration fixed up front, and the analysis
@@ -321,12 +449,17 @@ class StudyRun {
       need_diff_ = need_diff_ || analyzer->wants_diff();
       any_delta = any_delta || analyzer->supports_delta();
       columns_ |= analyzer->columns_needed();
+      if (analyzer->wants_first_seen()) {
+        first_seen_pass_ = true;
+        first_seen_scans_ = first_seen_scans_ || !analyzer->supports_delta();
+      }
     }
     // Incremental mode is diff-driven: the WeekDelta is built from the
     // classification even for analyzers that never asked for the diff.
     incremental_ = options_.incremental && any_delta;
     if (incremental_) need_diff_ = true;
     if (need_diff_) columns_ |= kDiffColumns;
+    if (first_seen_pass_) columns_ |= kFirstSeenColumns;
     source_.set_columns(columns_);
 
     kernels_.reserve(analyzers_.size());
@@ -375,7 +508,7 @@ class StudyRun {
       Status s = load_checkpoint(options_.checkpoint.path, &restored_);
       if (s.ok()) {
         s = validate_checkpoint(restored_, analyzers_, columns_,
-                                options_.grain);
+                                options_.grain, first_seen_pass_);
       }
       if (s.ok()) {
         resume_pending_ = true;
@@ -646,8 +779,12 @@ class StudyRun {
       plan.diff = cur.streamed || prev_->streamed ? DiffMode::kSpilled
                                                   : DiffMode::kFused;
     }
+    // A delta week settles first-seen verdicts for the delta consumers
+    // only, so a consumer that takes no delta makes every week a scan.
     plan.delta = incremental_ && plan.diff == DiffMode::kFused &&
-                 !cur.snap().degraded && !prev_->snap().degraded;
+                 !cur.snap().degraded && !prev_->snap().degraded &&
+                 !first_seen_scans_;
+    plan.first_seen = first_seen_pass_ && !plan.delta;
     return plan;
   }
 
@@ -664,6 +801,7 @@ class StudyRun {
     obs.row_count = cur.rows;
     obs.file_count = cur.files;
     obs.dir_count = cur.dirs;
+    if (plan.first_seen) obs.first_seen = &first_seen_;
     return obs;
   }
 
@@ -676,7 +814,7 @@ class StudyRun {
                    DiffResult* out, WeekObservation* obs) {
     if (plan.diff == DiffMode::kFused) {
       diff_kernel_.set_week(*prev_->index, prev_->snap().table, out,
-                            options_.grain, cur.files, plan.delta,
+                            cur.files, plan.delta,
                             plan.delta ? prev_->dir_index.get() : nullptr);
       obs->diff = out;
       obs->diff_chunks = &diff_kernel_;
@@ -716,14 +854,19 @@ class StudyRun {
 
   /// The shared scan over the plan's roster: the diff kernel first on
   /// fused weeks (siblings read its per-chunk output — DiffChunkProvider),
+  /// then the first-seen kernel when the plan has it (FirstSeenProvider),
   /// then every analyzer except, on delta weeks, the delta-capable ones.
   /// Streamed weeks run pass B through ScolMorselSource, skipping the
   /// groups pass A found damaged.
   Status scan(const PendingWeek& cur, const WeekPlan& plan,
               const WeekObservation& obs) {
     std::vector<ScanKernel*> roster;
-    roster.reserve(kernels_.size() + 1);
+    roster.reserve(kernels_.size() + 2);
     if (plan.diff == DiffMode::kFused) roster.push_back(&diff_kernel_);
+    if (plan.first_seen) {
+      first_seen_.begin_week();
+      roster.push_back(&first_seen_);
+    }
     for (std::size_t i = 0; i < kernels_.size(); ++i) {
       kernels_[i].set_observation(&obs);
       if (!plan.delta || !analyzers_[i]->supports_delta()) {
@@ -742,6 +885,9 @@ class StudyRun {
     return scan_stream(groups, roster, scan_options_);
   }
 
+  /// Builds the week's WeekDelta, settling the added rows' first-seen bits
+  /// when the run has a first-seen pass, and drives every delta-capable
+  /// analyzer off it.
   void apply_deltas(const PendingWeek& cur, const WeekObservation& obs,
                     const DiffResult& diff) {
     WeekDelta delta;
@@ -751,6 +897,9 @@ class StudyRun {
     delta.added_rows = merged_union({diff.new_rows, diff.new_dir_rows});
     delta.touched_rows = merged_union(
         {delta.added_rows, diff.updated_rows, diff.changed_dir_rows});
+    if (first_seen_pass_) {
+      delta.first_seen = first_seen_.settle_rows(*delta.cur, delta.added_rows);
+    }
     for (StudyAnalyzer* analyzer : analyzers_) {
       if (analyzer->supports_delta()) analyzer->apply_delta(obs, delta);
     }
@@ -794,6 +943,7 @@ class StudyRun {
     // without a reallocation that copies the image.
     image_.reserve(image_.size() + image_.size() / 4);
     CheckpointEncoder encoder(head, &image_);
+    if (first_seen_pass_) first_seen_.save(encoder);
     for (StudyAnalyzer* analyzer : analyzers_) {
       encoder.analyzer(
           analyzer->state_id(), analyzer->state_version(),
@@ -877,6 +1027,14 @@ class StudyRun {
           " no longer matches the source (position or content changed)";
       return false;
     }
+    FirstSeenMap seen;
+    if (restored_.first_seen &&
+        !FirstSeenKernel::parse(*restored_.first_seen, &seen)) {
+      // Unreachable short of a bug, as below: the section passed its
+      // checksum.
+      report_->rebaseline_reason = "the first-seen map failed to restore";
+      return false;
+    }
     for (std::size_t i = 0; i < analyzers_.size(); ++i) {
       StateReader r(restored_.analyzers[i].blob);
       if (!analyzers_[i]->load_state(r) || !r.exhausted()) {
@@ -889,6 +1047,7 @@ class StudyRun {
         return false;
       }
     }
+    first_seen_.adopt(std::move(seen));
     report_->resumed = true;
     report_->resumed_week = static_cast<std::size_t>(restored_.week);
     report_->restored_gaps = std::move(restored_.gaps);
@@ -900,9 +1059,14 @@ class StudyRun {
   const StudyOptions& options_;
   bool need_diff_ = false;
   bool incremental_ = false;
+  /// An analyzer wants first-seen verdicts (the run has a first-seen
+  /// pass), and one of them takes no delta.
+  bool first_seen_pass_ = false;
+  bool first_seen_scans_ = false;
   ColumnMask columns_ = kColMaskNone;
   std::vector<AnalyzerKernel> kernels_;  // parallel to analyzers_
   DiffScanKernel diff_kernel_;
+  FirstSeenKernel first_seen_;
   ScanOptions scan_options_;
 
   CheckpointReport scratch_report_;

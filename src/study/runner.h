@@ -10,16 +10,21 @@
 // the week as the next diff's previous side, and checkpoint (the image is
 // encoded on the analyst thread and written behind the next week). The union
 // column projection is pushed into the source, and on resident runs the
-// decode of week N+1 overlaps the analysis of week N.
+// decode of week N+1 overlaps the analysis of week N. Two runner kernels
+// lead every scan roster: the fused diff, then first-seen tracking — one
+// cross-series path map, probed once per row, whose verdicts the census,
+// extensions and languages analyzers share.
 //
 // Determinism: chunk layout depends only on the row count and grain, and
 // every analyzer's merge() folds chunk states in chunk order, so all
 // results are bit-identical to the 1-thread reference at any thread count.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "engine/diff.h"
 #include "engine/scan.h"
@@ -36,11 +41,47 @@ namespace spider {
 /// already complete and safe to read from the same thread.
 class DiffChunkProvider {
  public:
-  /// The classification of the chunk whose row range starts at `begin`.
-  virtual const DiffChunkRows* chunk_rows(std::size_t begin) const = 0;
+  /// The classification of the morsel's chunk (looked up by m.chunk).
+  virtual const DiffChunkRows* chunk_rows(const ScanMorsel& m) const = 0;
 
  protected:
   ~DiffChunkProvider() = default;
+};
+
+/// First-seen verdict bits. kFirstSeenEntry: the row's path was never
+/// seen before in the series — census's unique entries, files and
+/// directories alike. kFirstSeenFile: a file row whose path was never
+/// seen as a file — the unique files of extensions and languages (a
+/// directory that later becomes a file counts once as each).
+inline constexpr std::uint8_t kFirstSeenEntry = 1;
+inline constexpr std::uint8_t kFirstSeenFile = 2;
+
+/// One chunk's first-seen candidates, published by the runner's
+/// first-seen kernel: the rows whose probe of the cross-series path map,
+/// frozen since the last merge, found a verdict bit still unclaimed.
+struct FirstSeenChunk {
+  /// Global rows of the chunk, ascending.
+  std::vector<std::uint32_t> rows;
+  /// Per candidate (index-parallel with rows): its tentative bits while
+  /// the scan runs; its settled bits once the kernel's merge has run,
+  /// which is before any analyzer's merge. The settle walks the week's
+  /// candidates in chunk (= row) order and clears a bit that an earlier
+  /// row of the week claimed first, so a settled bit counts the row.
+  std::vector<std::uint8_t> bits;
+};
+
+/// Read-only view of the first-seen kernel's per-chunk candidates. The
+/// kernel is registered after the diff kernel and before every analyzer,
+/// so within a chunk its candidates are complete when an analyzer
+/// observes the same rows. The returned chunk lives until the week's
+/// merges end: an analyzer keeps the pointer in its chunk state and
+/// reads the settled bits in merge().
+class FirstSeenProvider {
+ public:
+  virtual const FirstSeenChunk& candidates(const ScanMorsel& m) const = 0;
+
+ protected:
+  ~FirstSeenProvider() = default;
 };
 
 /// One week's change set, assembled by the runner on delta weeks
@@ -56,6 +97,11 @@ struct WeekDelta {
   /// a first-seen tracker must consider: a matched row kept its path, so
   /// its identity was already seen in an earlier week.
   std::vector<std::uint32_t> added_rows;
+  /// Settled first-seen bits of each added row (index-parallel with
+  /// added_rows), when an analyzer wants_first_seen(); empty otherwise.
+  /// The runner settles the rows in ascending order, which is the order a
+  /// scan of the week settles the same rows.
+  std::vector<std::uint8_t> first_seen;
   /// added_rows ∪ updated file rows ∪ changed directory rows, ascending —
   /// the rows whose non-path attributes may differ from last week.
   /// Readonly and untouched rows are excluded by POSIX semantics: chmod
@@ -76,6 +122,9 @@ struct WeekObservation {
   /// null, `diff` was joined through the spill layer and is final before
   /// the scan. Merge-time readers use `diff` either way.
   const DiffChunkProvider* diff_chunks = nullptr;
+  /// Non-null on every scanned week of a run in which an analyzer
+  /// wants_first_seen(): the first-seen kernel is then in the scan.
+  const FirstSeenProvider* first_seen = nullptr;
   /// True when one or more slots between `prev` and `snap` are gaps
   /// (missing or corrupt weeks). The runner does not compute a diff
   /// across a gap — it would span several collection intervals and
@@ -111,13 +160,14 @@ struct WeekObservation {
 ///
 /// observe_chunk runs concurrently with other chunks AND other analyzers:
 /// it must write only through its chunk state. Reading analyzer members
-/// is allowed when nothing mutates them during the scan — the standard
-/// pattern is a first-seen filter that reads a membership set frozen since
-/// the previous merge and defers inserts to merge().
+/// is allowed when nothing mutates them during the scan. First-seen
+/// tracking is not an analyzer's own state: an analyzer that counts
+/// unique paths returns true from wants_first_seen() and reads the
+/// runner's shared verdicts (FirstSeenProvider, WeekDelta::first_seen).
 ///
 /// merge() is the ordered, single-threaded step: chunk states arrive in
 /// chunk (= row) order at every thread count, so order-dependent logic
-/// (first-seen tracking, floating-point accumulation) is deterministic.
+/// (floating-point accumulation, dictionary interning) is deterministic.
 /// Week-level analyzers with no per-row work override merge() alone and
 /// ignore `states`.
 class StudyAnalyzer {
@@ -126,6 +176,15 @@ class StudyAnalyzer {
 
   /// Analyzers returning true receive the adjacent-snapshot DiffResult.
   virtual bool wants_diff() const { return false; }
+
+  /// Analyzers returning true read first-seen verdicts: on scanned weeks
+  /// through obs.first_seen (tentative bits in observe_chunk, settled bits
+  /// by merge), on delta weeks through WeekDelta::first_seen. The runner
+  /// then keeps one cross-series path map for the whole roster and saves
+  /// it in each checkpoint. A delta week settles verdicts for the delta
+  /// consumers only, so one that does not supports_delta() makes every
+  /// week of an incremental run a scan week.
+  virtual bool wants_first_seen() const { return false; }
 
   /// Columns this analyzer reads. The runner ORs the masks of all
   /// analyzers (plus the diff's columns when any analyzer wants the diff)

@@ -1,5 +1,7 @@
 #include "synth/langmap.h"
 
+#include <unordered_map>
+
 namespace spider {
 
 namespace {
@@ -46,13 +48,19 @@ constexpr LanguageInfo kLanguages[] = {
 std::span<const LanguageInfo> languages() { return kLanguages; }
 
 int language_for_extension(std::string_view ext) {
-  if (ext.empty()) return -1;
-  for (std::size_t i = 0; i < std::size(kLanguages); ++i) {
-    for (const char* const* e = kLanguages[i].exts; *e != nullptr; ++e) {
-      if (ext == *e) return static_cast<int>(i);
+  // Built once: one hashed probe instead of a compare against every listed
+  // extension, which is what most (unmapped, data) extensions would cost.
+  static const std::unordered_map<std::string_view, int> table = [] {
+    std::unordered_map<std::string_view, int> t;
+    for (std::size_t i = 0; i < std::size(kLanguages); ++i) {
+      for (const char* const* e = kLanguages[i].exts; *e != nullptr; ++e) {
+        t.emplace(*e, static_cast<int>(i));  // the first listing wins
+      }
     }
-  }
-  return -1;
+    return t;
+  }();
+  const auto it = table.find(ext);
+  return it == table.end() ? -1 : it->second;
 }
 
 int language_index(std::string_view name) {

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/flat_map.h"
 #include "snapshot/record.h"
 #include "snapshot/scol.h"
 #include "snapshot/series.h"
@@ -340,6 +341,128 @@ TEST(CheckpointCodecTest, InspectionWalksSectionsAndFlagsDamage) {
   const CheckpointInspection skew = inspect_checkpoint_bytes(skewed);
   EXPECT_FALSE(skew.ok);
   EXPECT_TRUE(skew.version_skew);
+}
+
+/// A first-seen section as the runner writes it: a FlatMap image of a
+/// few path hashes with their verdict bits.
+FirstSeenCheckpoint first_seen_section() {
+  FlatMap<std::uint8_t, IdentityKeyMix> map;
+  map.slot(0x1234) = 1;
+  map.slot(0xfeed0000beefULL) = 3;
+  map.slot(0) = 3;  // key 0 lives out of line
+  FirstSeenCheckpoint fs;
+  fs.entries = map.size();
+  StateWriter w(&fs.image);
+  map.save_state(w);
+  return fs;
+}
+
+/// Offset of the first byte of the first section of `kind`'s payload,
+/// walking the {u32 kind, u64 size, u64 checksum} framing; 0 when absent.
+std::size_t section_payload(std::span<const std::uint8_t> bytes,
+                            std::uint32_t kind) {
+  std::size_t pos = kCheckpointMagic.size();
+  while (bytes.size() - pos >= 20) {
+    StateReader r(bytes.subspan(pos, 20));
+    const std::uint32_t k = r.u32();
+    const std::uint64_t size = r.u64();
+    if (k == kind) return pos + 20;
+    pos += 20 + static_cast<std::size_t>(size);
+  }
+  return 0;
+}
+
+constexpr std::uint32_t kFirstSeenKind = 4;
+
+TEST(CheckpointCodecTest, FirstSeenSectionRoundTripsByteForByte) {
+  StudyCheckpoint ckpt;
+  ckpt.week = 9;
+  ckpt.hash_probe = checkpoint_hash_probe();
+  ckpt.first_seen = first_seen_section();
+  AnalyzerCheckpoint a;
+  a.id = "census";
+  a.version = 3;
+  a.has_state = true;
+  a.blob = {7, 7, 7};
+  ckpt.analyzers.push_back(a);
+
+  std::vector<std::uint8_t> bytes;
+  ASSERT_TRUE(encode_checkpoint(ckpt, &bytes).ok());
+  StudyCheckpoint out;
+  ASSERT_TRUE(decode_checkpoint(bytes, &out).ok());
+  ASSERT_TRUE(out.first_seen.has_value());
+  EXPECT_EQ(out.first_seen->entries, 3u);
+  EXPECT_EQ(out.first_seen->image, ckpt.first_seen->image);
+  ASSERT_EQ(out.analyzers.size(), 1u);
+  EXPECT_EQ(out.analyzers[0].blob, a.blob);
+  std::vector<std::uint8_t> reencoded;
+  ASSERT_TRUE(encode_checkpoint(out, &reencoded).ok());
+  EXPECT_EQ(reencoded, bytes);
+
+  // The image is the map's own: it loads back with every verdict.
+  FlatMap<std::uint8_t, IdentityKeyMix> map;
+  StateReader r(out.first_seen->image);
+  ASSERT_TRUE(map.load_state(r));
+  EXPECT_TRUE(r.exhausted());
+  ASSERT_NE(map.find(0xfeed0000beefULL), nullptr);
+  EXPECT_EQ(*map.find(0xfeed0000beefULL), 3);
+  ASSERT_NE(map.find(0), nullptr);
+
+  // Without a first-seen pass there is no section at all.
+  ckpt.first_seen.reset();
+  std::vector<std::uint8_t> plain;
+  ASSERT_TRUE(encode_checkpoint(ckpt, &plain).ok());
+  EXPECT_EQ(section_payload(plain, kFirstSeenKind), 0u);
+  ASSERT_TRUE(decode_checkpoint(plain, &out).ok());
+  EXPECT_FALSE(out.first_seen.has_value());
+  ASSERT_EQ(out.analyzers.size(), 1u);
+}
+
+TEST(CheckpointCodecTest, InspectionNamesTheFirstSeenSection) {
+  StudyCheckpoint ckpt;
+  ckpt.week = 2;
+  ckpt.hash_probe = checkpoint_hash_probe();
+  ckpt.first_seen = first_seen_section();
+  std::vector<std::uint8_t> bytes;
+  ASSERT_TRUE(encode_checkpoint(ckpt, &bytes).ok());
+
+  const CheckpointInspection clean = inspect_checkpoint_bytes(bytes);
+  EXPECT_TRUE(clean.ok);
+  // magic + runner + gaps + first-seen.
+  ASSERT_EQ(clean.sections.size(), 4u);
+  EXPECT_EQ(clean.sections[3].name, "first-seen");
+  EXPECT_NE(clean.sections[3].detail.find("3 paths"), std::string::npos)
+      << clean.sections[3].detail;
+
+  const std::size_t payload = section_payload(bytes, kFirstSeenKind);
+  ASSERT_GT(payload, 0u);
+  std::vector<std::uint8_t> flipped = bytes;
+  flipped[payload + 12] ^= 0x10;  // inside the map image
+  const CheckpointInspection damaged = inspect_checkpoint_bytes(flipped);
+  EXPECT_FALSE(damaged.ok);
+  EXPECT_FALSE(damaged.version_skew);
+  ASSERT_EQ(damaged.sections.size(), 4u);
+  EXPECT_EQ(damaged.sections[3].state, CheckpointSection::State::kCorrupt);
+  StudyCheckpoint out;
+  EXPECT_EQ(decode_checkpoint(flipped, &out).code(), StatusCode::kCorruption);
+}
+
+TEST(CheckpointCodecTest, PreviousFormatIsVersionSkew) {
+  StudyCheckpoint ckpt;
+  ckpt.hash_probe = checkpoint_hash_probe();
+  std::vector<std::uint8_t> bytes;
+  ASSERT_TRUE(encode_checkpoint(ckpt, &bytes).ok());
+  ASSERT_EQ(std::string(bytes.begin(), bytes.begin() + 8), "SCKPT002");
+  const std::string old_magic = "SCKPT001";
+  std::copy(old_magic.begin(), old_magic.end(), bytes.begin());
+  const CheckpointInspection inspection = inspect_checkpoint_bytes(bytes);
+  EXPECT_FALSE(inspection.ok);
+  EXPECT_TRUE(inspection.version_skew);
+  StudyCheckpoint out;
+  const Status s = decode_checkpoint(bytes, &out);
+  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(s.message().find("version skew"), std::string::npos)
+      << s.message();
 }
 
 /// table_fingerprint as it was written before its hashing moved onto a
@@ -790,6 +913,68 @@ TEST(CheckpointResumeTest, MissingDirectoryFailsEveryWriteWithThePath) {
   EXPECT_NE(why.find(ckpt), std::string::npos) << why;
   EXPECT_EQ(run.bundle, fx.reference);
   EXPECT_FALSE(fs::exists(fs::path(ckpt).parent_path()));
+}
+
+// The runner writes its first-seen map once per checkpoint, in a section
+// of its own; damage inside it must re-baseline like any other section's.
+TEST(CheckpointResumeTest, FirstSeenBitFlipRebaselines) {
+  const SeriesFixture& fx = fixture();
+  const std::string ckpt = temp_ckpt("spider_ckpt_first_seen.sckpt");
+  fs::remove(ckpt);
+  (void)run_delta(fx.dir.path(), *fx.resolver, 2, true, ckpt);
+  std::vector<std::uint8_t> bytes;
+  ASSERT_TRUE(read_file(ckpt, &bytes).ok());
+  StudyCheckpoint decoded;
+  ASSERT_TRUE(decode_checkpoint(bytes, &decoded).ok());
+  ASSERT_TRUE(decoded.first_seen.has_value());
+  EXPECT_GT(decoded.first_seen->entries, 1000u);
+
+  const std::size_t payload = section_payload(bytes, kFirstSeenKind);
+  ASSERT_GT(payload, 0u);
+  bytes[payload + decoded.first_seen->image.size() / 2] ^= 0x04;
+  ASSERT_TRUE(
+      write_file_atomic(ckpt, std::span<const std::uint8_t>(bytes)).ok());
+  const CheckpointInspection inspection = inspect_checkpoint_bytes(bytes);
+  EXPECT_FALSE(inspection.ok);
+  ASSERT_GT(inspection.sections.size(), 3u);
+  EXPECT_EQ(inspection.sections[3].state, CheckpointSection::State::kCorrupt);
+
+  const DeltaRun run = run_delta(fx.dir.path(), *fx.resolver, 2, true, ckpt);
+  EXPECT_FALSE(run.report.resumed);
+  EXPECT_NE(run.report.rebaseline_reason.find("checksum"), std::string::npos)
+      << run.report.rebaseline_reason;
+  EXPECT_EQ(run.bundle, fx.reference);
+  fs::remove(ckpt);
+}
+
+// A roster with no first-seen consumer keeps no map, so its checkpoints
+// carry no first-seen section.
+TEST(CheckpointResumeTest, NoFirstSeenPassWritesNoSection) {
+  const SeriesFixture& fx = fixture();
+  const std::string ckpt = temp_ckpt("spider_ckpt_no_first_seen.sckpt");
+  fs::remove(ckpt);
+  DirectorySeries series;
+  ASSERT_TRUE(series.open(fx.dir.path()).ok());
+  ScolOptions salvage;
+  salvage.on_corrupt_group = CorruptGroupPolicy::kSkip;
+  series.set_scol_options(salvage);
+  GrowthAnalyzer growth;
+  FileAgeAnalyzer file_age;
+  StudyAnalyzer* roster[] = {&growth, &file_age};
+  StudyOptions options;
+  options.incremental = true;
+  options.checkpoint.path = ckpt;
+  CheckpointReport report;
+  options.checkpoint_report = &report;
+  run_study(series, roster, options);
+  EXPECT_EQ(report.checkpoints_written, 11u);
+  std::vector<std::uint8_t> bytes;
+  ASSERT_TRUE(read_file(ckpt, &bytes).ok());
+  StudyCheckpoint decoded;
+  ASSERT_TRUE(decode_checkpoint(bytes, &decoded).ok());
+  EXPECT_FALSE(decoded.first_seen.has_value());
+  EXPECT_EQ(section_payload(bytes, kFirstSeenKind), 0u);
+  fs::remove(ckpt);
 }
 
 /// The checkpoint file a width-1 run of the delta roster leaves behind.

@@ -44,7 +44,7 @@ class DiffOracleAnalyzer : public StudyAnalyzer {
     auto* slice = static_cast<ChunkSlice*>(state);
     slice->begin = m.begin;
     slice->end = m.end;
-    const DiffChunkRows* rows = obs.diff_chunks->chunk_rows(m.begin);
+    const DiffChunkRows* rows = obs.diff_chunks->chunk_rows(m);
     if (rows == nullptr) return;
     slice->seen = true;
     for (int k = 0; k < 4; ++k) slice->rows[k] = rows->rows[k];

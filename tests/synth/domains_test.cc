@@ -4,6 +4,8 @@
 
 #include <set>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "synth/langmap.h"
 
@@ -119,6 +121,34 @@ TEST(LangmapTest, IndexRoundTrip) {
               std::string(lang.name));
   }
   EXPECT_EQ(language_index("Brainfuck"), -1);
+}
+
+/// language_for_extension as a linear scan over every language's list,
+/// the first language listing an extension winning: the oracle for the
+/// hashed lookup.
+int linear_language_for_extension(std::string_view ext) {
+  if (ext.empty()) return -1;
+  const auto langs = languages();
+  for (std::size_t i = 0; i < langs.size(); ++i) {
+    for (const char* const* e = langs[i].exts; *e != nullptr; ++e) {
+      if (ext == *e) return static_cast<int>(i);
+    }
+  }
+  return -1;
+}
+
+TEST(LangmapTest, HashedLookupMatchesTheLinearScan) {
+  std::vector<std::string> inputs = {"F", "f", "R", "r", "d", "dat", "PY",
+                                     ""};
+  for (const LanguageInfo& lang : languages()) {
+    for (const char* const* e = lang.exts; *e != nullptr; ++e) {
+      inputs.emplace_back(*e);
+    }
+  }
+  for (const std::string& ext : inputs) {
+    EXPECT_EQ(language_for_extension(ext), linear_language_for_extension(ext))
+        << "extension '" << ext << "'";
+  }
 }
 
 }  // namespace
