@@ -62,7 +62,10 @@ cmake --build build-asan -j"${JOBS}" --target \
 # snapshot_decode_parity_test checks the pooled group decode against
 # row-by-row tables, including a failing group's rollback;
 # util_serialize_test holds the golden bytes of every StateWriter method,
-# which append straight into a checkpoint image.
+# which append straight into a checkpoint image; engine_spill_test flips
+# every bit of a spill partition's trailer and of a directory entry,
+# damages and cuts each block of a partition, and re-checksums damaged
+# records, so the reader's checks meet hostile bytes.
 for t in snapshot_fault_injection_test snapshot_scol_test \
          snapshot_scol_v2_test snapshot_scol_stream_test \
          snapshot_decode_parity_test snapshot_psv_test \
@@ -76,9 +79,10 @@ for t in snapshot_fault_injection_test snapshot_scol_test \
 done
 # Streaming parity under ASan: the damaged/gapped case drives the mmap'd
 # group reader's salvage replay, partition-file regeneration, and the
-# spill join's checksummed record framing against corrupt inputs — the
-# out-of-core layer's hostile-input surface. The thread-width sweep stays
-# in the plain build (big fixture; widths don't change what ASan sees).
+# spill join's trailer, directory and block checks against corrupt
+# inputs — the out-of-core layer's hostile-input surface. The thread-width
+# sweep stays in the plain build (big fixture; widths don't change what
+# ASan sees).
 echo "--> study_streaming_test (sanitized, damaged+gapped parity)"
 ./build-asan/tests/study_streaming_test \
     --gtest_filter='StreamingStudyFaultTest.*:StreamingStudyBoundaryTest.*'
@@ -101,8 +105,8 @@ cmake --build build-tsan -j"${JOBS}" --target \
     study_streaming_test study_checkpoint_test
 # snapshot_decode_parity_test: a row group's path stretches and its other
 # columns decode concurrently on pools of 2, 7 and hardware width.
-# engine_spill_test: the join hashes each partition's records and probes
-# them on pools of 1, 2, 7 and hardware width.
+# engine_spill_test: the join checks and decodes each partition's blocks
+# and probes its records on pools of 1, 2, 7 and hardware width.
 for t in util_parallel_test snapshot_decode_parity_test \
          engine_scan_test engine_stream_test engine_spill_test \
          engine_partition_test engine_diff_parity_test engine_flat_map_test \

@@ -3,13 +3,16 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <span>
 #include <utility>
 
+#include "snapshot/varint.h"
 #include "util/hash.h"
 #include "util/io.h"
 
@@ -17,23 +20,32 @@ namespace spider {
 
 namespace {
 
-/// Trailer magic: "SPL0001\0" little-endian.
-constexpr std::uint64_t kSpillMagic = 0x00313030304c5053ULL;
+/// Trailer magic: "SPL0002\0" little-endian.
+constexpr std::uint64_t kSpillMagic = 0x00323030304c5053ULL;
 
-/// Fixed bytes per record ahead of the path: hash(8) + row(4) + kind(1) +
-/// three timestamps(24) + path length(4), at these offsets.
-constexpr std::size_t kRecordHeaderBytes = 41;
-constexpr std::size_t kRowAt = 8;
-constexpr std::size_t kKindAt = 12;
-constexpr std::size_t kAtimeAt = 13;
-constexpr std::size_t kMtimeAt = 21;
-constexpr std::size_t kCtimeAt = 29;
-constexpr std::size_t kPathLengthAt = 37;
+/// Records per block. The front coding restarts at each block, and each
+/// block is one decode task of the join.
+constexpr std::uint64_t kBlockRecords = 4096;
 
-constexpr std::size_t kTrailerBytes = 32;
+/// A block also ends once its coded bytes reach this size, so that a run
+/// of long paths does not make one block (one task) large.
+constexpr std::size_t kBlockBytes = 256 * 1024;
 
-/// Per-partition buffer flushed to disk when it crosses this size.
-constexpr std::size_t kFlushBytes = 256 * 1024;
+/// Directory entry per block: records, bytes, decoded path bytes,
+/// checksum.
+constexpr std::size_t kEntryBytes = 32;
+
+/// Fixed trailer: magic, block count, record count, payload bytes,
+/// directory checksum.
+constexpr std::size_t kTrailerBytes = 40;
+
+/// The fewest bytes a record codes to: its hash, then one byte for each of
+/// its six varints (row, prefix and kind, suffix length, three times).
+constexpr std::uint64_t kMinRecordBytes = 8 + 6;
+
+/// The most bytes a record codes to ahead of its suffix (a varint takes at
+/// most 10 bytes).
+constexpr std::size_t kMaxRecordFixedBytes = 8 + 6 * 10;
 
 constexpr std::uint32_t kMaxBits = 8;
 
@@ -74,14 +86,9 @@ T load_pod(const std::uint8_t* p) {
   return value;
 }
 
-/// One record's contribution to the partition checksum: the chain folds
-/// the hash of each record's serialized bytes in append order
-/// (hash_combine), so the value is independent of how the writer chunked
-/// its flushes, and a reader may hash the records in any order as long as
-/// it folds them in record order.
-std::uint64_t record_hash(const std::uint8_t* record, std::size_t bytes) {
+std::uint64_t checksum_of(const std::uint8_t* data, std::size_t bytes) {
   return hash_bytes(
-      std::string_view(reinterpret_cast<const char*>(record), bytes));
+      std::string_view(reinterpret_cast<const char*>(data), bytes));
 }
 
 Status corrupt(const std::string& file, const std::string& what) {
@@ -119,11 +126,7 @@ Status SpillPartitionWriter::open(const Options& options) {
   bits_ = options.bits;
   const std::size_t parts = std::size_t{1} << bits_;
   files_.reserve(parts);
-  fds_.assign(parts, -1);
-  buffers_.assign(parts, {});
-  counts_.assign(parts, 0);
-  bytes_.assign(parts, 0);
-  checksums_.assign(parts, 0);
+  parts_.assign(parts, Partition{});
   for (std::size_t p = 0; p < parts; ++p) {
     std::string name = options.dir + "/" + options.stem + "-p" +
                        std::to_string(p) + ".spill";
@@ -139,18 +142,28 @@ Status SpillPartitionWriter::open(const Options& options) {
       return s;
     }
     files_.push_back(std::move(name));
-    fds_[p] = fd;
+    parts_[p].fd = fd;
   }
   return Status();
 }
 
-Status SpillPartitionWriter::flush(std::size_t p) {
-  std::vector<std::uint8_t>& buffer = buffers_[p];
-  if (buffer.empty()) return Status();
-  if (!write_all(fds_[p], buffer.data(), buffer.size())) {
+Status SpillPartitionWriter::seal_block(std::size_t p) {
+  Partition& part = parts_[p];
+  append_pod(part.directory, part.block_records);
+  append_pod(part.directory, static_cast<std::uint64_t>(part.used));
+  append_pod(part.directory, part.block_path_bytes);
+  append_pod(part.directory, checksum_of(part.block.data(), part.used));
+  if (!write_all(part.fd, part.block.data(), part.used)) {
     return errno_status("write", files_[p]);
   }
-  buffer.clear();
+  part.records += part.block_records;
+  part.payload += part.used;
+  part.used = 0;
+  part.block_records = 0;
+  part.block_path_bytes = 0;
+  part.prev_row = 0;
+  part.prev_mtime = 0;
+  part.prev_path.clear();
   return Status();
 }
 
@@ -162,27 +175,42 @@ Status SpillPartitionWriter::add(std::uint64_t path_hash, std::uint32_t row,
     return Status::failed_precondition("spill writer not open");
   }
   const std::size_t p = partition_of_hash(path_hash, bits_);
-  std::vector<std::uint8_t>& buffer = buffers_[p];
-  const std::size_t at = buffer.size();
-  append_pod(buffer, path_hash);
-  append_pod(buffer, row);
-  append_pod(buffer, static_cast<std::uint8_t>(is_dir ? 1 : 0));
-  append_pod(buffer, atime);
-  append_pod(buffer, mtime);
-  append_pod(buffer, ctime);
-  append_pod(buffer, static_cast<std::uint32_t>(path.size()));
-  buffer.insert(buffer.end(), path.begin(), path.end());
-  const std::size_t record_bytes = buffer.size() - at;
-  checksums_[p] = hash_combine(checksums_[p],
-                               record_hash(buffer.data() + at, record_bytes));
-  ++counts_[p];
-  bytes_[p] += record_bytes;
+  Partition& part = parts_[p];
+  // Room for the record's worst case, so it is written through a pointer.
+  const std::size_t worst = part.used + kMaxRecordFixedBytes + path.size();
+  if (part.block.size() < worst) {
+    part.block.resize(std::max(worst, 2 * part.block.size()));
+  }
+  std::uint8_t* out = part.block.data() + part.used;
+  std::memcpy(out, &path_hash, sizeof(path_hash));
+  out += sizeof(path_hash);
+  out = put_varint_at(out, zigzag_encode(static_cast<std::int64_t>(row) -
+                                         part.prev_row));
+  const std::size_t shared = shared_prefix(part.prev_path, path);
+  const std::size_t suffix = path.size() - shared;
+  out = put_varint_at(out, (static_cast<std::uint64_t>(shared) << 1) |
+                               (is_dir ? 1 : 0));
+  out = put_varint_at(out, suffix);
+  if (suffix > 0) std::memcpy(out, path.data() + shared, suffix);
+  out += suffix;
+  out = put_varint_at(out, zigzag_encode(wrapping_sub(mtime, part.prev_mtime)));
+  out = put_varint_at(out, zigzag_encode(wrapping_sub(atime, mtime)));
+  out = put_varint_at(out, zigzag_encode(wrapping_sub(ctime, mtime)));
+  part.used = static_cast<std::size_t>(out - part.block.data());
+  part.prev_row = row;
+  part.prev_mtime = mtime;
+  part.prev_path.resize(shared);
+  part.prev_path.append(path.substr(shared));
+  ++part.block_records;
+  part.block_path_bytes += path.size();
   if (is_dir) {
     ++dir_rows_;
   } else {
     ++file_rows_;
   }
-  if (buffer.size() >= kFlushBytes) return flush(p);
+  if (part.block_records == kBlockRecords || part.used >= kBlockBytes) {
+    return seal_block(p);
+  }
   return Status();
 }
 
@@ -203,19 +231,26 @@ Status SpillPartitionWriter::finish() {
     return Status::failed_precondition("spill writer not open");
   }
   for (std::size_t p = 0; p < files_.size(); ++p) {
-    Status s = flush(p);
-    if (!s.ok()) return s;
-    std::vector<std::uint8_t> trailer;
-    trailer.reserve(kTrailerBytes);
-    append_pod(trailer, kSpillMagic);
-    append_pod(trailer, counts_[p]);
-    append_pod(trailer, bytes_[p]);
-    append_pod(trailer, checksums_[p]);
-    if (!write_all(fds_[p], trailer.data(), trailer.size())) {
+    Partition& part = parts_[p];
+    if (part.block_records > 0) {
+      const Status s = seal_block(p);
+      if (!s.ok()) return s;
+    }
+    std::vector<std::uint8_t>& tail = part.directory;
+    const std::uint64_t directory_checksum =
+        checksum_of(tail.data(), tail.size());
+    const std::uint64_t blocks = tail.size() / kEntryBytes;
+    append_pod(tail, kSpillMagic);
+    append_pod(tail, blocks);
+    append_pod(tail, part.records);
+    append_pod(tail, part.payload);
+    append_pod(tail, directory_checksum);
+    if (!write_all(part.fd, tail.data(), tail.size())) {
       return errno_status("write", files_[p]);
     }
-    ::close(fds_[p]);
-    fds_[p] = -1;
+    ::close(part.fd);
+    part.fd = -1;
+    part = Partition{};
   }
   finished_ = true;
   return Status();
@@ -223,9 +258,9 @@ Status SpillPartitionWriter::finish() {
 
 void SpillPartitionWriter::remove_files() {
   for (std::size_t p = 0; p < files_.size(); ++p) {
-    if (p < fds_.size() && fds_[p] >= 0) {
-      ::close(fds_[p]);
-      fds_[p] = -1;
+    if (p < parts_.size() && parts_[p].fd >= 0) {
+      ::close(parts_[p].fd);
+      parts_[p].fd = -1;
     }
     ::unlink(files_[p].c_str());
   }
@@ -253,130 +288,233 @@ void SpillRecords::clear() {
 
 namespace {
 
-/// Records per task when a partition's records are hashed or probed.
+/// Records per probe task.
 constexpr std::size_t kJoinGrain = 4096;
 
 /// How many records ahead the probe pulls in its slot line (as
 /// diff_snapshots does; the value is uncritical).
 constexpr std::size_t kProbePrefetchDistance = 16;
 
-/// One partition file, mapped and verified. Nothing is copied out of the
-/// mapping: the accessors read each record where it lies.
-class MappedPartition {
- public:
-  /// Maps `file`, checks its trailer, frames its records serially, hashes
-  /// them on `pool` and folds the checksum chain in record order. A file
-  /// that fails is unmapped before this returns, because the next step may
-  /// be its owner rewriting it.
-  Status open(const std::string& file, ThreadPool* pool) {
-    records_.clear();
-    Status s = map_.open(file);
-    if (s.ok()) s = frame(file, pool);
-    if (!s.ok()) {
-      map_.close();
-      records_.clear();
+/// One block's directory entry.
+struct BlockEntry {
+  std::uint64_t records = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t path_bytes = 0;
+  std::uint64_t checksum = 0;
+};
+
+/// A partition file's trailer and directory, every field checked.
+struct PartitionLayout {
+  std::uint64_t blocks = 0;
+  std::uint64_t records = 0;
+  std::uint64_t payload = 0;
+  std::uint64_t path_bytes = 0;  // the directory's total
+  const std::uint8_t* directory = nullptr;
+
+  BlockEntry entry(std::size_t k) const {
+    const std::uint8_t* at = directory + k * kEntryBytes;
+    return {load_pod<std::uint64_t>(at), load_pod<std::uint64_t>(at + 8),
+            load_pod<std::uint64_t>(at + 16),
+            load_pod<std::uint64_t>(at + 24)};
+  }
+};
+
+/// Checks the fixed trailer field by field, then the directory against its
+/// checksum and against the trailer's totals. Nothing may be sized from
+/// the file before this passes: the trailer is covered by no checksum.
+Status read_layout(std::span<const std::uint8_t> bytes,
+                   const std::string& file, PartitionLayout* out) {
+  if (bytes.size() < kTrailerBytes) {
+    return Status::truncated("spill partition " + file +
+                             ": shorter than its trailer");
+  }
+  const std::uint8_t* trailer = bytes.data() + bytes.size() - kTrailerBytes;
+  if (load_pod<std::uint64_t>(trailer) != kSpillMagic) {
+    return corrupt(file, "bad trailer magic");
+  }
+  const std::uint64_t blocks = load_pod<std::uint64_t>(trailer + 8);
+  const std::uint64_t records = load_pod<std::uint64_t>(trailer + 16);
+  const std::uint64_t payload = load_pod<std::uint64_t>(trailer + 24);
+  const std::uint64_t directory_checksum =
+      load_pod<std::uint64_t>(trailer + 32);
+  const std::uint64_t body = bytes.size() - kTrailerBytes;
+  if (blocks > body / kEntryBytes) {
+    return corrupt(file, "block count exceeds what the file holds");
+  }
+  if (payload != body - blocks * kEntryBytes) {
+    return corrupt(file, "payload size disagrees with trailer");
+  }
+  if (records > payload / kMinRecordBytes || records < blocks ||
+      (records + kBlockRecords - 1) / kBlockRecords > blocks) {
+    return corrupt(file, "record count disagrees with the payload and the "
+                         "block count");
+  }
+  const std::uint8_t* directory = bytes.data() + payload;
+  if (checksum_of(directory, blocks * kEntryBytes) != directory_checksum) {
+    return corrupt(file, "directory checksum mismatch");
+  }
+  PartitionLayout layout;
+  layout.blocks = blocks;
+  layout.records = records;
+  layout.payload = payload;
+  layout.directory = directory;
+  std::uint64_t total_records = 0, total_bytes = 0;
+  for (std::size_t k = 0; k < blocks; ++k) {
+    const BlockEntry e = layout.entry(k);
+    // A block's paths are at most its records times its bytes long: a
+    // path is no longer than the suffixes coded before it in the block.
+    if (e.records == 0 || e.records > kBlockRecords ||
+        e.bytes > payload - total_bytes ||
+        e.bytes / kMinRecordBytes < e.records ||
+        e.path_bytes / e.records > e.bytes) {
+      return corrupt(file, "block " + std::to_string(k) +
+                               " directory entry out of range");
     }
+    total_records += e.records;
+    total_bytes += e.bytes;
+    layout.path_bytes += e.path_bytes;
+  }
+  if (total_records != records || total_bytes != payload) {
+    return corrupt(file, "directory totals disagree with trailer");
+  }
+  *out = layout;
+  return Status();
+}
+
+/// Sizes every column for `records` records and `path_bytes` path bytes.
+/// The columns are cleared first, so a resize past their capacity copies
+/// nothing, and one within it (the join's next partition) allocates
+/// nothing.
+void size_records(std::size_t records, std::size_t path_bytes,
+                  SpillRecords* out) {
+  out->clear();
+  out->hashes.resize(records);
+  out->rows.resize(records);
+  out->dir_flags.resize(records);
+  out->atimes.resize(records);
+  out->mtimes.resize(records);
+  out->ctimes.resize(records);
+  out->path_offsets.resize(records + 1);
+  out->path_bytes.resize(path_bytes);
+}
+
+/// Verifies block `block` against its directory entry and decodes it into
+/// `out` from record `first` and path byte `path_at` on, checking each
+/// record as the .scol path walk does: the shared prefix is no longer than
+/// the previous path and the suffix lies inside the block. Returns what is
+/// wrong with the block, or null.
+const char* decode_block(std::span<const std::uint8_t> block,
+                         const BlockEntry& entry, std::size_t first,
+                         std::size_t path_at, SpillRecords* out) {
+  if (checksum_of(block.data(), block.size()) != entry.checksum) {
+    return "checksum mismatch";
+  }
+  char* const paths = out->path_bytes.data();
+  const std::size_t path_end = path_at + entry.path_bytes;
+  std::size_t prev = path_at, prev_len = 0, at = path_at, pos = 0;
+  std::int64_t row = 0, mtime = 0, delta = 0;
+  std::uint64_t prefix = 0, suffix = 0;
+  for (std::size_t i = first; i < first + entry.records; ++i) {
+    if (block.size() - pos < sizeof(std::uint64_t)) {
+      return "record runs past the block";
+    }
+    out->hashes[i] = load_pod<std::uint64_t>(block.data() + pos);
+    pos += sizeof(std::uint64_t);
+    if (!get_zigzag(block, pos, delta)) return "truncated row";
+    row = wrapping_add(row, delta);
+    if (row < 0 || row > std::numeric_limits<std::uint32_t>::max()) {
+      return "row out of range";
+    }
+    if (!get_varint(block, pos, prefix)) return "truncated shared length";
+    const std::uint64_t shared = prefix >> 1;
+    if (shared > prev_len) return "bad shared length";
+    if (!get_varint(block, pos, suffix)) return "truncated suffix length";
+    if (suffix > block.size() - pos) return "suffix runs past the block";
+    if (shared + suffix > path_end - at) {
+      return "paths longer than the directory entry";
+    }
+    std::memcpy(paths + at, paths + prev, shared);
+    std::memcpy(paths + at + shared, block.data() + pos, suffix);
+    pos += suffix;
+    out->rows[i] = static_cast<std::uint32_t>(row);
+    out->dir_flags[i] = static_cast<std::uint8_t>(prefix & 1);
+    out->path_offsets[i] = at;
+    prev = at;
+    prev_len = shared + suffix;
+    at += prev_len;
+    if (!get_zigzag(block, pos, delta)) return "truncated mtime";
+    mtime = wrapping_add(mtime, delta);
+    out->mtimes[i] = mtime;
+    if (!get_zigzag(block, pos, delta)) return "truncated atime";
+    out->atimes[i] = wrapping_add(mtime, delta);
+    if (!get_zigzag(block, pos, delta)) return "truncated ctime";
+    out->ctimes[i] = wrapping_add(mtime, delta);
+  }
+  if (pos != block.size()) return "bytes left over after the last record";
+  if (at != path_end) return "paths shorter than the directory entry";
+  return nullptr;
+}
+
+/// Maps `file`, checks its trailer and directory, sizes `out` from the
+/// directory's totals on the calling thread, then verifies and decodes the
+/// blocks on `pool`. A file that fails leaves `out` empty, and it is
+/// unmapped before this returns, because the next step may be its owner
+/// rewriting it.
+Status decode_partition(const std::string& file, ThreadPool* pool,
+                        SpillRecords* out) {
+  MappedFile map;
+  PartitionLayout layout;
+  Status s = map.open(file);
+  if (s.ok()) s = read_layout(map.bytes(), file, &layout);
+  if (!s.ok()) {
+    out->clear();
     return s;
   }
+  size_records(layout.records, layout.path_bytes, out);
+  out->path_offsets[layout.records] = layout.path_bytes;
 
-  std::size_t size() const { return records_.size(); }
-  std::uint64_t hash(std::size_t i) const {
-    return load_pod<std::uint64_t>(records_[i]);
+  // Where each block starts: its bytes, first record and first path byte.
+  struct BlockStart {
+    std::size_t byte = 0, record = 0, path = 0;
+  };
+  std::vector<BlockStart> starts(layout.blocks);
+  for (std::size_t k = 1; k < starts.size(); ++k) {
+    const BlockEntry e = layout.entry(k - 1);
+    const BlockStart& last = starts[k - 1];
+    starts[k] = {last.byte + e.bytes, last.record + e.records,
+                 last.path + e.path_bytes};
   }
-  std::uint32_t row(std::size_t i) const {
-    return load_pod<std::uint32_t>(records_[i] + kRowAt);
-  }
-  bool is_dir(std::size_t i) const { return records_[i][kKindAt] != 0; }
-  std::int64_t atime(std::size_t i) const {
-    return load_pod<std::int64_t>(records_[i] + kAtimeAt);
-  }
-  std::int64_t mtime(std::size_t i) const {
-    return load_pod<std::int64_t>(records_[i] + kMtimeAt);
-  }
-  std::int64_t ctime(std::size_t i) const {
-    return load_pod<std::int64_t>(records_[i] + kCtimeAt);
-  }
-  std::string_view path(std::size_t i) const {
-    return std::string_view(
-        reinterpret_cast<const char*>(records_[i]) + kRecordHeaderBytes,
-        load_pod<std::uint32_t>(records_[i] + kPathLengthAt));
-  }
-
- private:
-  Status frame(const std::string& file, ThreadPool* pool) {
-    const std::span<const std::uint8_t> bytes = map_.bytes();
-    if (bytes.size() < kTrailerBytes) {
-      return Status::truncated("spill partition " + file +
-                               ": shorter than its trailer");
+  std::vector<const char*> failures(layout.blocks, nullptr);
+  const std::span<const std::uint8_t> bytes = map.bytes();
+  parallel_for_chunked(
+      layout.blocks, 1,
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t k = begin; k < end; ++k) {
+          const BlockEntry e = layout.entry(k);
+          failures[k] = decode_block(bytes.subspan(starts[k].byte, e.bytes), e,
+                                     starts[k].record, starts[k].path, out);
+        }
+      },
+      pool);
+  for (std::size_t k = 0; k < failures.size(); ++k) {
+    if (failures[k] != nullptr) {
+      out->clear();
+      return corrupt(file, "block " + std::to_string(k) + ": " + failures[k]);
     }
-    const std::uint8_t* trailer = bytes.data() + bytes.size() - kTrailerBytes;
-    if (load_pod<std::uint64_t>(trailer) != kSpillMagic) {
-      return corrupt(file, "bad trailer magic");
-    }
-    const std::uint64_t count = load_pod<std::uint64_t>(trailer + 8);
-    const std::uint64_t payload = load_pod<std::uint64_t>(trailer + 16);
-    const std::uint64_t checksum = load_pod<std::uint64_t>(trailer + 24);
-    if (payload != bytes.size() - kTrailerBytes) {
-      return corrupt(file, "payload size disagrees with trailer");
-    }
-    // Every record carries at least its header, so the payload bounds the
-    // count. Checked before anything is sized from it: the trailer is not
-    // covered by the checksum.
-    if (count > payload / kRecordHeaderBytes) {
-      return corrupt(file, "record count exceeds what the payload holds");
-    }
-
-    records_.resize(count);
-    const std::uint8_t* p = bytes.data();
-    std::uint64_t remaining = payload;
-    for (std::uint64_t i = 0; i < count; ++i) {
-      if (remaining < kRecordHeaderBytes) {
-        return corrupt(file, "record header runs past the payload");
-      }
-      const std::uint64_t record_bytes =
-          kRecordHeaderBytes + load_pod<std::uint32_t>(p + kPathLengthAt);
-      if (remaining < record_bytes) {
-        return corrupt(file, "record path runs past the payload");
-      }
-      records_[i] = p;
-      p += record_bytes;
-      remaining -= record_bytes;
-    }
-    if (remaining != 0) {
-      return corrupt(file, "payload bytes left over after the last record");
-    }
-
-    hashes_.resize(count);
-    parallel_for_chunked(
-        count, kJoinGrain,
-        [this](std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) {
-            hashes_[i] =
-                record_hash(records_[i], kRecordHeaderBytes + path(i).size());
-          }
-        },
-        pool);
-    std::uint64_t chain = 0;
-    for (const std::uint64_t h : hashes_) chain = hash_combine(chain, h);
-    if (chain != checksum) return corrupt(file, "checksum mismatch");
-    return Status();
   }
-
-  MappedFile map_;
-  std::vector<const std::uint8_t*> records_;  // record starts, file order
-  std::vector<std::uint64_t> hashes_;         // per-record checksum terms
-};
+  return Status();
+}
 
 /// Loads one partition, retrying once through the side's regenerate hook
 /// when the file fails verification — the owning side can always re-derive
 /// a scratch partition from its original data.
 Status load_partition(const SpilledSide& side, std::size_t p, ThreadPool* pool,
-                      MappedPartition* out) {
-  Status s = out->open(side.files[p], pool);
+                      SpillRecords* out) {
+  Status s = decode_partition(side.files[p], pool, out);
   if (s.ok() || !side.regenerate) return s;
   const Status regen = side.regenerate(p);
   if (!regen.ok()) return regen;
-  return out->open(side.files[p], pool);
+  return decode_partition(side.files[p], pool, out);
 }
 
 /// One byte per row of each side. A row starts kAbsent; loading its
@@ -397,14 +535,14 @@ enum RowState : std::uint8_t {
   kRowStateCount,
 };
 
-/// Claims the row of every record of `part` in `state`. The checksum
-/// proves only that a record reads as it was written, so a row at or past
+/// Claims the row of every record of `part` in `state`. The checksums
+/// prove only that a record reads as it was written, so a row at or past
 /// the side's row count, or one claimed twice, is refused here before the
 /// probe writes anything at that row.
-Status claim_rows(const MappedPartition& part, const std::string& file,
+Status claim_rows(const SpillRecords& part, const std::string& file,
                   std::vector<std::uint8_t>& state) {
   for (std::size_t i = 0; i < part.size(); ++i) {
-    const std::uint32_t row = part.row(i);
+    const std::uint32_t row = part.rows[i];
     if (row >= state.size()) {
       return corrupt(file, "record row " + std::to_string(row) +
                                " outside the side's " +
@@ -413,19 +551,19 @@ Status claim_rows(const MappedPartition& part, const std::string& file,
     if (state[row] != kAbsent) {
       return corrupt(file, "row " + std::to_string(row) + " spilled twice");
     }
-    state[row] = part.is_dir(i) ? kDirRow : kFileRow;
+    state[row] = part.dir_flags[i] != 0 ? kDirRow : kFileRow;
   }
   return Status();
 }
 
 /// The state the probe writes for a current-side record matched to a
 /// previous-side one: the classification of engine/diff.cc's joins.
-std::uint8_t matched_state(const MappedPartition& prev, std::size_t pi,
-                           const MappedPartition& cur, std::size_t ci) {
-  const bool atime_same = cur.atime(ci) == prev.atime(pi);
-  const bool mtime_same = cur.mtime(ci) == prev.mtime(pi);
-  const bool ctime_same = cur.ctime(ci) == prev.ctime(pi);
-  if (cur.is_dir(ci)) {
+std::uint8_t matched_state(const SpillRecords& prev, std::size_t pi,
+                           const SpillRecords& cur, std::size_t ci) {
+  const bool atime_same = cur.atimes[ci] == prev.atimes[pi];
+  const bool mtime_same = cur.mtimes[ci] == prev.mtimes[pi];
+  const bool ctime_same = cur.ctimes[ci] == prev.ctimes[pi];
+  if (cur.dir_flags[ci] != 0) {
     return atime_same && mtime_same && ctime_same ? kSameDir : kChangedDir;
   }
   if (mtime_same && ctime_same) {
@@ -437,31 +575,7 @@ std::uint8_t matched_state(const MappedPartition& prev, std::size_t pi,
 }  // namespace
 
 Status read_spill_partition(const std::string& file, SpillRecords* out) {
-  out->clear();
-  MappedPartition part;
-  const Status s = part.open(file, nullptr);
-  if (!s.ok()) return s;
-  const std::size_t count = part.size();
-  out->hashes.reserve(count);
-  out->rows.reserve(count);
-  out->dir_flags.reserve(count);
-  out->atimes.reserve(count);
-  out->mtimes.reserve(count);
-  out->ctimes.reserve(count);
-  out->path_offsets.reserve(count + 1);
-  out->path_offsets.push_back(0);
-  for (std::size_t i = 0; i < count; ++i) {
-    out->hashes.push_back(part.hash(i));
-    out->rows.push_back(part.row(i));
-    out->dir_flags.push_back(part.is_dir(i) ? 1 : 0);
-    out->atimes.push_back(part.atime(i));
-    out->mtimes.push_back(part.mtime(i));
-    out->ctimes.push_back(part.ctime(i));
-    out->path_bytes.append(part.path(i));
-    out->path_offsets.push_back(
-        static_cast<std::uint32_t>(out->path_bytes.size()));
-  }
-  return Status();
+  return decode_partition(file, nullptr, out);
 }
 
 Status spill_diff_join(const SpilledSide& prev, const SpilledSide& cur,
@@ -477,8 +591,8 @@ Status spill_diff_join(const SpilledSide& prev, const SpilledSide& cur,
   out->has_prev_rows = options.prev_rows;
   out->has_dir_diff = options.dirs;
 
-  // Everything the join holds is sized here, on the calling thread; the
-  // pool's tasks only fill it.
+  // Everything the join holds is sized on the calling thread, here or in
+  // decode_partition; the pool's tasks only fill it.
   std::vector<std::uint8_t> prev_state(prev.file_rows + prev.dir_rows,
                                        kAbsent);
   std::vector<std::uint8_t> cur_state(cur.file_rows + cur.dir_rows, kAbsent);
@@ -490,7 +604,9 @@ Status spill_diff_join(const SpilledSide& prev, const SpilledSide& cur,
   // and the changed-directory pairs.
   std::vector<std::uint32_t> twin(
       options.prev_rows || options.dirs ? cur_state.size() : 0);
-  MappedPartition prev_part, cur_part;
+  // Each side's columns keep their capacity from one partition to the
+  // next, so they grow only for a partition larger than every earlier one.
+  SpillRecords prev_part, cur_part;
   PathIndex index;
 
   for (std::size_t p = 0; p < prev.files.size(); ++p) {
@@ -502,12 +618,12 @@ Status spill_diff_join(const SpilledSide& prev, const SpilledSide& cur,
 
     index.reset(prev_part.size());
     for (std::size_t j = 0; j < prev_part.size(); ++j) {
-      const bool is_dir = prev_part.is_dir(j);
-      if (is_dir && !options.dirs) continue;
+      const std::uint8_t is_dir = prev_part.dir_flags[j];
+      if (is_dir != 0 && !options.dirs) continue;
       const std::string_view path = prev_part.path(j);
-      index.insert(static_cast<std::uint32_t>(j), prev_part.hash(j),
+      index.insert(static_cast<std::uint32_t>(j), prev_part.hashes[j],
                    [&prev_part, is_dir, path](std::uint32_t other) {
-                     return prev_part.is_dir(other) == is_dir &&
+                     return prev_part.dir_flags[other] == is_dir &&
                             prev_part.path(other) == path;
                    });
     }
@@ -517,22 +633,23 @@ Status spill_diff_join(const SpilledSide& prev, const SpilledSide& cur,
         [&](std::size_t begin, std::size_t end) {
           for (std::size_t i = begin; i < end; ++i) {
             if (i + kProbePrefetchDistance < end) {
-              index.prefetch(cur_part.hash(i + kProbePrefetchDistance));
+              index.prefetch(cur_part.hashes[i + kProbePrefetchDistance]);
             }
-            const bool is_dir = cur_part.is_dir(i);
-            if (is_dir && !options.dirs) continue;
+            const std::uint8_t is_dir = cur_part.dir_flags[i];
+            if (is_dir != 0 && !options.dirs) continue;
             const std::string_view path = cur_part.path(i);
             const std::uint32_t j = index.find(
-                cur_part.hash(i), [&prev_part, is_dir, path](std::uint32_t k) {
-                  return prev_part.is_dir(k) == is_dir &&
+                cur_part.hashes[i],
+                [&prev_part, is_dir, path](std::uint32_t k) {
+                  return prev_part.dir_flags[k] == is_dir &&
                          prev_part.path(k) == path;
                 });
-            const std::uint32_t row = cur_part.row(i);
+            const std::uint32_t row = cur_part.rows[i];
             if (j == PathIndex::kNotFound) {
-              cur_state[row] = is_dir ? kNewDir : kNewFile;
+              cur_state[row] = is_dir != 0 ? kNewDir : kNewFile;
               continue;
             }
-            const std::uint32_t prev_row = prev_part.row(j);
+            const std::uint32_t prev_row = prev_part.rows[j];
             prev_matched[prev_row].store(1, std::memory_order_relaxed);
             if (!twin.empty()) twin[row] = prev_row;
             cur_state[row] = matched_state(prev_part, j, cur_part, i);

@@ -11,23 +11,46 @@
 //      three timestamps, path bytes) into 1<<bits partition files keyed by
 //      the TOP bits of the path hash — the same convention as
 //      RadixPartitions::partition_of, so a path lands in partition p on
-//      both sides and the join never crosses partition boundaries.
-//   2. spill_diff_join loads ONE partition pair at a time. It maps both
-//      files, frames their records serially, hashes the records on the
-//      pool and folds the checksum chain in record order. It indexes the
-//      previous side's records in PathIndex's slot layout (fingerprint in
-//      the slot, full path compare on a hit), then probes the current
-//      side's records on the pool. Each probe classifies on timestamp
-//      equality and writes the row's class into per-row arrays sized from
-//      each side's row count. Peak memory is one mapped partition pair,
-//      its index and a few bytes per row, never a whole week.
+//      both sides and the join never crosses partition boundaries. Records
+//      are front-coded in blocks (layout below).
+//   2. spill_diff_join loads ONE partition pair at a time. It maps each
+//      file, checks its trailer and block directory, sizes the side's
+//      columns from the directory on the calling thread (they keep their
+//      capacity from one partition to the next), and decodes the blocks on
+//      the pool. It indexes the previous side's records in PathIndex's
+//      slot layout (fingerprint in the slot, full path compare on a hit),
+//      then probes the current side's records on the pool. Each probe
+//      classifies on timestamp equality and writes the row's class into
+//      per-row arrays sized from each side's row count. Peak memory is one
+//      decoded partition pair, its index and a few bytes per row, never a
+//      whole week.
 //   3. One sweep over the per-row arrays then emits every class list
 //      already ascending by row — the hash join's row-order contract — so
 //      the result is bit-identical to diff_snapshots (the spill tests
 //      compare the two) with nothing left to sort.
 //
-// Partition files are temp files, not atomically-written artifacts, so
-// every file carries a trailer with a record count and a running checksum.
+// A partition file is a run of blocks, then a block directory, then a
+// fixed trailer; every integer is little-endian:
+//
+//   record   path hash (8 bytes, as given to add())
+//            row: zig-zag varint delta from the previous record's row
+//            varint (shared prefix length << 1 | is_dir)
+//            varint suffix length, then the suffix bytes
+//            mtime: zig-zag varint delta from the previous record's mtime
+//            atime, ctime: zig-zag varint deltas from this record's mtime
+//   block    up to 4,096 records; a block also ends once it holds 256 KiB.
+//            Coding restarts in each block (empty previous path, row and
+//            mtime 0), so blocks decode independently, and their bounds
+//            follow the partition's record count alone: a rewrite of the
+//            same rows is byte-identical however add() calls were grouped.
+//   entry    per block: records, bytes, decoded path bytes, and the block
+//            bytes' hash_bytes checksum (4 x u64)
+//   trailer  magic "SPL0002\0", block count, record count, payload bytes,
+//            and the directory's hash_bytes checksum (5 x u64)
+//
+// Partition files are temp files, not atomically-written artifacts. A
+// reader checks every trailer field and the directory before it sizes
+// anything, then each block against its checksum and its directory entry.
 // A reader that finds a damaged partition asks the owning side to
 // regenerate it (the side that spilled the data can always re-derive it —
 // re-scan the resident table or re-decode the week's row groups) and
@@ -70,10 +93,11 @@ struct SpilledSide {
 
 /// Streams one snapshot's diff-relevant columns into partition files.
 /// Feed rows in ascending row order (whole table or group-at-a-time);
-/// finish() seals every file with its trailer. The writer buffers a few
-/// hundred KiB per partition and appends through plain file descriptors —
-/// these are scratch files, recreated on demand, so the atomic-rename
-/// discipline of write_file_atomic would buy nothing.
+/// finish() seals every file with its directory and trailer. The writer
+/// holds one open block per partition and writes each block as it seals,
+/// through plain file descriptors — these are scratch files, recreated on
+/// demand, so the atomic-rename discipline of write_file_atomic would buy
+/// nothing.
 class SpillPartitionWriter {
  public:
   struct Options {
@@ -100,8 +124,8 @@ class SpillPartitionWriter {
   /// Appends every row of `table`, numbering them base..base+size.
   Status add_table(const SnapshotTable& table, std::size_t base = 0);
 
-  /// Flushes buffers, writes each file's trailer, and closes. The writer
-  /// cannot accept rows afterwards.
+  /// Seals each partition's open block, writes its directory and trailer,
+  /// and closes. The writer cannot accept rows afterwards.
   Status finish();
 
   /// Best-effort cleanup: closes and unlinks every partition file.
@@ -116,15 +140,27 @@ class SpillPartitionWriter {
   const std::vector<std::string>& files() const { return files_; }
 
  private:
-  Status flush(std::size_t p);
+  /// One partition file's open block, its coding state and the directory
+  /// of the blocks already written.
+  struct Partition {
+    int fd = -1;
+    std::vector<std::uint8_t> block;  // capacity; `used` bytes are coded
+    std::size_t used = 0;
+    std::uint64_t block_records = 0;
+    std::uint64_t block_path_bytes = 0;
+    std::uint32_t prev_row = 0;
+    std::int64_t prev_mtime = 0;
+    std::string prev_path;
+    std::vector<std::uint8_t> directory;  // sealed blocks' entries
+    std::uint64_t records = 0;  // in sealed blocks
+    std::uint64_t payload = 0;  // bytes of sealed blocks
+  };
+
+  Status seal_block(std::size_t p);
 
   std::uint32_t bits_ = 0;
   std::vector<std::string> files_;
-  std::vector<int> fds_;
-  std::vector<std::vector<std::uint8_t>> buffers_;
-  std::vector<std::uint64_t> counts_;       // records per partition
-  std::vector<std::uint64_t> bytes_;        // payload bytes per partition
-  std::vector<std::uint64_t> checksums_;    // running record-hash chains
+  std::vector<Partition> parts_;
   std::uint64_t file_rows_ = 0;
   std::uint64_t dir_rows_ = 0;
   bool finished_ = false;
@@ -139,7 +175,7 @@ struct SpillRecords {
   std::vector<std::int64_t> atimes;
   std::vector<std::int64_t> mtimes;
   std::vector<std::int64_t> ctimes;
-  std::vector<std::uint32_t> path_offsets;  // size()+1 entries
+  std::vector<std::uint64_t> path_offsets;  // size()+1 entries
   std::string path_bytes;
 
   std::size_t size() const { return hashes.size(); }
@@ -150,10 +186,10 @@ struct SpillRecords {
   void clear();
 };
 
-/// Reads and verifies one partition file. kCorruption on checksum or
-/// framing damage — including a trailer record count the payload cannot
-/// hold, caught before anything is sized from it — and kTruncated when
-/// the trailer is cut short; both name the file.
+/// Reads and verifies one partition file. kCorruption on a damaged
+/// trailer, directory or block — every trailer field is checked before
+/// anything is sized from it — and kTruncated when the file is shorter
+/// than its trailer; both name the file.
 Status read_spill_partition(const std::string& file, SpillRecords* out);
 
 /// Joins two spilled sides partition-pair-at-a-time into the same
@@ -162,10 +198,10 @@ Status read_spill_partition(const std::string& file, SpillRecords* out);
 /// directory extras when `options` asks for them. Both sides must have
 /// been spilled with the same `bits`, and their rows numbered
 /// 0..file_rows+dir_rows-1; a record outside that range fails the join
-/// with kCorruption. Records are verified and probed on `pool` (null =
-/// process-global); every allocation happens on the calling thread. A
-/// damaged partition is regenerated through its side's hook and re-read
-/// once; a second failure (or a null hook) fails the join.
+/// with kCorruption. Blocks are verified and decoded, and records probed,
+/// on `pool` (null = process-global); every allocation happens on the
+/// calling thread. A damaged partition is regenerated through its side's
+/// hook and re-read once; a second failure (or a null hook) fails the join.
 Status spill_diff_join(const SpilledSide& prev, const SpilledSide& cur,
                        const DiffOptions& options, DiffResult* out,
                        ThreadPool* pool = nullptr);

@@ -67,21 +67,6 @@ std::uint64_t payload_checksum(std::span<const std::uint8_t> payload) {
       reinterpret_cast<const char*>(payload.data()), payload.size()));
 }
 
-std::size_t shared_prefix(std::string_view a, std::string_view b) {
-  const std::size_t n = std::min(a.size(), b.size());
-  std::size_t i = 0;
-  while (i < n && a[i] == b[i]) ++i;
-  return i;
-}
-
-/// Signed addition through unsigned arithmetic: corrupt delta payloads can
-/// produce arbitrary operands, and plain `a + b` on int64 would be UB on
-/// overflow (the sanitizer suite runs decode against random damage).
-std::int64_t wrapping_add(std::int64_t a, std::int64_t b) {
-  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
-                                   static_cast<std::uint64_t>(b));
-}
-
 // ---- column encoders ------------------------------------------------------
 // Every encoder covers rows [begin, end) and starts from fresh state
 // (empty front-coding prefix, zero delta base, new run), which is what

@@ -1,5 +1,7 @@
 // LEB128 varints and zig-zag transforms — the primitive integer encodings
-// of the .scol columnar format. Header-only; hot in the codec loops.
+// of the .scol columnar format and of spill partitions — plus the
+// wrapping delta arithmetic and shared-prefix search that both codecs'
+// delta and front coders use. Header-only; hot in the codec loops.
 //
 // Bulk decode (get_varints / zigzag_decode_bulk) carries an AVX2 kernel
 // behind runtime dispatch: snapshot columns are dominated by one-byte
@@ -11,10 +13,12 @@
 // property suite enforces on random, corrupt, and truncated streams.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -30,6 +34,18 @@ inline void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
     v >>= 7;
   }
   out.push_back(static_cast<std::uint8_t>(v));
+}
+
+/// Writes `v` as a varint at `out`, which must have room for 10 bytes, and
+/// returns the byte after it: for encoders that reserve a record's worst
+/// case up front and write through a pointer.
+inline std::uint8_t* put_varint_at(std::uint8_t* out, std::uint64_t v) {
+  while (v >= 0x80) {
+    *out++ = static_cast<std::uint8_t>(v) | 0x80;
+    v >>= 7;
+  }
+  *out++ = static_cast<std::uint8_t>(v);
+  return out;
 }
 
 /// Decodes a varint at `pos`, advancing it. Returns false on truncated or
@@ -57,6 +73,44 @@ inline constexpr std::uint64_t zigzag_encode(std::int64_t v) {
 inline constexpr std::int64_t zigzag_decode(std::uint64_t v) {
   return static_cast<std::int64_t>(v >> 1) ^
          -static_cast<std::int64_t>(v & 1);
+}
+
+/// Signed addition through unsigned arithmetic, for applying decoded
+/// deltas: corrupt payloads can produce arbitrary operands, and plain
+/// `a + b` on int64 would be UB on overflow (the sanitizer suites decode
+/// random damage).
+inline constexpr std::int64_t wrapping_add(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                   static_cast<std::uint64_t>(b));
+}
+
+/// Signed subtraction through unsigned arithmetic, so that the delta of
+/// two arbitrary values wraps instead of overflowing; wrapping_add undoes
+/// it.
+inline constexpr std::int64_t wrapping_sub(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) -
+                                   static_cast<std::uint64_t>(b));
+}
+
+/// Length of the common prefix of `a` and `b`, compared a word at a time:
+/// the front coders' step for each path.
+inline std::size_t shared_prefix(std::string_view a, std::string_view b) {
+  const std::size_t n = std::min(a.size(), b.size());
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    std::uint64_t wa = 0, wb = 0;
+    std::memcpy(&wa, a.data() + i, sizeof(wa));
+    std::memcpy(&wb, b.data() + i, sizeof(wb));
+    const std::uint64_t diff = wa ^ wb;
+    if (diff != 0) {
+      const int same_bits = std::endian::native == std::endian::little
+                                ? std::countr_zero(diff)
+                                : std::countl_zero(diff);
+      return i + static_cast<std::size_t>(same_bits / 8);
+    }
+  }
+  while (i < n && a[i] == b[i]) ++i;
+  return i;
 }
 
 inline void put_zigzag(std::vector<std::uint8_t>& out, std::int64_t v) {

@@ -46,8 +46,9 @@ constexpr ColumnMask kFirstSeenColumns = kColMaskPaths | kColMaskMode;
 /// when deciding resident vs out-of-core under StudyOptions::memory_budget.
 constexpr std::size_t kResidentBytesPerRow = 160;
 
-/// Rough spilled bytes per row (41-byte record header + average path),
-/// sizing the spill fan-out so a loaded partition pair stays well inside
+/// Rough bytes per row of a loaded spill partition: about 45 B of decoded
+/// columns plus the path, and the mapped file while its blocks decode.
+/// It sizes the spill fan-out so a loaded partition pair stays well inside
 /// the budget's slice.
 constexpr std::size_t kSpillBytesPerRow = 96;
 

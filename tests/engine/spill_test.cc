@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "engine/diff.h"
+#include "util/hash.h"
 #include "util/io.h"
 #include "util/parallel.h"
 #include "util/prng.h"
@@ -16,6 +19,12 @@ namespace spider {
 namespace {
 
 namespace fs = std::filesystem;
+
+// A partition's decoded paths pass 4 GiB at paper scale (a 1 B-row week on
+// a 16 GiB budget spills ~31 M rows of ~164 B paths into each of its 32
+// partitions), so the offsets into them must be 64-bit.
+static_assert(std::is_same_v<decltype(SpillRecords::path_offsets)::value_type,
+                             std::uint64_t>);
 
 class TempDir {
  public:
@@ -137,12 +146,46 @@ SpilledSide spill_rehashed(const SnapshotTable& table, const std::string& dir,
   return writer.side();
 }
 
+/// Bytes of a partition file's fixed trailer and of one block directory
+/// entry (engine/spill.h documents the layout).
+constexpr std::size_t kTrailerBytes = 40;
+constexpr std::size_t kEntryBytes = 32;
+
+std::uint64_t load_u64_at(const std::vector<std::uint8_t>& bytes,
+                          std::size_t at) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, bytes.data() + at, sizeof(v));
+  return v;
+}
+
+/// A partition file's layout, read from its trailer and directory.
+struct FileLayout {
+  std::uint64_t blocks = 0;
+  std::uint64_t payload = 0;
+  std::vector<std::uint64_t> block_starts;  // blocks + 1 offsets
+};
+
+FileLayout file_layout(const std::vector<std::uint8_t>& bytes) {
+  FileLayout layout;
+  const std::size_t trailer = bytes.size() - kTrailerBytes;
+  layout.blocks = load_u64_at(bytes, trailer + 8);
+  layout.payload = load_u64_at(bytes, trailer + 24);
+  layout.block_starts.push_back(0);
+  for (std::size_t k = 0; k < layout.blocks; ++k) {
+    layout.block_starts.push_back(
+        layout.block_starts.back() +
+        load_u64_at(bytes, layout.payload + k * kEntryBytes + 8));
+  }
+  return layout;
+}
+
 /// Flips one payload byte of `file`, leaving the trailer intact so only
 /// the checksum catches it.
 void corrupt_payload_byte(const std::string& file) {
   std::vector<std::uint8_t> bytes;
   ASSERT_TRUE(read_file(file, &bytes).ok());
-  ASSERT_GT(bytes.size(), 33u) << "need a non-empty payload to corrupt";
+  ASSERT_GT(bytes.size(), kTrailerBytes + kEntryBytes + 1)
+      << "need a non-empty payload to corrupt";
   bytes[bytes.size() / 2] ^= 0xff;
   ASSERT_TRUE(write_file_atomic(
                   file, std::span<const std::uint8_t>(bytes.data(),
@@ -326,12 +369,18 @@ TEST(SpillBitsForTest, ScalesWithDataAndClamps) {
 }
 
 TEST(SpillWriterTest, GroupAtATimeMatchesWholeTableSpill) {
+  // Group sizes that are not multiples of the 4,096-record block, so every
+  // partition's second block starts inside a group. The runner's
+  // regenerate hooks rewrite a side group by group and rely on the rewrite
+  // being byte-identical, so block bounds must follow each partition's
+  // record count, not the add_table calls.
   SnapshotTable whole;
-  std::vector<SnapshotTable> groups(3);
+  std::vector<SnapshotTable> groups(4);
+  const int group_rows[] = {5000, 3001, 4500, 2777};
   Rng rng(77);
   std::size_t row = 0;
   for (std::size_t g = 0; g < groups.size(); ++g) {
-    for (int i = 0; i < 500; ++i, ++row) {
+    for (int i = 0; i < group_rows[g]; ++i, ++row) {
       const std::string path = "/lustre/atlas2/p/u/g" + std::to_string(row);
       const std::int64_t stamp =
           static_cast<std::int64_t>(1000 + rng.uniform_u64(1000));
@@ -343,13 +392,13 @@ TEST(SpillWriterTest, GroupAtATimeMatchesWholeTableSpill) {
   }
 
   TempDir dir("spider_spill_groups");
-  const SpilledSide whole_side = spill_table(whole, dir.path(), "whole", 2);
+  const SpilledSide whole_side = spill_table(whole, dir.path(), "whole", 1);
 
   SpillPartitionWriter writer;
   SpillPartitionWriter::Options options;
   options.dir = dir.path();
   options.stem = "grouped";
-  options.bits = 2;
+  options.bits = 1;
   ASSERT_TRUE(writer.open(options).ok());
   std::size_t base = 0;
   for (const SnapshotTable& group : groups) {
@@ -362,6 +411,13 @@ TEST(SpillWriterTest, GroupAtATimeMatchesWholeTableSpill) {
   EXPECT_EQ(whole_side.file_rows, grouped_side.file_rows);
   EXPECT_EQ(whole_side.dir_rows, grouped_side.dir_rows);
   for (std::size_t p = 0; p < whole_side.files.size(); ++p) {
+    std::vector<std::uint8_t> whole_bytes, grouped_bytes;
+    ASSERT_TRUE(read_file(whole_side.files[p], &whole_bytes).ok());
+    ASSERT_TRUE(read_file(grouped_side.files[p], &grouped_bytes).ok());
+    EXPECT_GE(file_layout(whole_bytes).blocks, 2u)
+        << "each partition should restart its coding at least once";
+    EXPECT_EQ(whole_bytes, grouped_bytes) << "partition " << p;
+
     SpillRecords a, b;
     ASSERT_TRUE(read_spill_partition(whole_side.files[p], &a).ok());
     ASSERT_TRUE(read_spill_partition(grouped_side.files[p], &b).ok());
@@ -372,6 +428,38 @@ TEST(SpillWriterTest, GroupAtATimeMatchesWholeTableSpill) {
     EXPECT_EQ(a.mtimes, b.mtimes);
     EXPECT_EQ(a.ctimes, b.ctimes);
     EXPECT_EQ(a.path_bytes, b.path_bytes);
+  }
+}
+
+TEST(SpillWriterTest, LongPathsEndABlockAtItsByteBound) {
+  // 300 records of ~1 KiB paths that share only their first byte: the
+  // block reaches 256 KiB long before 4,096 records, so the coding must
+  // restart there, and the partition must still read back as written.
+  SnapshotTable table;
+  Rng rng(91);
+  for (int i = 0; i < 300; ++i) {
+    std::string path = "/";
+    for (int c = 0; c < 1024; ++c) {
+      path.push_back(static_cast<char>('a' + rng.uniform_u64(26)));
+    }
+    table.add(file_record(path, 10 + i, 20 - i, 1'500'000'000 + 7 * i));
+  }
+  TempDir dir("spider_spill_long_paths");
+  const SpilledSide side = spill_table(table, dir.path(), "long", 0);
+  std::vector<std::uint8_t> bytes;
+  ASSERT_TRUE(read_file(side.files[0], &bytes).ok());
+  EXPECT_EQ(file_layout(bytes).blocks, 2u);
+
+  SpillRecords records;
+  ASSERT_TRUE(read_spill_partition(side.files[0], &records).ok());
+  ASSERT_EQ(records.size(), table.size());
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    EXPECT_EQ(records.hashes[i], table.path_hash(i));
+    EXPECT_EQ(records.rows[i], i);
+    EXPECT_EQ(records.path(i), table.path(i));
+    EXPECT_EQ(records.atimes[i], table.atime(i));
+    EXPECT_EQ(records.mtimes[i], table.mtime(i));
+    EXPECT_EQ(records.ctimes[i], table.ctime(i));
   }
 }
 
@@ -443,13 +531,40 @@ TEST(SpillFaultTest, RegenerateThatLeavesDamageFailsAfterOneRetry) {
   EXPECT_EQ(calls, 1u) << "exactly one regenerate attempt, then give up";
 }
 
+/// Writes `damaged` over `victim`, then checks that reading it fails with
+/// a Status naming the file and that the join heals it through the
+/// regenerate hook with exactly one call.
+void expect_damage_heals(const std::string& victim,
+                         const std::vector<std::uint8_t>& damaged,
+                         const SpilledSide& prev_side,
+                         const SpilledSide& cur_side,
+                         const DiffOptions& options, const DiffResult& want,
+                         std::size_t& regenerated, ThreadPool& pool) {
+  ASSERT_TRUE(
+      write_file_atomic(victim, std::span<const std::uint8_t>(damaged)).ok());
+  SpillRecords records;
+  Status s;
+  EXPECT_NO_THROW(s = read_spill_partition(victim, &records));
+  EXPECT_FALSE(s.ok());
+  EXPECT_NE(s.to_string().find(victim), std::string::npos) << s.to_string();
+
+  regenerated = 0;
+  DiffResult got;
+  EXPECT_NO_THROW(
+      s = spill_diff_join(prev_side, cur_side, options, &got, &pool));
+  ASSERT_TRUE(s.ok()) << s.to_string();
+  EXPECT_EQ(regenerated, 1u);
+  expect_diff_equal(want, got);
+}
+
 TEST(SpillFaultTest, TrailerBitFlipsFailThePartitionAndRegenerate) {
-  // The trailer is not covered by the checksum, so each of its fields
-  // (magic, record count, payload size, checksum) must be checked before
-  // anything trusts it — above all the count, which sizes the reader's
-  // arrays. Every single-bit flip must come back as a Status naming the
-  // file, never as an exception, and the join must heal it through the
-  // regenerate hook.
+  // The fixed trailer is covered by no checksum, so each of its fields
+  // (magic, block count, record count, payload size, directory checksum)
+  // must be checked before anything trusts it — above all the counts,
+  // which size the reader's columns. A directory entry is covered by the
+  // directory checksum. Every single-bit flip of either must come back as
+  // a Status naming the file, never as an exception, and the join must
+  // heal it through the regenerate hook.
   SnapshotTable prev, cur;
   make_week_pair(44, &prev, &cur, 1500);
   DiffOptions options;
@@ -464,7 +579,8 @@ TEST(SpillFaultTest, TrailerBitFlipsFailThePartitionAndRegenerate) {
   const std::string victim = prev_side.files[0];
   std::vector<std::uint8_t> clean;
   ASSERT_TRUE(read_file(victim, &clean).ok());
-  ASSERT_GT(clean.size(), 32u);
+  const FileLayout layout = file_layout(clean);
+  ASSERT_GE(layout.blocks, 1u);
   std::size_t regenerated = 0;
   prev_side.regenerate = [&](std::size_t p) {
     EXPECT_EQ(p, 0u);
@@ -472,34 +588,154 @@ TEST(SpillFaultTest, TrailerBitFlipsFailThePartitionAndRegenerate) {
     return write_file_atomic(victim, std::span<const std::uint8_t>(clean));
   };
 
-  const char* const fields[] = {"magic", "count", "payload", "checksum"};
+  struct Field {
+    const char* name;
+    std::size_t at;
+  };
+  const std::size_t trailer = clean.size() - kTrailerBytes;
+  const std::size_t entry = layout.payload;  // the first directory entry
+  const Field fields[] = {
+      {"magic", trailer},
+      {"block count", trailer + 8},
+      {"record count", trailer + 16},
+      {"payload", trailer + 24},
+      {"directory checksum", trailer + 32},
+      {"entry records", entry},
+      {"entry bytes", entry + 8},
+      {"entry path bytes", entry + 16},
+      {"entry checksum", entry + 24},
+  };
   ThreadPool pool(2);
-  for (std::size_t field = 0; field < 4; ++field) {
+  for (const Field& field : fields) {
     for (std::size_t bit = 0; bit < 64; ++bit) {
-      SCOPED_TRACE(std::string(fields[field]) + " bit " +
-                   std::to_string(bit));
+      SCOPED_TRACE(std::string(field.name) + " bit " + std::to_string(bit));
       std::vector<std::uint8_t> damaged = clean;
-      damaged[clean.size() - 32 + field * 8 + bit / 8] ^=
-          static_cast<std::uint8_t>(1u << (bit % 8));
-      ASSERT_TRUE(
-          write_file_atomic(victim, std::span<const std::uint8_t>(damaged))
-              .ok());
-
-      SpillRecords records;
-      Status s;
-      EXPECT_NO_THROW(s = read_spill_partition(victim, &records));
-      EXPECT_FALSE(s.ok());
-      EXPECT_NE(s.to_string().find(victim), std::string::npos)
-          << s.to_string();
-
-      regenerated = 0;
-      DiffResult got;
-      EXPECT_NO_THROW(
-          s = spill_diff_join(prev_side, cur_side, options, &got, &pool));
-      ASSERT_TRUE(s.ok()) << s.to_string();
-      EXPECT_EQ(regenerated, 1u);
-      expect_diff_equal(want, got);
+      damaged[field.at + bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      expect_damage_heals(victim, damaged, prev_side, cur_side, options, want,
+                          regenerated, pool);
     }
+  }
+}
+
+TEST(SpillFaultTest, BlockDamageAndBlockBoundaryCutsRegenerate) {
+  // One partition of at least three blocks. A byte flipped inside any
+  // block fails that block's checksum; a file cut at any block boundary
+  // (down to an empty file) has lost its trailer. Each case must fail the
+  // partition with a Status naming the file, never throw, and heal
+  // through the regenerate hook.
+  SnapshotTable prev, cur;
+  make_week_pair(45, &prev, &cur, 12000);
+  DiffOptions options;
+  options.prev_rows = true;
+  options.dirs = true;
+  const DiffResult want = diff_snapshots(prev, cur, /*pool=*/nullptr,
+                                         /*breakdown=*/nullptr, options);
+
+  TempDir dir("spider_spill_block_sweep");
+  SpilledSide prev_side = spill_table(prev, dir.path(), "prev", 0);
+  const SpilledSide cur_side = spill_table(cur, dir.path(), "cur", 0);
+  const std::string victim = prev_side.files[0];
+  std::vector<std::uint8_t> clean;
+  ASSERT_TRUE(read_file(victim, &clean).ok());
+  const FileLayout layout = file_layout(clean);
+  ASSERT_GE(layout.blocks, 3u);
+  std::size_t regenerated = 0;
+  prev_side.regenerate = [&](std::size_t p) {
+    EXPECT_EQ(p, 0u);
+    ++regenerated;
+    return write_file_atomic(victim, std::span<const std::uint8_t>(clean));
+  };
+
+  ThreadPool pool(4);
+  for (std::size_t k = 0; k < layout.blocks; ++k) {
+    SCOPED_TRACE("byte flipped in block " + std::to_string(k));
+    std::vector<std::uint8_t> damaged = clean;
+    damaged[(layout.block_starts[k] + layout.block_starts[k + 1]) / 2] ^= 0x20;
+    expect_damage_heals(victim, damaged, prev_side, cur_side, options, want,
+                        regenerated, pool);
+  }
+  for (const std::uint64_t cut : layout.block_starts) {
+    SCOPED_TRACE("file cut at byte " + std::to_string(cut));
+    const std::vector<std::uint8_t> damaged(
+        clean.begin(), clean.begin() + static_cast<std::ptrdiff_t>(cut));
+    expect_damage_heals(victim, damaged, prev_side, cur_side, options, want,
+                        regenerated, pool);
+  }
+}
+
+/// Recomputes every block checksum into its directory entry, then the
+/// directory checksum into the trailer: damage made this way passes every
+/// checksum, so only the reader's record checks can catch it.
+void reseal(std::vector<std::uint8_t>& bytes) {
+  const FileLayout layout = file_layout(bytes);
+  const auto store = [&bytes](std::size_t at, std::uint64_t v) {
+    std::memcpy(bytes.data() + at, &v, sizeof(v));
+  };
+  for (std::size_t k = 0; k < layout.blocks; ++k) {
+    const std::size_t begin = layout.block_starts[k];
+    store(layout.payload + k * kEntryBytes + 24,
+          hash_bytes(std::string_view(
+              reinterpret_cast<const char*>(bytes.data() + begin),
+              layout.block_starts[k + 1] - begin)));
+  }
+  store(bytes.size() - kTrailerBytes + 32,
+        hash_bytes(std::string_view(
+            reinterpret_cast<const char*>(bytes.data() + layout.payload),
+            layout.blocks * kEntryBytes)));
+}
+
+TEST(SpillReaderTest, RecordsAreCheckedBehindTheChecksums) {
+  // A block that passes its checksum is still walked as the .scol path
+  // walk is: a shared prefix longer than the previous path, a suffix past
+  // the block, or paths that disagree with the directory entry must each
+  // fail the partition, naming the file, without reading out of bounds.
+  // The one record codes as hash(8), row(1), prefix and kind(1), suffix
+  // length(1), then the suffix.
+  SnapshotTable table;
+  table.add(file_record("/lustre/atlas2/p/u/a", 1, 1, 1));
+  TempDir dir("spider_spill_record_checks");
+  const SpilledSide side = spill_table(table, dir.path(), "one", 0);
+  std::vector<std::uint8_t> clean;
+  ASSERT_TRUE(read_file(side.files[0], &clean).ok());
+  ASSERT_EQ(file_layout(clean).blocks, 1u);
+  ASSERT_EQ(clean[9], 0u) << "prefix 0, kind file";
+  ASSERT_EQ(clean[10], table.path(0).size());
+
+  // Each case sets one byte, and the directory's path bytes to `paths`;
+  // the first keeps the path total consistent, so that only the shared
+  // length is wrong.
+  struct Case {
+    const char* name;
+    std::size_t at;
+    std::uint8_t value;
+    std::uint8_t paths;
+  };
+  const std::size_t paths_at = file_layout(clean).payload + 16;
+  const std::uint8_t paths = clean[paths_at];
+  const Case cases[] = {
+      {"shared prefix past the previous path", 9, 2,
+       static_cast<std::uint8_t>(paths + 1)},
+      {"suffix past the block", 10, 0x7f, paths},
+      {"directory path bytes one short", 0, clean[0],
+       static_cast<std::uint8_t>(paths - 1)},
+      {"directory path bytes one over", 0, clean[0],
+       static_cast<std::uint8_t>(paths + 1)},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::vector<std::uint8_t> damaged = clean;
+    damaged[c.at] = c.value;
+    damaged[paths_at] = c.paths;
+    reseal(damaged);
+    ASSERT_TRUE(write_file_atomic(side.files[0],
+                                  std::span<const std::uint8_t>(damaged))
+                    .ok());
+    SpillRecords records;
+    Status s;
+    EXPECT_NO_THROW(s = read_spill_partition(side.files[0], &records));
+    EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.to_string();
+    EXPECT_NE(s.to_string().find(side.files[0]), std::string::npos);
+    EXPECT_EQ(records.size(), 0u);
   }
 }
 
@@ -541,6 +777,32 @@ TEST(SpillJoinTest, EmptySidesJoinCleanly) {
   EXPECT_TRUE(got.deleted_rows.empty());
   EXPECT_EQ(got.prev_files, 0u);
   EXPECT_EQ(got.cur_files, 0u);
+}
+
+TEST(SpillReaderTest, PartitionOfEmptyPathsReadsBack) {
+  // No record has a path byte, so the decoded path column stays empty.
+  TempDir dir("spider_spill_empty_paths");
+  SpillPartitionWriter writer;
+  SpillPartitionWriter::Options options;
+  options.dir = dir.path();
+  options.stem = "w";
+  ASSERT_TRUE(writer.open(options).ok());
+  for (std::uint32_t row = 0; row < 3; ++row) {
+    ASSERT_TRUE(writer.add(row + 1, row, row == 1, 10, 20 + row, 30, "").ok());
+  }
+  ASSERT_TRUE(writer.finish().ok());
+  SpillRecords records;
+  ASSERT_TRUE(read_spill_partition(writer.files()[0], &records).ok());
+  ASSERT_EQ(records.size(), 3u);
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(records.hashes[i], i + 1);
+    EXPECT_EQ(records.rows[i], i);
+    EXPECT_EQ(records.dir_flags[i], i == 1 ? 1 : 0);
+    EXPECT_EQ(records.atimes[i], 10);
+    EXPECT_EQ(records.mtimes[i], 20 + i);
+    EXPECT_EQ(records.ctimes[i], 30);
+    EXPECT_TRUE(records.path(i).empty());
+  }
 }
 
 TEST(SpillJoinTest, MismatchedFanOutIsRejected) {
