@@ -52,7 +52,7 @@ cmake --build build-asan -j"${JOBS}" --target \
     snapshot_scol_stream_test snapshot_decode_parity_test \
     snapshot_psv_test snapshot_psv_fuzz_test \
     snapshot_series_test util_io_test util_retry_test util_status_test \
-    util_parallel_test util_serialize_test engine_agg_test \
+    util_parallel_test util_serialize_test util_misc_test engine_agg_test \
     engine_flat_map_test engine_spill_test study_analyzers_test \
     study_runner_test synth_infer_test study_streaming_test \
     study_checkpoint_test
@@ -65,15 +65,19 @@ cmake --build build-asan -j"${JOBS}" --target \
 # which append straight into a checkpoint image; engine_spill_test flips
 # every bit of a spill partition's trailer and of a directory entry,
 # damages and cuts each block of a partition, and re-checksums damaged
-# records, so the reader's checks meet hostile bytes.
+# records, so the reader's checks meet hostile bytes; util_misc_test
+# hashes every length up to 200 at each alignment with hash_path, whose
+# unaligned word loads end exactly at the string's last byte and whose
+# 128-bit products are shifted and folded, so a read past the end or a bad
+# shift is reported here.
 for t in snapshot_fault_injection_test snapshot_scol_test \
          snapshot_scol_v2_test snapshot_scol_stream_test \
          snapshot_decode_parity_test snapshot_psv_test \
          snapshot_psv_fuzz_test snapshot_series_test util_io_test \
          util_retry_test util_status_test util_parallel_test \
-         util_serialize_test engine_agg_test engine_flat_map_test \
-         engine_spill_test study_analyzers_test study_runner_test \
-         synth_infer_test; do
+         util_serialize_test util_misc_test engine_agg_test \
+         engine_flat_map_test engine_spill_test study_analyzers_test \
+         study_runner_test synth_infer_test; do
   echo "--> ${t} (sanitized)"
   ./build-asan/tests/"${t}"
 done

@@ -11,10 +11,12 @@
 // key policy has no default, so every declaration states what its keys
 // are:
 //
-//   * IdentityKeyMix — for keys that are already well-mixed (path hashes,
-//     hash_bytes output). Slot selection uses the low bits directly, so
-//     the top bits stay free for radix partitioning (engine/partition.h)
-//     without correlation between the two.
+//   * IdentityKeyMix — for keys that are already well-mixed: path hashes
+//     (hash_path output, the table's path_hash column and census's parent
+//     hashes). Slot selection uses the low bits directly, so the top bits
+//     stay free for radix partitioning (engine/partition.h) without
+//     correlation between the two; util_misc_test checks hash_path's
+//     balance in both.
 //   * FingerprintKeyMix — for raw ids (gids, packed user pairs) whose low
 //     bits are dense or structured; mix64 avalanches them first. Under
 //     identity placement every packed (user << 32 | project) key of one

@@ -158,6 +158,7 @@ Status SpillPartitionWriter::seal_block(std::size_t p) {
   }
   part.records += part.block_records;
   part.payload += part.used;
+  part.path_bytes += part.block_path_bytes;
   part.used = 0;
   part.block_records = 0;
   part.block_path_bytes = 0;
@@ -250,6 +251,8 @@ Status SpillPartitionWriter::finish() {
     }
     ::close(part.fd);
     part.fd = -1;
+    largest_records_ = std::max(largest_records_, part.records);
+    largest_path_bytes_ = std::max(largest_path_bytes_, part.path_bytes);
     part = Partition{};
   }
   finished_ = true;
@@ -272,7 +275,20 @@ SpilledSide SpillPartitionWriter::side() const {
   side.files = files_;
   side.file_rows = file_rows_;
   side.dir_rows = dir_rows_;
+  side.largest_records = largest_records_;
+  side.largest_path_bytes = largest_path_bytes_;
   return side;
+}
+
+void SpillRecords::reserve(std::size_t records, std::size_t path_bytes) {
+  hashes.reserve(records);
+  rows.reserve(records);
+  dir_flags.reserve(records);
+  atimes.reserve(records);
+  mtimes.reserve(records);
+  ctimes.reserve(records);
+  path_offsets.reserve(records + 1);
+  this->path_bytes.reserve(path_bytes);
 }
 
 void SpillRecords::clear() {
@@ -604,9 +620,15 @@ Status spill_diff_join(const SpilledSide& prev, const SpilledSide& cur,
   // and the changed-directory pairs.
   std::vector<std::uint32_t> twin(
       options.prev_rows || options.dirs ? cur_state.size() : 0);
-  // Each side's columns keep their capacity from one partition to the
-  // next, so they grow only for a partition larger than every earlier one.
+  // Each side's columns are sized once, for its largest partition, and
+  // keep that capacity from one partition to the next. Growing them as a
+  // larger partition arrives instead would double path_bytes' capacity
+  // and leave the freed block in the heap. The maxima are only a hint:
+  // decode_partition still sizes each partition from its checked
+  // directory, and grows the columns if a file claims more.
   SpillRecords prev_part, cur_part;
+  prev_part.reserve(prev.largest_records, prev.largest_path_bytes);
+  cur_part.reserve(cur.largest_records, cur.largest_path_bytes);
   PathIndex index;
 
   for (std::size_t p = 0; p < prev.files.size(); ++p) {

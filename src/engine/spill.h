@@ -13,13 +13,15 @@
 //      RadixPartitions::partition_of, so a path lands in partition p on
 //      both sides and the join never crosses partition boundaries. Records
 //      are front-coded in blocks (layout below).
-//   2. spill_diff_join loads ONE partition pair at a time. It maps each
-//      file, checks its trailer and block directory, sizes the side's
-//      columns from the directory on the calling thread (they keep their
-//      capacity from one partition to the next), and decodes the blocks on
-//      the pool. It indexes the previous side's records in PathIndex's
-//      slot layout (fingerprint in the slot, full path compare on a hit),
-//      then probes the current side's records on the pool. Each probe
+//   2. spill_diff_join reserves each side's columns once, for the side's
+//      largest partition (SpilledSide::largest_records and
+//      largest_path_bytes), then loads ONE partition pair at a time. It
+//      maps each file, checks its trailer and block directory, sizes the
+//      side's columns from the directory on the calling thread (within
+//      the reserved capacity), and decodes the blocks on the pool. It
+//      indexes the previous side's records in PathIndex's slot layout
+//      (fingerprint in the slot, full path compare on a hit), then
+//      probes the current side's records on the pool. Each probe
 //      classifies on timestamp equality and writes the row's class into
 //      per-row arrays sized from each side's row count. Peak memory is one
 //      decoded partition pair, its index and a few bytes per row, never a
@@ -86,6 +88,12 @@ struct SpilledSide {
   std::vector<std::string> files;  // size 1 << bits
   std::uint64_t file_rows = 0;     // non-directory records across partitions
   std::uint64_t dir_rows = 0;
+  /// The most records, and the most decoded path bytes, that any one
+  /// partition holds (the two maxima may come from different partitions).
+  /// The join sizes its columns from them once; they are a capacity hint
+  /// only, and every size it decodes still comes from the file.
+  std::uint64_t largest_records = 0;
+  std::uint64_t largest_path_bytes = 0;
   /// Rewrites files[p] from the original data. Null = no recovery; a
   /// checksum failure is then immediately fatal.
   std::function<Status(std::size_t p)> regenerate;
@@ -152,8 +160,9 @@ class SpillPartitionWriter {
     std::int64_t prev_mtime = 0;
     std::string prev_path;
     std::vector<std::uint8_t> directory;  // sealed blocks' entries
-    std::uint64_t records = 0;  // in sealed blocks
-    std::uint64_t payload = 0;  // bytes of sealed blocks
+    std::uint64_t records = 0;     // in sealed blocks
+    std::uint64_t payload = 0;     // bytes of sealed blocks
+    std::uint64_t path_bytes = 0;  // decoded path bytes of sealed blocks
   };
 
   Status seal_block(std::size_t p);
@@ -163,6 +172,8 @@ class SpillPartitionWriter {
   std::vector<Partition> parts_;
   std::uint64_t file_rows_ = 0;
   std::uint64_t dir_rows_ = 0;
+  std::uint64_t largest_records_ = 0;     // over the sealed partitions
+  std::uint64_t largest_path_bytes_ = 0;  // over the sealed partitions
   bool finished_ = false;
 };
 
@@ -183,6 +194,8 @@ struct SpillRecords {
     return std::string_view(path_bytes)
         .substr(path_offsets[i], path_offsets[i + 1] - path_offsets[i]);
   }
+  /// Capacity for `records` records and `path_bytes` path bytes.
+  void reserve(std::size_t records, std::size_t path_bytes);
   void clear();
 };
 

@@ -401,7 +401,7 @@ void rebuild_stretch(const ColumnBlock& col, const PathPlan& plan,
                     : prev_depth - component_starts(prev, shared, prev_len) +
                           component_starts(dst, shared, n);
     out.paths[i] = std::string_view(dst, n);
-    out.hashes[i] = hash_bytes(out.paths[i]);
+    out.hashes[i] = hash_path(out.paths[i]);
     out.depths[i] = static_cast<std::uint16_t>(std::min<std::size_t>(
         depth, std::numeric_limits<std::uint16_t>::max()));
     prev = dst;

@@ -18,7 +18,7 @@ std::uint32_t SnapshotTable::add(std::string_view path, std::int64_t atime,
   const std::uint32_t row = static_cast<std::uint32_t>(size());
   const std::string_view stored = arena_.intern(path);
   paths_.push_back(stored);
-  path_hash_.push_back(hash_bytes(stored));
+  path_hash_.push_back(hash_path(stored));
   depth_.push_back(static_cast<std::uint16_t>(
       std::min<std::size_t>(path_depth(stored),
                             std::numeric_limits<std::uint16_t>::max())));
@@ -112,7 +112,7 @@ void SnapshotTable::BulkAppend::commit() {
   const std::size_t end = first_ + rows_;
   // A column the decoder left alone reads back as add() would store an
   // empty path with zero fields.
-  t.path_hash_.resize(end, hash_bytes({}));
+  t.path_hash_.resize(end, hash_path({}));
   t.for_each_row_column([end](auto& column) { column.resize(end); });
   t.ost_offsets_.resize(end + 1,
                         static_cast<std::uint32_t>(t.ost_values_.size()));

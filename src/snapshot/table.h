@@ -5,9 +5,11 @@
 // touch a few columns at a time (timestamps for access patterns, paths for
 // depth/extension, OST lists for striping), so column-contiguous storage
 // keeps scans cache-friendly. Paths live in a StringArena; OST lists are
-// CSR-packed (offsets + values). Path hashes and depths are precomputed on
-// append because the diff join and the depth analyses both need them for
-// every row. Rows arrive one at a time through add() (PSV ingest, the
+// CSR-packed (offsets + values). Path hashes (hash_path, util/hash.h) and
+// depths are precomputed on append because the diff join, the first-seen
+// map, census and the depth analyses all need them for every row; any
+// hash compared against the path_hash column must come from hash_path
+// too. Rows arrive one at a time through add() (PSV ingest, the
 // generator) or a whole decoded row group at a time through BulkAppend.
 #pragma once
 

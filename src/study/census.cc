@@ -61,7 +61,7 @@ void CensusAnalyzer::observe_chunk(ScanChunkState* state,
   chunk->parent_hashes.reserve(m.end - m.begin);
   for (std::size_t i = m.begin; i < m.end; ++i) {
     const std::size_t r = m.local(i);
-    chunk->parent_hashes.push_back(hash_bytes(path_parent(table.path(r))));
+    chunk->parent_hashes.push_back(hash_path(path_parent(table.path(r))));
     if (table.is_dir(r)) chunk->dir_hashes.push_back(table.path_hash(r));
   }
 
@@ -184,13 +184,13 @@ void CensusAnalyzer::apply_delta(const WeekObservation&,
   // no live children. Updated/changed rows keep their paths, so only
   // created and deleted rows move the counts.
   for (const std::uint32_t row : delta.added_rows) {
-    ++parent_live_.slot(hash_bytes(path_parent(cur.path(row))));
+    ++parent_live_.slot(hash_path(path_parent(cur.path(row))));
   }
   for (const std::uint32_t row : diff.deleted_rows) {
-    --parent_live_.slot(hash_bytes(path_parent(prev.path(row))));
+    --parent_live_.slot(hash_path(path_parent(prev.path(row))));
   }
   for (const std::uint32_t row : diff.deleted_dir_rows) {
-    --parent_live_.slot(hash_bytes(path_parent(prev.path(row))));
+    --parent_live_.slot(hash_path(path_parent(prev.path(row))));
   }
   for (const std::uint32_t row : diff.new_dir_rows) {
     ++dirs_live_.slot(cur.path_hash(row));

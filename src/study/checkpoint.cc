@@ -180,8 +180,11 @@ Status check_magic(std::span<const std::uint8_t> bytes) {
 
 std::uint64_t checkpoint_hash_probe() {
   // Any fixed string works; what matters is that the value moves whenever
-  // util/hash.h's algorithm or seed does.
-  return hash_bytes("spider-checkpoint-hash-probe");
+  // either of util/hash.h's string hashes does: hash_bytes checks the
+  // sections and fingerprints the tables, and the runner's first-seen map
+  // and census's live maps are keyed by hash_path.
+  constexpr std::string_view kProbe = "spider-checkpoint-hash-probe";
+  return hash_combine(hash_bytes(kProbe), hash_path(kProbe));
 }
 
 std::uint64_t table_fingerprint(const SnapshotTable& table,

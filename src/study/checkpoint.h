@@ -84,12 +84,13 @@ struct StudyCheckpoint {
   std::vector<AnalyzerCheckpoint> analyzers;  // roster order
 };
 
-/// Fingerprint of a fixed probe string under the project hash. Stored in
-/// every checkpoint and compared on load: analyzer blobs are full of
-/// hash-keyed layouts (flat maps, dictionaries, path-hash sets), so a
+/// Fingerprint of a fixed probe string under both of util/hash.h's string
+/// hashes (hash_bytes and hash_path). Stored in every checkpoint and
+/// compared on load: analyzer blobs and the first-seen map are full of
+/// hash-keyed layouts (flat maps, dictionaries, path-hash maps), so a
 /// checkpoint written under a different hash function — a changed seed or
-/// algorithm in util/hash.h — must re-baseline rather than resume onto
-/// incompatible probe sequences.
+/// algorithm of either — must re-baseline rather than resume onto
+/// incompatible keys.
 std::uint64_t checkpoint_hash_probe();
 
 /// Order-sensitive content hash of the table's decoded columns, limited

@@ -96,7 +96,7 @@ SnapshotPair collision_pair(std::uint64_t seed) {
   std::vector<std::string> cluster;
   for (std::size_t i = 0; i < 150'000 && cluster.size() < 400; ++i) {
     std::string path = "/lustre/atlas2/c/f" + std::to_string(i);
-    const auto top = static_cast<std::uint16_t>(hash_bytes(path) >> 48);
+    const auto top = static_cast<std::uint16_t>(hash_path(path) >> 48);
     auto& bucket = buckets[top];
     bucket.push_back(std::move(path));
     if (bucket.size() >= 3) {
@@ -116,6 +116,14 @@ SnapshotPair collision_pair(std::uint64_t seed) {
     if (roll < 0.4) pair.cur.add(file_record(cluster[i], t + 9, t, t));
     else if (roll < 0.6) pair.cur.add(file_record(cluster[i], t, t + 9, t + 9));
     else pair.cur.add(file_record(cluster[i], t, t, t));
+  }
+  // The cluster is what this profile tests: each three consecutive rows
+  // share the top 16 bits of the hash the table stores and the joins key
+  // on.
+  for (std::size_t i = 0; i + 2 < cluster.size(); i += 3) {
+    const std::uint64_t top = pair.prev.path_hash(i) >> 48;
+    EXPECT_EQ(pair.prev.path_hash(i + 1) >> 48, top) << cluster[i];
+    EXPECT_EQ(pair.prev.path_hash(i + 2) >> 48, top) << cluster[i];
   }
   // A few filler rows so the tables aren't purely the pathological cluster.
   for (std::size_t i = 0; i < 500; ++i) {

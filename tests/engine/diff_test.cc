@@ -37,17 +37,17 @@ TEST(PathIndexTest, LookupHitsAndMisses) {
 
   const PathIndex all(t, /*files_only=*/false);
   EXPECT_EQ(all.size(), 3u);
-  EXPECT_EQ(all.lookup(hash_bytes("/lustre/atlas2/p/u/a"),
+  EXPECT_EQ(all.lookup(hash_path("/lustre/atlas2/p/u/a"),
                        "/lustre/atlas2/p/u/a"),
             0u);
-  EXPECT_EQ(all.lookup(hash_bytes("/lustre/atlas2/p/u"),
+  EXPECT_EQ(all.lookup(hash_path("/lustre/atlas2/p/u"),
                        "/lustre/atlas2/p/u"),
             1u);
-  EXPECT_EQ(all.lookup(hash_bytes("/nope"), "/nope"), PathIndex::kNotFound);
+  EXPECT_EQ(all.lookup(hash_path("/nope"), "/nope"), PathIndex::kNotFound);
 
   const PathIndex files(t, /*files_only=*/true);
   EXPECT_EQ(files.size(), 2u);
-  EXPECT_EQ(files.lookup(hash_bytes("/lustre/atlas2/p/u"),
+  EXPECT_EQ(files.lookup(hash_path("/lustre/atlas2/p/u"),
                          "/lustre/atlas2/p/u"),
             PathIndex::kNotFound);
 }
@@ -67,7 +67,7 @@ TEST(PathIndexTest, ManyRows) {
   const PathIndex index(t);
   for (int i = 0; i < 20000; i += 97) {
     const std::string path = "/lustre/atlas2/p/u/f" + std::to_string(i);
-    ASSERT_EQ(index.lookup(hash_bytes(path), path),
+    ASSERT_EQ(index.lookup(hash_path(path), path),
               static_cast<std::uint32_t>(i));
   }
 }

@@ -146,7 +146,7 @@ TEST(PartitionedPathIndexTest, LookupHitsMissesAndDirs) {
   EXPECT_EQ(index.file_rows()[0], 0u);
   EXPECT_EQ(index.file_rows()[1], 2u);
 
-  const std::uint32_t a = index.lookup(t, hash_bytes("/lustre/atlas2/p/u/a"),
+  const std::uint32_t a = index.lookup(t, hash_path("/lustre/atlas2/p/u/a"),
                                        "/lustre/atlas2/p/u/a");
   ASSERT_NE(a, PartitionedPathIndex::kNotFound);
   EXPECT_EQ(index.row_of(a), 0u);
@@ -154,16 +154,16 @@ TEST(PartitionedPathIndexTest, LookupHitsMissesAndDirs) {
   EXPECT_EQ(index.payload(a).ctime, 12);
   EXPECT_EQ(index.payload(a).mtime, 13);
 
-  const std::uint32_t b = index.lookup(t, hash_bytes("/lustre/atlas2/p/u/b"),
+  const std::uint32_t b = index.lookup(t, hash_path("/lustre/atlas2/p/u/b"),
                                        "/lustre/atlas2/p/u/b");
   ASSERT_NE(b, PartitionedPathIndex::kNotFound);
   EXPECT_EQ(index.row_of(b), 2u);
 
   // The directory is not indexed; a probe for it misses.
-  EXPECT_EQ(index.lookup(t, hash_bytes("/lustre/atlas2/p/u"),
+  EXPECT_EQ(index.lookup(t, hash_path("/lustre/atlas2/p/u"),
                          "/lustre/atlas2/p/u"),
             PartitionedPathIndex::kNotFound);
-  EXPECT_EQ(index.lookup(t, hash_bytes("/nope"), "/nope"),
+  EXPECT_EQ(index.lookup(t, hash_path("/nope"), "/nope"),
             PartitionedPathIndex::kNotFound);
 }
 
@@ -182,12 +182,12 @@ TEST(PartitionedPathIndexTest, CollidingHashNeverReturnsWrongRow) {
   t.add(file_record("/lustre/atlas2/p/u/a", 1, 1, 1));
   t.add(file_record("/lustre/atlas2/p/u/b", 2, 2, 2));
   const PartitionedPathIndex index(t);
-  EXPECT_EQ(index.lookup(t, hash_bytes("/lustre/atlas2/p/u/a"), "/other"),
+  EXPECT_EQ(index.lookup(t, hash_path("/lustre/atlas2/p/u/a"), "/other"),
             PartitionedPathIndex::kNotFound);
-  EXPECT_EQ(index.lookup(t, hash_bytes("/lustre/atlas2/p/u/a"),
+  EXPECT_EQ(index.lookup(t, hash_path("/lustre/atlas2/p/u/a"),
                          "/lustre/atlas2/p/u/b"),
             PartitionedPathIndex::kNotFound);
-  const std::uint32_t b = index.lookup(t, hash_bytes("/lustre/atlas2/p/u/b"),
+  const std::uint32_t b = index.lookup(t, hash_path("/lustre/atlas2/p/u/b"),
                                        "/lustre/atlas2/p/u/b");
   ASSERT_NE(b, PartitionedPathIndex::kNotFound);
   EXPECT_EQ(index.row_of(b), 1u);
@@ -199,7 +199,7 @@ TEST(PartitionedPathIndexTest, DuplicatePathKeepsFirstRow) {
   t.add(file_record("/lustre/atlas2/p/u/same", 2, 2, 2));
   const PartitionedPathIndex index(t);
   EXPECT_EQ(index.size(), 2u);  // both rows listed in file_rows...
-  const std::uint32_t e = index.lookup(t, hash_bytes("/lustre/atlas2/p/u/same"),
+  const std::uint32_t e = index.lookup(t, hash_path("/lustre/atlas2/p/u/same"),
                                        "/lustre/atlas2/p/u/same");
   ASSERT_NE(e, PartitionedPathIndex::kNotFound);
   EXPECT_EQ(index.row_of(e), 0u);  // ...but the first row wins
@@ -231,7 +231,7 @@ TEST(PartitionedPathIndexTest, MatchesPathIndexOnLargeTable) {
     const std::string path = i < t.size()
                                  ? std::string(t.path(i))
                                  : "/lustre/ghost/f" + std::to_string(i);
-    const std::uint64_t h = hash_bytes(path);
+    const std::uint64_t h = hash_path(path);
     const std::uint32_t ordinal = partitioned.lookup(t, h, path);
     const std::uint32_t row = flat.lookup(h, path);
     if (row == PathIndex::kNotFound) {

@@ -258,6 +258,94 @@ TEST_P(SpillJoinParity, MatchesWithoutExtras) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SpillJoinParity,
                          ::testing::Values(21, 22, 23, 24));
 
+/// Reads every partition of `side` back: the last must hold strictly the
+/// most records and path bytes, and the side must report those maxima.
+void expect_last_partition_largest(const SpilledSide& side,
+                                   const std::string& what) {
+  std::vector<std::size_t> records, path_bytes;
+  for (const std::string& file : side.files) {
+    SpillRecords part;
+    ASSERT_TRUE(read_spill_partition(file, &part).ok()) << file;
+    records.push_back(part.size());
+    path_bytes.push_back(part.path_bytes.size());
+  }
+  for (std::size_t p = 0; p + 1 < records.size(); ++p) {
+    EXPECT_LT(records[p], records.back()) << what << " partition " << p;
+    EXPECT_LT(path_bytes[p], path_bytes.back()) << what << " partition " << p;
+  }
+  EXPECT_EQ(side.largest_records, records.back()) << what;
+  EXPECT_EQ(side.largest_path_bytes, path_bytes.back()) << what;
+}
+
+TEST(SpillJoinTest, LastPartitionLargestOnBothSidesSizesColumnsOnce) {
+  // Keep every row of partition 3 (the top two hash bits set) and about a
+  // quarter of the others', so the join meets its largest partition last
+  // on both sides: the columns it reserved up front must hold it.
+  constexpr std::uint32_t kBits = 2;
+  const auto keep = [](std::uint64_t hash) {
+    return (hash >> 62) == 3 || (hash & 3) == 0;
+  };
+  SnapshotTable all_prev, all_cur, prev, cur;
+  make_week_pair(71, &all_prev, &all_cur, 20000);
+  for (std::size_t i = 0; i < all_prev.size(); ++i) {
+    if (keep(all_prev.path_hash(i))) prev.add(all_prev.row(i));
+  }
+  for (std::size_t i = 0; i < all_cur.size(); ++i) {
+    if (keep(all_cur.path_hash(i))) cur.add(all_cur.row(i));
+  }
+
+  TempDir dir("spider_spill_last_largest");
+  SpilledSide prev_side = spill_table(prev, dir.path(), "prev", kBits);
+  const SpilledSide cur_side = spill_table(cur, dir.path(), "cur", kBits);
+  expect_last_partition_largest(prev_side, "prev");
+  expect_last_partition_largest(cur_side, "cur");
+
+  // Reserved from the side's maxima, the columns hold every partition
+  // without a reallocation.
+  SpillRecords part;
+  part.reserve(prev_side.largest_records, prev_side.largest_path_bytes);
+  const std::size_t record_capacity = part.hashes.capacity();
+  const std::size_t path_capacity = part.path_bytes.capacity();
+  for (const std::string& file : prev_side.files) {
+    ASSERT_TRUE(read_spill_partition(file, &part).ok());
+    EXPECT_EQ(part.hashes.capacity(), record_capacity) << file;
+    EXPECT_EQ(part.path_offsets.capacity(), record_capacity + 1) << file;
+    EXPECT_EQ(part.path_bytes.capacity(), path_capacity) << file;
+  }
+
+  DiffOptions options;
+  options.prev_rows = true;
+  options.dirs = true;
+  const DiffResult want = diff_snapshots(prev, cur, /*pool=*/nullptr,
+                                         /*breakdown=*/nullptr, options);
+  ThreadPool one(1), hw(0);
+  for (ThreadPool* pool : {&one, &hw}) {
+    DiffResult got;
+    ASSERT_TRUE(
+        spill_diff_join(prev_side, cur_side, options, &got, pool).ok());
+    expect_diff_equal(want, got);
+  }
+
+  // A regenerated side is a fresh spill of the same rows: it reports the
+  // same maxima, and the join still matches.
+  corrupt_payload_byte(prev_side.files.back());
+  std::size_t regenerated = 0;
+  SpilledSide rewritten;
+  const std::string path = dir.path();
+  prev_side.regenerate = [&](std::size_t) {
+    ++regenerated;
+    rewritten = spill_table(prev, path, "prev", kBits);
+    return Status();
+  };
+  DiffResult got;
+  ASSERT_TRUE(spill_diff_join(prev_side, cur_side, options, &got).ok());
+  EXPECT_EQ(regenerated, 1u);
+  expect_diff_equal(want, got);
+  expect_last_partition_largest(rewritten, "regenerated prev");
+  EXPECT_EQ(rewritten.largest_records, prev_side.largest_records);
+  EXPECT_EQ(rewritten.largest_path_bytes, prev_side.largest_path_bytes);
+}
+
 TEST(SpillJoinTest, ForcedTinyBudgetSpillsEveryPartition) {
   // A one-byte partition budget forces the maximum fan-out: every one of
   // the 256 partitions is a real spill file, and the join must still be

@@ -6,7 +6,8 @@
 // the cases here put stretch cuts inside deep directory chains, cut shared
 // prefixes mid-component and at runs of slashes, and push depth past its
 // 16-bit cap. Every column is compared, with the path bytes, path_hash,
-// depth and file_count.
+// depth and file_count, and both tables must hold hash_path of each
+// row's path in path_hash.
 #include <algorithm>
 #include <cstdint>
 #include <string>
@@ -155,7 +156,9 @@ void expect_same_table(const SnapshotTable& want, const SnapshotTable& got,
         want.ctime(i) == got.ctime(i) && want.mtime(i) == got.mtime(i) &&
         want.uid(i) == got.uid(i) && want.gid(i) == got.gid(i) &&
         want.mode(i) == got.mode(i) && want.inode(i) == got.inode(i) &&
-        std::ranges::equal(want.osts(i), got.osts(i));
+        std::ranges::equal(want.osts(i), got.osts(i)) &&
+        want.path_hash(i) == hash_path(want.path(i)) &&
+        got.path_hash(i) == hash_path(got.path(i));
     if (!same && bad++ < 3) ADD_FAILURE() << what << ": row " << i;
   }
   EXPECT_EQ(bad, 0u) << what;

@@ -58,10 +58,20 @@ TEST(SnapshotTableTest, OstListsAreCsrPacked) {
   EXPECT_EQ(t.osts(2)[1007], 1007u);
 }
 
-TEST(SnapshotTableTest, PathHashMatchesHashBytes) {
+TEST(SnapshotTableTest, PathHashMatchesHashPath) {
   SnapshotTable t;
   t.add(make_record("/lustre/atlas2/p/u/f", 5));
-  EXPECT_EQ(t.path_hash(0), hash_bytes("/lustre/atlas2/p/u/f"));
+  EXPECT_EQ(t.path_hash(0), hash_path("/lustre/atlas2/p/u/f"));
+  // Every length hash_path branches on: empty, under 4, 4-16, the 16-byte
+  // steps and the 48-byte stripes.
+  std::string path;
+  for (int n = 0; n <= 200; ++n) {
+    t.add(make_record(path, n));
+    path += static_cast<char>('a' + n % 26);
+  }
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    ASSERT_EQ(t.path_hash(i), hash_path(t.path(i))) << i;
+  }
 }
 
 TEST(SnapshotTableTest, RowRoundTrip) {
@@ -111,7 +121,7 @@ TEST(SnapshotTableTest, AppendTableSplicesInOrder) {
   EXPECT_EQ(dest.path(0), "/lustre/atlas2/p1/u1");
   EXPECT_EQ(dest.path(2), "/lustre/atlas2/p2/u2/b.dat");
   EXPECT_EQ(dest.path(3), "/lustre/atlas2/p2/u2/c.dat");
-  EXPECT_EQ(dest.path_hash(3), hash_bytes("/lustre/atlas2/p2/u2/c.dat"));
+  EXPECT_EQ(dest.path_hash(3), hash_path("/lustre/atlas2/p2/u2/c.dat"));
   EXPECT_EQ(dest.depth(3), 5);
   EXPECT_EQ(dest.mtime(2), 300);
   // CSR OST lists rebased onto the destination's offsets.

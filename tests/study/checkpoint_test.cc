@@ -703,6 +703,52 @@ TEST(CheckpointResumeTest, VersionSkewRebaselines) {
   fs::remove(ckpt);
 }
 
+// The runner's first-seen map and census's live maps are keyed by
+// hash_path. A checkpoint written when the probe covered hash_bytes alone
+// (before hash_path keyed the paths) holds keys of another function, so it
+// must re-baseline as hash-function drift rather than resume and count
+// every path as first seen.
+TEST(CheckpointResumeTest, PreviousHashProbeIsHashFunctionDrift) {
+  const SeriesFixture& fx = fixture();
+  const std::string ckpt = temp_ckpt("spider_ckpt_hash_drift.sckpt");
+  fs::remove(ckpt);
+  (void)run_delta(fx.dir.path(), *fx.resolver, 2, true, ckpt);
+  std::vector<std::uint8_t> bytes;
+  ASSERT_TRUE(read_file(ckpt, &bytes).ok());
+  StudyCheckpoint decoded;
+  ASSERT_TRUE(decode_checkpoint(bytes, &decoded).ok());
+  ASSERT_EQ(decoded.hash_probe, checkpoint_hash_probe());
+
+  // The same image, re-encoded with the current probe, resumes: only the
+  // probe differs below.
+  std::vector<std::uint8_t> reencoded;
+  ASSERT_TRUE(encode_checkpoint(decoded, &reencoded).ok());
+  ASSERT_TRUE(
+      write_file_atomic(ckpt, std::span<const std::uint8_t>(reencoded)).ok());
+  const DeltaRun control =
+      run_delta(fx.dir.path(), *fx.resolver, 2, true, ckpt);
+  EXPECT_TRUE(control.report.resumed) << control.report.rebaseline_reason;
+  EXPECT_EQ(control.bundle, fx.reference);
+
+  // The probe every checkpoint carried before it covered hash_path.
+  const std::uint64_t previous_probe =
+      hash_bytes("spider-checkpoint-hash-probe");
+  ASSERT_NE(previous_probe, checkpoint_hash_probe());
+  decoded.hash_probe = previous_probe;
+  ASSERT_TRUE(encode_checkpoint(decoded, &reencoded).ok());
+  ASSERT_TRUE(
+      write_file_atomic(ckpt, std::span<const std::uint8_t>(reencoded)).ok());
+  ASSERT_TRUE(inspect_checkpoint_bytes(reencoded).ok);
+
+  const DeltaRun run = run_delta(fx.dir.path(), *fx.resolver, 2, true, ckpt);
+  EXPECT_FALSE(run.report.resumed);
+  EXPECT_NE(run.report.rebaseline_reason.find("hash-function drift"),
+            std::string::npos)
+      << run.report.rebaseline_reason;
+  EXPECT_EQ(run.bundle, fx.reference);
+  fs::remove(ckpt);
+}
+
 // A checkpoint from a different analyzer roster does not line up with the
 // running study; it must re-baseline with the reason naming the mismatch.
 TEST(CheckpointResumeTest, RosterMismatchRebaselines) {

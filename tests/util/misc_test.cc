@@ -84,28 +84,110 @@ TEST(HashTest, DeterministicAndSpread) {
   EXPECT_NE(h1, hash_bytes("/lustre/atlas2/cli101/u1/run/out.nc", 12345));
 }
 
+/// `n` bytes of printable text that never repeats a short period, so each
+/// of hash_path's read patterns sees distinct words.
+std::string hash_probe(std::size_t n) {
+  std::string s;
+  for (std::size_t i = 0; i < n; ++i) {
+    s += static_cast<char>('!' + (i * 7 + i / 3) % 94);
+  }
+  return s;
+}
+
+// Known answers pin both functions. hash_bytes is part of the .scol,
+// .sckpt and spill formats, so a change to it makes files on disk read as
+// corrupt. hash_path keys every in-memory path table; a change to it must
+// move checkpoint_hash_probe (checkpoint_test holds that side). The lengths
+// cover each of hash_path's branches and their edges: empty, under 4,
+// 4-16 bytes, the 16-byte steps and the 48-byte stripes.
+TEST(HashTest, KnownAnswers) {
+  struct Answer {
+    std::size_t length;
+    std::uint64_t path;
+    std::uint64_t bytes;
+  };
+  const Answer answers[] = {
+      {0, 0x93228a4de0eec5a2ULL, 0x48218226ff3cd4bfULL},
+      {1, 0xe869f72d45e8bde9ULL, 0x8e406b17a56d46d9ULL},
+      {3, 0x9b85d5e6d0787476ULL, 0xffdde292d0a24f3dULL},
+      {4, 0xcf1201b50af81a1dULL, 0x7b6f41d3d31b0a55ULL},
+      {8, 0x4f7b8beaf5e9af10ULL, 0x0035142b021b97f4ULL},
+      {15, 0xe84ec61a70ca1f99ULL, 0xc3d6737da73a53d1ULL},
+      {16, 0x3c5817b579c5e765ULL, 0x78bb5cf284b380f1ULL},
+      {17, 0x15a19c1c222c6df2ULL, 0xef0408e3359b9d1eULL},
+      {47, 0xef56e11b896a35e3ULL, 0xd60056e98d1aa83aULL},
+      {48, 0xfccce9e668bfa9adULL, 0x797675252e92070cULL},
+      {49, 0x11f48672c4751f99ULL, 0xb2692ef9f3fad3d2ULL},
+      {96, 0x04484e5623e3f904ULL, 0x7c941477e127bab2ULL},
+      {97, 0x5b5a9f75c1a70aa4ULL, 0x3e6b257797afd7d4ULL},
+      {200, 0x13cc29ffae3b3850ULL, 0x51ef9c256427ce0dULL},
+  };
+  for (const Answer& a : answers) {
+    const std::string s = hash_probe(a.length);
+    EXPECT_EQ(hash_path(s), a.path) << "hash_path, length " << a.length;
+    EXPECT_EQ(hash_bytes(s), a.bytes) << "hash_bytes, length " << a.length;
+  }
+}
+
+// hash_path reads unaligned words at every offset: it must depend on the
+// bytes alone, and every byte of the string must reach the result. Each
+// copy ends its allocation, so a read past the string's last byte is an
+// overflow that the ASan build reports.
+TEST(HashTest, PathHashReadsEveryByteAtAnyAlignment) {
+  const std::string base = hash_probe(200);
+  for (std::size_t n = 0; n <= base.size(); ++n) {
+    const std::string s = base.substr(0, n);
+    const std::uint64_t h = hash_path(s);
+    for (std::size_t shift = 0; shift < 8; ++shift) {
+      const auto copy = std::make_unique<char[]>(shift + n);
+      std::memcpy(copy.get() + shift, s.data(), n);
+      ASSERT_EQ(hash_path(std::string_view(copy.get() + shift, n)), h) << n;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      std::string flipped = s;
+      flipped[i] = static_cast<char>(flipped[i] ^ 0x01);
+      ASSERT_NE(hash_path(flipped), h) << "length " << n << ", byte " << i;
+    }
+  }
+}
+
 TEST(HashTest, NoTrivialCollisionsOnPathFamily) {
   std::set<std::uint64_t> seen;
+  // hash_path's slot bits (low 16, as IdentityKeyMix uses them) and
+  // partition bits (top 16, as radix and spill partitions use them) must
+  // not collapse either.
+  std::set<std::uint64_t> low, top;
   for (int p = 0; p < 100; ++p) {
     for (int f = 0; f < 100; ++f) {
       const std::string path = "/lustre/atlas2/p" + std::to_string(p) +
                                "/u/checkpoint." + std::to_string(f);
-      seen.insert(hash_bytes(path));
+      const std::uint64_t h = hash_path(path);
+      seen.insert(h);
+      low.insert(h & 0xffff);
+      top.insert(h >> 48);
     }
   }
   EXPECT_EQ(seen.size(), 10000u);
+  // 10,000 keys over 65,536 values: about 9,300 distinct on average.
+  EXPECT_GT(low.size(), 9000u);
+  EXPECT_GT(top.size(), 9000u);
 }
 
 TEST(HashTest, ShardDistributionIsBalanced) {
   constexpr int kShards = 16;
-  int counts[kShards] = {};
+  int low[kShards] = {};  // IdentityKeyMix's slot bits
+  int top[kShards] = {};  // radix and spill partition bits
   for (int i = 0; i < 16000; ++i) {
     const std::string s = "/proj/file." + std::to_string(i);
-    ++counts[hash_bytes(s) % kShards];
+    const std::uint64_t h = hash_path(s);
+    ++low[h % kShards];
+    ++top[h >> 60];
   }
-  for (int c : counts) {
-    EXPECT_GT(c, 800);
-    EXPECT_LT(c, 1200);
+  for (int k = 0; k < kShards; ++k) {
+    EXPECT_GT(low[k], 800) << "low bits, shard " << k;
+    EXPECT_LT(low[k], 1200) << "low bits, shard " << k;
+    EXPECT_GT(top[k], 800) << "top bits, shard " << k;
+    EXPECT_LT(top[k], 1200) << "top bits, shard " << k;
   }
 }
 
