@@ -134,29 +134,6 @@ void BM_ScolDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_ScolDecode);
 
-void BM_PathIndexBuild(benchmark::State& state) {
-  const SnapshotTable& t = fixture_table();
-  for (auto _ : state) {
-    PathIndex index(t, /*files_only=*/true);
-    benchmark::DoNotOptimize(index.size());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(t.size()));
-}
-BENCHMARK(BM_PathIndexBuild);
-
-void BM_DiffHashJoin(benchmark::State& state) {
-  const SnapshotTable& prev = fixture_table();
-  const SnapshotTable& cur = mutated_table();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(diff_snapshots(prev, cur));
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(prev.size() + cur.size()));
-}
-BENCHMARK(BM_DiffHashJoin);
-
 void BM_PartitionedIndexBuild(benchmark::State& state) {
   const SnapshotTable& t = fixture_table();
   for (auto _ : state) {

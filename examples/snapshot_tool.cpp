@@ -91,7 +91,7 @@ bool load_any(const CliArgs& args, const std::string& file,
 
 Status store_any(const SnapshotTable& table, const std::string& file) {
   if (ends_with(file, ".psv")) {
-    return write_psv_file(table, file, PsvOptions{});
+    return write_psv_file(table, file);
   }
   return write_scol_file(table, file, ScolOptions{});
 }

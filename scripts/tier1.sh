@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 gate: the full test suite on the plain build, then the
-# robustness suites (fault injection, formats, IO) again under ASan+UBSan.
+# Tier-1 gate: the full test suite on the plain build (the bench-smoke
+# harness runs included), then the robustness suites (fault injection,
+# formats, IO) again under ASan+UBSan and the parallel suites under TSan.
 # Run from the repo root:
 #
 #   scripts/tier1.sh
@@ -25,8 +26,10 @@
 # single-analyzer and facility-inference tests, TSan covers the parallel
 # scan/prefetch/runner/aggregation-merge tests. Both run the .scol decode
 # parity test, because a row group's paths and columns decode on pool
-# threads, and the spill join test, because partition loads and the
-# join's probe run on pool threads. Both run all of study_runner_test: the
+# threads, the spill join test, because partition loads and the join's
+# probe run on pool threads, and the diff parity test, because the diff
+# kernel probes its chunks on pool threads and indexes its chunk registry
+# by each morsel's chunk. Both run all of study_runner_test: the
 # analyzers index the first-seen verdicts by candidate position and read
 # each candidate's row through the morsel, so a chunk lookup that names
 # the wrong chunk (the misaligned-group case) reads past a staging table. SPIDER_SANITIZE=ON (address) or
@@ -42,9 +45,6 @@ cmake -B build -S . >/dev/null
 cmake --build build -j"${JOBS}"
 ctest --test-dir build --output-on-failure -j"${JOBS}"
 
-echo "==> tier 1: bench smoke (tiny-scale harness run-through)"
-ctest --test-dir build --output-on-failure -L bench-smoke -j"${JOBS}"
-
 echo "==> tier 1: ASan+UBSan build + robustness suites"
 cmake -B build-asan -S . -DSPIDER_SANITIZE=ON >/dev/null
 cmake --build build-asan -j"${JOBS}" --target \
@@ -53,9 +53,9 @@ cmake --build build-asan -j"${JOBS}" --target \
     snapshot_psv_test snapshot_psv_fuzz_test \
     snapshot_series_test util_io_test util_retry_test util_status_test \
     util_parallel_test util_serialize_test util_misc_test engine_agg_test \
-    engine_flat_map_test engine_spill_test study_analyzers_test \
-    study_runner_test synth_infer_test study_streaming_test \
-    study_checkpoint_test
+    engine_flat_map_test engine_spill_test engine_diff_parity_test \
+    study_analyzers_test study_runner_test synth_infer_test \
+    study_streaming_test study_checkpoint_test
 # snapshot_scol_stream_test holds the row scan's parity sweep against
 # decode_group on damaged images; synth_infer_test drives that scan
 # through infer_facility on gapped, corrupt and salvaged series;
@@ -69,15 +69,17 @@ cmake --build build-asan -j"${JOBS}" --target \
 # hashes every length up to 200 at each alignment with hash_path, whose
 # unaligned word loads end exactly at the string's last byte and whose
 # 128-bit products are shifted and folded, so a read past the end or a bad
-# shift is reported here.
+# shift is reported here; engine_diff_parity_test drives the diff kernel,
+# whose chunk registry is indexed by each morsel's chunk, on collision,
+# empty and dirs-only pairs at pool widths 1, 2, 7 and hardware.
 for t in snapshot_fault_injection_test snapshot_scol_test \
          snapshot_scol_v2_test snapshot_scol_stream_test \
          snapshot_decode_parity_test snapshot_psv_test \
          snapshot_psv_fuzz_test snapshot_series_test util_io_test \
          util_retry_test util_status_test util_parallel_test \
          util_serialize_test util_misc_test engine_agg_test \
-         engine_flat_map_test engine_spill_test study_analyzers_test \
-         study_runner_test synth_infer_test; do
+         engine_flat_map_test engine_spill_test engine_diff_parity_test \
+         study_analyzers_test study_runner_test synth_infer_test; do
   echo "--> ${t} (sanitized)"
   ./build-asan/tests/"${t}"
 done

@@ -11,20 +11,23 @@
 // updated, untouched are fractions of the previous week's file count; new
 // is a fraction of the current week's.
 //
-// Two in-memory joins share this contract (README "join strategies",
-// DESIGN.md §11): a single hash index (the reference the tests compare
-// against) and the radix-partitioned join, which the study runner fuses
-// into its weekly scan. Both produce byte-identical DiffResults at any
-// thread count; bench/bench_diff.cpp measures them against each other.
-// The out-of-core spill join (engine/spill.h) honors the same contract.
+// The engine has one in-memory join (DESIGN.md §11): DiffKernel, a scan
+// kernel that probes a radix-partitioned index over the previous week. The
+// study runner registers it first in every fused week's shared scan, and
+// diff_snapshots_partitioned runs it alone over the current week. Its
+// DiffResult is byte-identical at any thread count. The out-of-core spill
+// join (engine/spill.h) honors the same contract; the tests check both
+// against a serial path-keyed reference (tests/engine/reference_diff.h).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "engine/hash_index.h"
+#include "engine/scan.h"
 #include "snapshot/table.h"
 #include "util/parallel.h"
 
@@ -87,17 +90,17 @@ struct DiffOptions {
   bool dirs = false;
 };
 
-/// Per-phase wall-clock of one diff, for the join benchmark.
+/// Per-phase wall-clock of one diff_snapshots_partitioned call.
 struct DiffBreakdown {
   double build_s = 0;  // index build over the previous week
   double probe_s = 0;  // classify the current week against it
-  double sweep_s = 0;  // splice partials + deleted sweep / final sorts
+  double sweep_s = 0;  // splice the chunks' lists + deleted sweep
 };
 
 /// One scan chunk's classification of current-week rows, each list in
 /// ascending row order. The concatenation across chunks (in chunk order)
 /// of each class is globally ascending — the mechanism behind the
-/// bit-identity of every join and of the fused kernel.
+/// kernel's bit-identity at every thread count.
 struct DiffChunkRows {
   static constexpr int kNew = 0;
   static constexpr int kReadonly = 1;
@@ -105,83 +108,86 @@ struct DiffChunkRows {
   static constexpr int kUntouched = 3;
   std::vector<std::uint32_t> rows[4];
 
-  /// Set before probing to also record each matched row's previous-week
-  /// twin in prev_rows (index-parallel with rows; kNew stays empty).
-  bool record_prev = false;
+  /// Each matched row's previous-week twin, index-parallel with rows
+  /// (kNew stays empty); filled only when the kernel records the prev-row
+  /// mapping.
   std::vector<std::uint32_t> prev_rows[4];
 
-  // Directory classification, filled only when the probe is handed a
-  // DiffDirProbe. changed_dirs_prev is index-parallel with changed_dirs.
+  // Directory classification, filled only when the kernel diffs
+  // directories. changed_dirs_prev is index-parallel with changed_dirs.
   std::vector<std::uint32_t> new_dirs;          // cur rows
   std::vector<std::uint32_t> changed_dirs;      // cur rows
   std::vector<std::uint32_t> changed_dirs_prev; // prev rows
 };
 
-/// Classifies regular files between two adjacent snapshots with the single
-/// hash-index join. Probes in parallel on `pool` (null = global pool);
-/// outputs are in ascending row order (deterministic).
-DiffResult diff_snapshots(const SnapshotTable& prev, const SnapshotTable& cur,
-                          ThreadPool* pool = nullptr,
-                          DiffBreakdown* breakdown = nullptr,
-                          const DiffOptions& options = {});
+/// The diff as a scan kernel over the current week (DESIGN.md §11): each
+/// chunk probes its own rows against the partitioned index over the
+/// previous week, and merge_chunks splices the chunks' lists in chunk
+/// order and sweeps the unmatched previous-week files into deleted_rows.
+/// The study runner registers it FIRST in a fused week's roster, so
+/// within every chunk the probe runs before any sibling kernel observes
+/// the same rows, and siblings read the chunk's classification through
+/// chunk_rows(). Its merge assembles the week's DiffResult before any
+/// sibling's merge runs. The current week must be resident (morsel base
+/// 0), so morsel rows are table rows.
+class DiffKernel : public ScanKernel {
+ public:
+  /// Arms the kernel for one scan. Must be called before every scan that
+  /// includes it — it also resets the chunk registry and the match flags.
+  /// `record_prev` turns on the prev-row mapping (DiffOptions::prev_rows)
+  /// and a non-null `dir_index`, over the previous week's directory rows,
+  /// the directory diff (DiffOptions::dirs). The index, `prev` and `out`
+  /// must outlive the scan.
+  void set_week(const PartitionedPathIndex& index, const SnapshotTable& prev,
+                DiffResult* out, std::size_t cur_files, bool record_prev,
+                const DetachedPathIndex* dir_index);
 
-/// The radix-partitioned join (DESIGN.md §11): build side partitioned once
-/// by the top bits of the path hash, per-partition shards built fully in
-/// parallel with no atomics, parallel probe, parallel deleted sweep.
-/// Byte-identical to diff_snapshots at any thread count.
+  std::unique_ptr<ScanChunkState> make_chunk_state() const override;
+  void observe_chunk(ScanChunkState* state, const ScanMorsel& m) override;
+  void merge_chunks(ScanStateList states, ThreadPool* pool) override;
+
+  /// The classification of the morsel's chunk, looked up by m.chunk; null
+  /// for a chunk this scan did not create. Complete once the kernel has
+  /// observed the chunk, which within a chunk precedes every kernel
+  /// registered after it.
+  const DiffChunkRows* chunk_rows(const ScanMorsel& m) const {
+    return m.chunk < chunk_rows_.size() ? chunk_rows_[m.chunk] : nullptr;
+  }
+
+  /// Wall-clock seconds of the last merge_chunks: the splice and the
+  /// deleted sweep.
+  double finalize_s() const { return finalize_s_; }
+
+ private:
+  struct Chunk;
+  using MatchFlags = std::unique_ptr<std::atomic<std::uint8_t>[]>;
+
+  const PartitionedPathIndex* index_ = nullptr;
+  const SnapshotTable* prev_ = nullptr;
+  DiffResult* out_ = nullptr;
+  std::size_t cur_files_ = 0;
+  bool record_prev_ = false;
+  const DetachedPathIndex* dir_index_ = nullptr;
+  /// Chunk index -> the chunk's lists. make_chunk_state runs serially in
+  /// chunk order before the scan, so a state's registry index is its
+  /// chunk index.
+  mutable std::vector<const DiffChunkRows*> chunk_rows_;
+  /// One flag per indexed file (ordinal) and per indexed directory
+  /// (position), set 0 -> 1 by the probes; relaxed atomics suffice.
+  MatchFlags matched_;
+  MatchFlags dir_matched_;
+  double finalize_s_ = 0;
+};
+
+/// Runs DiffKernel alone over `cur`: builds the partitioned index over
+/// `prev` (and, with options.dirs, the directory index), then scans `cur`
+/// on `pool` (null = global pool) at kScanGrainRows. Every output list is
+/// ascending and identical at any thread count.
 DiffResult diff_snapshots_partitioned(const SnapshotTable& prev,
                                       const SnapshotTable& cur,
                                       ThreadPool* pool = nullptr,
                                       DiffBreakdown* breakdown = nullptr,
                                       const DiffOptions& options = {});
-
-// --- Fused-kernel building blocks -----------------------------------------
-// The study runner computes the diff as a kernel on the shared weekly scan
-// (study/runner.cc) instead of as a separate pass: each scan chunk probes
-// its own rows via diff_probe_range, and the kernel's merge assembles the
-// DiffResult via diff_finalize. Exposed here so the kernel, the standalone
-// joins, and the tests share one implementation.
-
-/// Directory side of the probe (DiffOptions::dirs): an index over the
-/// previous week's directory rows plus its match flags, one per indexed
-/// directory (0 -> 1 transitions only; relaxed atomics suffice).
-struct DiffDirProbe {
-  const DetachedPathIndex* index = nullptr;
-  std::atomic<std::uint8_t>* matched = nullptr;
-};
-
-/// Probes rows [begin, end) of `cur` against the partitioned index over
-/// `prev`, appending each file row to the matching class list of `out` and
-/// flagging matched build-side ordinals in `matched` (0 -> 1 transitions
-/// only; relaxed atomics suffice). With out->record_prev set, the matched
-/// classes also record the previous-week row; with `dirs`, directory rows
-/// are classified against its index instead of being skipped. Safe to run
-/// concurrently over disjoint ranges with distinct `out` states.
-void diff_probe_range(const PartitionedPathIndex& index,
-                      const SnapshotTable& prev, const SnapshotTable& cur,
-                      std::size_t begin, std::size_t end,
-                      std::atomic<std::uint8_t>* matched, DiffChunkRows* out,
-                      const DiffDirProbe* dirs = nullptr);
-
-/// Optional diff_finalize outputs matching DiffOptions: prev-row splicing
-/// (the probes ran with record_prev) and the directory lists plus the
-/// deleted-directory sweep of `prev_dir_rows` against `dir_matched`.
-struct DiffFinalizeExtras {
-  bool prev_rows = false;
-  bool dirs = false;
-  std::span<const std::uint32_t> prev_dir_rows;
-  const std::atomic<std::uint8_t>* dir_matched = nullptr;
-};
-
-/// Splices per-chunk classifications (chunk order) into `out` and sweeps
-/// the unmatched positions of `prev_file_rows` into deleted_rows, in
-/// parallel. Fills the row lists only; the caller sets
-/// prev_files/cur_files.
-void diff_finalize(std::span<const std::uint32_t> prev_file_rows,
-                   const std::atomic<std::uint8_t>* matched,
-                   std::span<const DiffChunkRows* const> chunks,
-                   ThreadPool* pool, DiffResult* out,
-                   const DiffFinalizeExtras* extras = nullptr);
 
 /// Ascending directory rows of `table` — the build side of the directory
 /// diff, fed to DetachedPathIndex.

@@ -14,32 +14,6 @@ void PathIndex::reset(std::size_t keys) {
   size_ = 0;
 }
 
-PathIndex::PathIndex(const SnapshotTable& table, bool files_only)
-    : table_(&table) {
-  reset(table.size());
-  for (std::size_t row = 0; row < table.size(); ++row) {
-    if (files_only && table.is_dir(row)) continue;
-    const std::string_view path = table.path(row);
-    insert(static_cast<std::uint32_t>(row), table.path_hash(row),
-           [&table, path](std::uint32_t other) {
-             return table.path(other) == path;
-           });
-  }
-}
-
-PathIndex::PathIndex(const SnapshotTable& table,
-                     std::span<const std::uint32_t> rows)
-    : table_(&table), subset_(rows) {
-  reset(rows.size());
-  for (std::size_t pos = 0; pos < rows.size(); ++pos) {
-    const std::string_view path = table.path(rows[pos]);
-    insert(static_cast<std::uint32_t>(pos), table.path_hash(rows[pos]),
-           [&table, rows, path](std::uint32_t other) {
-             return table.path(rows[other]) == path;
-           });
-  }
-}
-
 DetachedPathIndex::DetachedPathIndex(const SnapshotTable& table,
                                      std::vector<std::uint32_t> rows)
     : rows_(std::move(rows)), index_(rows_.size()) {

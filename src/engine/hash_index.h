@@ -4,12 +4,10 @@
 //
 // Two shapes:
 //
-//   PathIndex — one open-addressing table over the whole snapshot (or a
-//   caller-provided row subset). Serial build; the original join's build
-//   side and still the reference implementation. Its slot table also
-//   stands alone, over positions of any keyed column set whose compare the
-//   caller supplies: DetachedPathIndex and the spill join (engine/spill.h)
-//   use it that way.
+//   PathIndex — one open-addressing slot table over positions of any keyed
+//   column set, whose compare the caller supplies. Serial build.
+//   DetachedPathIndex indexes a week's directory rows with it, and the
+//   spill join (engine/spill.h) its mapped partition records.
 //
 //   PartitionedPathIndex — the radix-partitioned build side (DESIGN.md
 //   §11): file rows are partitioned by the top bits of the path hash
@@ -25,8 +23,9 @@
 // partitioned index goes further with an L2-resident Bloom pre-filter
 // that answers most misses without touching the slot array at all.
 //
-// Both confirm fingerprint matches with a full path comparison, so hash
-// collisions cost a compare but never a wrong answer.
+// Both confirm fingerprint matches with a full path comparison (PathIndex
+// through its caller's compare), so hash collisions cost a compare but
+// never a wrong answer.
 #pragma once
 
 #include <cstdint>
@@ -46,24 +45,11 @@ class PathIndex {
   static constexpr std::uint32_t kNotFound = 0xffff'ffffu;
 
   /// An empty index with room for `keys` positions (see reset()). insert()
-  /// fills it and find() reads it. In this form the index holds no
-  /// reference to the columns its positions stand for: the caller's
-  /// compare confirms every fingerprint hit, so any keyed column set can
-  /// be indexed (the spill join indexes mapped partition records).
+  /// fills it and find() reads it. The index holds no reference to the
+  /// columns its positions stand for: the caller's compare confirms every
+  /// fingerprint hit, so any keyed column set can be indexed (the spill
+  /// join indexes mapped partition records).
   explicit PathIndex(std::size_t keys = 0) { reset(keys); }
-
-  /// Indexes `table`. With files_only, directories are skipped — the
-  /// paper's access-pattern analysis intersects regular files only.
-  /// The table must outlive the index and must not contain duplicate paths
-  /// (snapshots never do; duplicate insertion keeps the first row).
-  explicit PathIndex(const SnapshotTable& table, bool files_only = false);
-
-  /// Indexes the subset `rows` of `table` (row indices, any order). In
-  /// this mode lookup() returns the *position in `rows`* of the match, so
-  /// callers can keep side arrays (match flags, gathered payloads) dense
-  /// over the subset. `rows` is referenced, not copied — it must outlive
-  /// the index.
-  PathIndex(const SnapshotTable& table, std::span<const std::uint32_t> rows);
 
   /// Empties the index and sizes it for at most `keys` insertions at load
   /// factor <= 0.5 (linear-probe chains stay short). Keeps the slot
@@ -114,15 +100,7 @@ class PathIndex {
     }
   }
 
-  /// Row of `path` in the indexed table — or, in subset mode, its position
-  /// in the subset — or kNotFound. Table-built indexes only. Thread-safe.
-  std::uint32_t lookup(std::uint64_t hash, std::string_view path) const {
-    return find(hash, [this, path](std::uint32_t pos) {
-      return table_->path(subset_.empty() ? pos : subset_[pos]) == path;
-    });
-  }
-
-  /// Pulls the slot line a future lookup(hash, ...) will start at into
+  /// Pulls the slot line a future find(hash, ...) will start at into
   /// cache. Probe loops call this a fixed distance ahead.
   void prefetch(std::uint64_t hash) const {
     __builtin_prefetch(slots_.data() + (hash & mask_));
@@ -137,8 +115,6 @@ class PathIndex {
     return static_cast<std::uint32_t>(hash >> 32);
   }
 
-  const SnapshotTable* table_ = nullptr;   // table-built indexes only
-  std::span<const std::uint32_t> subset_;  // empty span in whole-table mode
   // fingerprint << 32 | (position + 1); 0 in the low half = empty. The
   // fingerprint lives inside the slot so non-matching candidates are
   // rejected without a memory access outside this array.
@@ -223,7 +199,7 @@ class PartitionedPathIndex {
   /// Ordinal of `path` (position in file_rows()), or kNotFound. `table`
   /// must be the indexed table (possibly relocated by a move since the
   /// build). Thread-safe. Inline for the same reason as
-  /// PathIndex::lookup — the probe loop lives or dies on this staying in
+  /// PathIndex::find — the probe loop lives or dies on this staying in
   /// registers.
   std::uint32_t lookup(const SnapshotTable& table, std::uint64_t hash,
                        std::string_view path) const {

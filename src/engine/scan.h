@@ -26,9 +26,9 @@
 //   * Within one chunk, kernels run in REGISTRATION ORDER on the same
 //     thread: kernel k observes chunk c only after kernels 0..k-1 have
 //     finished observing c. This is part of the contract — the study
-//     runner's fused diff kernel is registered first and publishes its
-//     per-chunk classification for sibling kernels to read during the
-//     same chunk visit (study/runner.cc).
+//     runner registers the diff kernel (engine/diff.h) first, and it
+//     publishes its per-chunk classification for sibling kernels to read
+//     during the same chunk visit.
 #pragma once
 
 #include <cstddef>

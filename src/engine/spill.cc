@@ -12,6 +12,7 @@
 #include <span>
 #include <utility>
 
+#include "engine/partition.h"
 #include "snapshot/varint.h"
 #include "util/hash.h"
 #include "util/io.h"
@@ -49,27 +50,8 @@ constexpr std::size_t kMaxRecordFixedBytes = 8 + 6 * 10;
 
 constexpr std::uint32_t kMaxBits = 8;
 
-std::size_t partition_of_hash(std::uint64_t hash, std::uint32_t bits) {
-  return bits == 0 ? 0 : static_cast<std::size_t>(hash >> (64 - bits));
-}
-
 Status errno_status(const char* op, const std::string& file) {
-  return Status::io_error(std::string(op) + " " + file + ": " +
-                          std::strerror(errno));
-}
-
-/// Appends `count` bytes to `fd`, looping over short writes and EINTR.
-bool write_all(int fd, const std::uint8_t* data, std::size_t count) {
-  while (count > 0) {
-    const ssize_t n = ::write(fd, data, count);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data += static_cast<std::size_t>(n);
-    count -= static_cast<std::size_t>(n);
-  }
-  return true;
+  return Status::io_error(std::string(op) + " " + file + ": " + errno_text());
 }
 
 template <typename T>
@@ -130,11 +112,9 @@ Status SpillPartitionWriter::open(const Options& options) {
   for (std::size_t p = 0; p < parts; ++p) {
     std::string name = options.dir + "/" + options.stem + "-p" +
                        std::to_string(p) + ".spill";
-    int fd = -1;
-    do {
-      fd = ::open(name.c_str(), O_CREAT | O_TRUNC | O_WRONLY | O_CLOEXEC,
-                  0644);
-    } while (fd < 0 && errno == EINTR);
+    const int fd =
+        open_retry(name.c_str(), O_CREAT | O_TRUNC | O_WRONLY | O_CLOEXEC,
+                   0644);
     if (fd < 0) {
       const Status s = errno_status("open", name);
       files_.push_back(std::move(name));
@@ -153,9 +133,8 @@ Status SpillPartitionWriter::seal_block(std::size_t p) {
   append_pod(part.directory, static_cast<std::uint64_t>(part.used));
   append_pod(part.directory, part.block_path_bytes);
   append_pod(part.directory, checksum_of(part.block.data(), part.used));
-  if (!write_all(part.fd, part.block.data(), part.used)) {
-    return errno_status("write", files_[p]);
-  }
+  const Status s = write_all(part.fd, part.block.data(), part.used);
+  if (!s.ok()) return s.with_context(files_[p]);
   part.records += part.block_records;
   part.payload += part.used;
   part.path_bytes += part.block_path_bytes;
@@ -175,7 +154,7 @@ Status SpillPartitionWriter::add(std::uint64_t path_hash, std::uint32_t row,
   if (finished_ || files_.empty()) {
     return Status::failed_precondition("spill writer not open");
   }
-  const std::size_t p = partition_of_hash(path_hash, bits_);
+  const std::size_t p = RadixPartitions::partition_of(path_hash, bits_);
   Partition& part = parts_[p];
   // Room for the record's worst case, so it is written through a pointer.
   const std::size_t worst = part.used + kMaxRecordFixedBytes + path.size();
@@ -246,9 +225,8 @@ Status SpillPartitionWriter::finish() {
     append_pod(tail, part.records);
     append_pod(tail, part.payload);
     append_pod(tail, directory_checksum);
-    if (!write_all(part.fd, tail.data(), tail.size())) {
-      return errno_status("write", files_[p]);
-    }
+    const Status s = write_all(part.fd, tail.data(), tail.size());
+    if (!s.ok()) return s.with_context(files_[p]);
     ::close(part.fd);
     part.fd = -1;
     largest_records_ = std::max(largest_records_, part.records);
@@ -307,8 +285,9 @@ namespace {
 /// Records per probe task.
 constexpr std::size_t kJoinGrain = 4096;
 
-/// How many records ahead the probe pulls in its slot line (as
-/// diff_snapshots does; the value is uncritical).
+/// How many records ahead the probe pulls in its slot line. The probe is a
+/// chain of independent random lookups, so overlapping ~16 in-flight
+/// misses hides most of the latency; the value is uncritical.
 constexpr std::size_t kProbePrefetchDistance = 16;
 
 /// One block's directory entry.

@@ -1,7 +1,7 @@
 // Spill-to-disk diff join: the out-of-core half of the week-over-week
 // snapshot diff (DESIGN.md §15).
 //
-// The in-memory joins in engine/diff.h hold the previous week's path
+// The in-memory join in engine/diff.h holds the previous week's path
 // index — and with it the previous week's table — resident for the whole
 // probe. Under a streaming study (study/runner.cc with a memory budget)
 // neither week is resident: each arrives one row group at a time. This
@@ -9,10 +9,10 @@
 //
 //   1. Each side spills its diff-relevant columns (path hash, row, kind,
 //      three timestamps, path bytes) into 1<<bits partition files keyed by
-//      the TOP bits of the path hash — the same convention as
-//      RadixPartitions::partition_of, so a path lands in partition p on
-//      both sides and the join never crosses partition boundaries. Records
-//      are front-coded in blocks (layout below).
+//      the TOP bits of the path hash (RadixPartitions::partition_of), so a
+//      path lands in partition p on both sides and the join never crosses
+//      partition boundaries. Records are front-coded in blocks (layout
+//      below).
 //   2. spill_diff_join reserves each side's columns once, for the side's
 //      largest partition (SpilledSide::largest_records and
 //      largest_path_bytes), then loads ONE partition pair at a time. It
@@ -27,9 +27,10 @@
 //      decoded partition pair, its index and a few bytes per row, never a
 //      whole week.
 //   3. One sweep over the per-row arrays then emits every class list
-//      already ascending by row — the hash join's row-order contract — so
-//      the result is bit-identical to diff_snapshots (the spill tests
-//      compare the two) with nothing left to sort.
+//      already ascending by row — the diff's row-order contract — so the
+//      result is bit-identical to the in-memory diff (the spill tests
+//      compare both with a path-keyed reference) with nothing left to
+//      sort.
 //
 // A partition file is a run of blocks, then a block directory, then a
 // fixed trailer; every integer is little-endian:
@@ -206,8 +207,8 @@ struct SpillRecords {
 Status read_spill_partition(const std::string& file, SpillRecords* out);
 
 /// Joins two spilled sides partition-pair-at-a-time into the same
-/// DiffResult that diff_snapshots(prev, cur, ...) would produce on the
-/// resident tables — bit-identical lists, including the prev-row and
+/// DiffResult that diff_snapshots_partitioned(prev, cur, ...) produces on
+/// the resident tables — bit-identical lists, including the prev-row and
 /// directory extras when `options` asks for them. Both sides must have
 /// been spilled with the same `bits`, and their rows numbered
 /// 0..file_rows+dir_rows-1; a record outside that range fails the join

@@ -311,8 +311,7 @@ Status read_psv_buffer(std::string_view text, SnapshotTable* table,
   return Status();
 }
 
-Status write_psv_file(const SnapshotTable& table, const std::string& file,
-                      const PsvOptions& /*options*/) {
+Status write_psv_file(const SnapshotTable& table, const std::string& file) {
   std::ostringstream os;
   write_psv(table, os);
   return write_file_atomic(file, std::string_view(os.view()));

@@ -92,8 +92,7 @@ Status read_psv_buffer(std::string_view text, SnapshotTable* table,
 /// File-based wrappers. Reading slurps the file with retrying IO (util/io.h)
 /// and uses the parallel buffer path; writing goes through a temp file +
 /// atomic rename, so a crash mid-write never leaves a torn snapshot.
-Status write_psv_file(const SnapshotTable& table, const std::string& file,
-                      const PsvOptions& options);
+Status write_psv_file(const SnapshotTable& table, const std::string& file);
 Status read_psv_file(const std::string& file, SnapshotTable* table,
                      const PsvOptions& options,
                      PsvReadReport* report = nullptr);

@@ -1081,32 +1081,6 @@ Status ScolGroupReader::dispose_failure(std::size_t g, Status s,
 
 // ---- streaming group writer ----------------------------------------------
 
-namespace {
-
-std::string scol_errno_text() { return std::strerror(errno); }
-
-int scol_open_retry(const char* path, int flags, mode_t mode = 0) {
-  for (;;) {
-    const int fd = ::open(path, flags, mode);
-    if (fd >= 0 || errno != EINTR) return fd;
-  }
-}
-
-Status scol_write_all(int fd, const std::uint8_t* data, std::size_t count) {
-  std::size_t done = 0;
-  while (done < count) {
-    const ::ssize_t n = ::write(fd, data + done, count - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::io_error("write: " + scol_errno_text());
-    }
-    done += static_cast<std::size_t>(n);
-  }
-  return Status();
-}
-
-}  // namespace
-
 struct ScolStreamWriter::Impl {
   std::string file;
   std::string payload_tmp;
@@ -1130,10 +1104,10 @@ Status ScolStreamWriter::open(const std::string& file,
   impl_->options = options;
   impl_->payload_tmp =
       file + ".payload.tmp." + std::to_string(static_cast<long>(::getpid()));
-  impl_->payload_fd = scol_open_retry(impl_->payload_tmp.c_str(),
-                                      O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  impl_->payload_fd = open_retry(impl_->payload_tmp.c_str(),
+                                 O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (impl_->payload_fd < 0) {
-    return Status::io_error(scol_errno_text())
+    return Status::io_error(errno_text())
         .with_context("create " + impl_->payload_tmp);
   }
   impl_->is_open = true;
@@ -1166,8 +1140,8 @@ Status ScolStreamWriter::flush_group() {
   impl_->group_buf.clear();
   encode_column_set(impl_->group_buf, impl_->pending, 0,
                     impl_->pending.size(), impl_->options);
-  const Status s = scol_write_all(impl_->payload_fd, impl_->group_buf.data(),
-                                  impl_->group_buf.size());
+  const Status s = write_all(impl_->payload_fd, impl_->group_buf.data(),
+                             impl_->group_buf.size());
   if (!s.ok()) return s.with_context(impl_->payload_tmp);
   impl_->directory.emplace_back(impl_->pending.size(),
                                 impl_->group_buf.size());
@@ -1181,7 +1155,7 @@ Status ScolStreamWriter::finish() {
   }
   Status s = flush_group();
   if (s.ok() && ::fsync(impl_->payload_fd) != 0) {
-    s = Status::io_error("fsync: " + scol_errno_text())
+    s = Status::io_error("fsync: " + errno_text())
             .with_context(impl_->payload_tmp);
   }
   ::close(impl_->payload_fd);
@@ -1206,16 +1180,15 @@ Status ScolStreamWriter::finish() {
 
   const std::string tmp = impl_->file + ".tmp." +
                           std::to_string(static_cast<long>(::getpid()));
-  const int out = scol_open_retry(tmp.c_str(),
-                                  O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  const int out = open_retry(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (out < 0) {
-    s = Status::io_error(scol_errno_text()).with_context("create " + tmp);
+    s = Status::io_error(errno_text()).with_context("create " + tmp);
   } else {
-    s = scol_write_all(out, head.data(), head.size());
+    s = write_all(out, head.data(), head.size());
     if (s.ok()) {
-      const int in = scol_open_retry(impl_->payload_tmp.c_str(), O_RDONLY);
+      const int in = open_retry(impl_->payload_tmp.c_str(), O_RDONLY);
       if (in < 0) {
-        s = Status::io_error(scol_errno_text())
+        s = Status::io_error(errno_text())
                 .with_context(impl_->payload_tmp);
       } else {
         std::vector<std::uint8_t> buf(1 << 20);
@@ -1223,23 +1196,23 @@ Status ScolStreamWriter::finish() {
           const ::ssize_t n = ::read(in, buf.data(), buf.size());
           if (n < 0) {
             if (errno == EINTR) continue;
-            s = Status::io_error("read: " + scol_errno_text())
+            s = Status::io_error("read: " + errno_text())
                     .with_context(impl_->payload_tmp);
             break;
           }
           if (n == 0) break;
-          s = scol_write_all(out, buf.data(), static_cast<std::size_t>(n));
+          s = write_all(out, buf.data(), static_cast<std::size_t>(n));
           if (!s.ok()) break;
         }
         ::close(in);
       }
     }
     if (s.ok() && ::fsync(out) != 0) {
-      s = Status::io_error("fsync: " + scol_errno_text()).with_context(tmp);
+      s = Status::io_error("fsync: " + errno_text()).with_context(tmp);
     }
     ::close(out);
     if (s.ok() && ::rename(tmp.c_str(), impl_->file.c_str()) != 0) {
-      s = Status::io_error("rename: " + scol_errno_text())
+      s = Status::io_error("rename: " + errno_text())
               .with_context(impl_->file);
     }
     if (!s.ok()) ::unlink(tmp.c_str());
@@ -1252,10 +1225,10 @@ Status ScolStreamWriter::finish() {
         slash == std::string::npos
             ? std::string(".")
             : impl_->file.substr(0, slash == 0 ? 1 : slash);
-    const int dfd = scol_open_retry(dir.c_str(), O_RDONLY | O_DIRECTORY);
+    const int dfd = open_retry(dir.c_str(), O_RDONLY | O_DIRECTORY);
     if (dfd >= 0) {
       if (::fsync(dfd) != 0 && errno != EINVAL && errno != EROFS) {
-        s = Status::io_error("fsync dir: " + scol_errno_text())
+        s = Status::io_error("fsync dir: " + errno_text())
                 .with_context(dir);
       }
       ::close(dfd);

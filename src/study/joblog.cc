@@ -25,22 +25,15 @@ JobLogResult analyze_job_log(FacilityGenerator& generator,
   generator.visit_with_jobs(
       [&](std::size_t, const Snapshot& snap) {
         if (have_prev) {
-          const DiffResult diff = diff_snapshots(prev.table, snap.table);
+          const DiffResult diff =
+              diff_snapshots_partitioned(prev.table, snap.table);
           result.jobs_per_interval.push_back(interval_jobs);
           result.new_files_per_interval.push_back(diff.new_rows.size());
         }
         interval_jobs = 0;
         // Retain the snapshot for the next interval's diff.
         prev.taken_at = snap.taken_at;
-        prev.table = SnapshotTable();
-        prev.table.reserve(snap.table.size());
-        for (std::size_t i = 0; i < snap.table.size(); ++i) {
-          prev.table.add(snap.table.path(i), snap.table.atime(i),
-                         snap.table.ctime(i), snap.table.mtime(i),
-                         snap.table.uid(i), snap.table.gid(i),
-                         snap.table.mode(i), snap.table.inode(i),
-                         snap.table.osts(i));
-        }
+        prev.table = snap.table.clone();
         have_prev = true;
       },
       [&](const JobRecord& job) {

@@ -227,95 +227,6 @@ Status validate_checkpoint(const StudyCheckpoint& ckpt,
   return Status();
 }
 
-/// The diff as a scan kernel (DESIGN.md §11), in the roster of fused
-/// weeks only. It is registered FIRST, so within every chunk its probe
-/// runs before any analyzer observes the same rows, and sibling kernels
-/// may read the chunk's classification through the DiffChunkProvider
-/// interface. merge_chunks assembles the week's DiffResult (serial,
-/// chunk-ordered) before any analyzer's merge runs — merge-time consumers
-/// of obs.diff see the complete result.
-class DiffScanKernel : public ScanKernel, public DiffChunkProvider {
- public:
-  /// Arms the kernel for one week. Must be called before every scan that
-  /// includes it — it also resets the chunk registry. On delta weeks
-  /// `record_prev` turns on the prev-row mapping and `dir_index` the
-  /// directory diff.
-  void set_week(const PartitionedPathIndex& index, const SnapshotTable& prev,
-                DiffResult* out, std::size_t cur_files, bool record_prev,
-                const DetachedPathIndex* dir_index) {
-    index_ = &index;
-    prev_ = &prev;
-    out_ = out;
-    cur_files_ = cur_files;
-    record_prev_ = record_prev;
-    dir_index_ = dir_index;
-    chunk_rows_.clear();
-    matched_ = match_flags(index_->size());
-    dir_matched_ = match_flags(dir_index_ != nullptr ? dir_index_->size() : 0);
-  }
-
-  std::unique_ptr<ScanChunkState> make_chunk_state() const override {
-    auto state = std::make_unique<DiffKernelChunk>();
-    state->rows.record_prev = record_prev_;
-    // make_chunk_state runs serially in chunk order before the scan, so
-    // the registry index equals the chunk index.
-    chunk_rows_.push_back(&state->rows);
-    return state;
-  }
-
-  void observe_chunk(ScanChunkState* state, const ScanMorsel& m) override {
-    // Fused weeks are resident, so the morsel's base is 0 and global rows
-    // are table rows.
-    const DiffDirProbe dirs{dir_index_, dir_matched_.get()};
-    diff_probe_range(*index_, *prev_, *m.table, m.begin, m.end,
-                     matched_.get(),
-                     &static_cast<DiffKernelChunk*>(state)->rows,
-                     dir_index_ != nullptr ? &dirs : nullptr);
-  }
-
-  void merge_chunks(ScanStateList, ThreadPool* pool) override {
-    DiffFinalizeExtras extras;
-    extras.prev_rows = record_prev_;
-    extras.dirs = dir_index_ != nullptr;
-    if (dir_index_ != nullptr) {
-      extras.prev_dir_rows = dir_index_->rows();
-      extras.dir_matched = dir_matched_.get();
-    }
-    diff_finalize(index_->file_rows(), matched_.get(),
-                  std::span<const DiffChunkRows* const>(chunk_rows_), pool,
-                  out_, &extras);
-    out_->prev_files = index_->size();
-    out_->cur_files = cur_files_;
-  }
-
-  const DiffChunkRows* chunk_rows(const ScanMorsel& m) const override {
-    return m.chunk < chunk_rows_.size() ? chunk_rows_[m.chunk] : nullptr;
-  }
-
- private:
-  struct DiffKernelChunk : ScanChunkState {
-    DiffChunkRows rows;
-  };
-  using MatchFlags = std::unique_ptr<std::atomic<std::uint8_t>[]>;
-
-  /// Zeroed per-row match flags for an index side; null when it is empty.
-  static MatchFlags match_flags(std::size_t rows) {
-    // Value-initialization zeroes the atomics (C++20).
-    return rows == 0 ? nullptr
-                     : MatchFlags(new std::atomic<std::uint8_t>[rows]());
-  }
-
-  const PartitionedPathIndex* index_ = nullptr;
-  const SnapshotTable* prev_ = nullptr;
-  DiffResult* out_ = nullptr;
-  std::size_t cur_files_ = 0;
-  bool record_prev_ = false;
-  const DetachedPathIndex* dir_index_ = nullptr;
-  mutable std::vector<const DiffChunkRows*> chunk_rows_;
-  MatchFlags matched_;
-  MatchFlags dir_matched_;
-};
-
 /// The cross-series path map behind the first-seen verdicts: path hash to
 /// the bits (kFirstSeenEntry, kFirstSeenFile) claimed so far.
 using FirstSeenMap = FlatMap<std::uint8_t, IdentityKeyMix>;
@@ -854,7 +765,7 @@ class StudyRun {
   }
 
   /// The shared scan over the plan's roster: the diff kernel first on
-  /// fused weeks (siblings read its per-chunk output — DiffChunkProvider),
+  /// fused weeks (siblings read its per-chunk output — chunk_rows()),
   /// then the first-seen kernel when the plan has it (FirstSeenProvider),
   /// then every analyzer except, on delta weeks, the delta-capable ones.
   /// Streamed weeks run pass B through ScolMorselSource, skipping the
@@ -1066,7 +977,7 @@ class StudyRun {
   bool first_seen_scans_ = false;
   ColumnMask columns_ = kColMaskNone;
   std::vector<AnalyzerKernel> kernels_;  // parallel to analyzers_
-  DiffScanKernel diff_kernel_;
+  DiffKernel diff_kernel_;
   FirstSeenKernel first_seen_;
   ScanOptions scan_options_;
 

@@ -11,9 +11,10 @@
 // encoded on the analyst thread and written behind the next week). The union
 // column projection is pushed into the source, and on resident runs the
 // decode of week N+1 overlaps the analysis of week N. Two runner kernels
-// lead every scan roster: the fused diff, then first-seen tracking — one
-// cross-series path map, probed once per row, whose verdicts the census,
-// extensions and languages analyzers share.
+// lead every scan roster: the engine's diff kernel (engine/diff.h) on
+// fused weeks, then first-seen tracking — one cross-series path map,
+// probed once per row, whose verdicts the census, extensions and
+// languages analyzers share.
 //
 // Determinism: chunk layout depends only on the row count and grain, and
 // every analyzer's merge() folds chunk states in chunk order, so all
@@ -33,20 +34,6 @@
 #include "util/status.h"
 
 namespace spider {
-
-/// Read-only view of the fused diff kernel's per-chunk classification.
-/// scan_table runs kernels in registration order within a chunk and the
-/// diff kernel is registered first, so when any analyzer's observe_chunk
-/// sees rows [begin, end), the DiffChunkRows for that same range is
-/// already complete and safe to read from the same thread.
-class DiffChunkProvider {
- public:
-  /// The classification of the morsel's chunk (looked up by m.chunk).
-  virtual const DiffChunkRows* chunk_rows(const ScanMorsel& m) const = 0;
-
- protected:
-  ~DiffChunkProvider() = default;
-};
 
 /// First-seen verdict bits. kFirstSeenEntry: the row's path was never
 /// seen before in the series — census's unique entries, files and
@@ -117,11 +104,13 @@ struct WeekObservation {
   const DiffResult* diff = nullptr;  // null unless requested & prev exists
   /// Non-null only while the fused diff kernel is active (resident weeks
   /// whose previous week was resident too): analyzers that consume diff
-  /// rows inside observe_chunk must read their chunk's slice through this
-  /// — in fused mode `diff` is only complete by merge() time. When it is
-  /// null, `diff` was joined through the spill layer and is final before
-  /// the scan. Merge-time readers use `diff` either way.
-  const DiffChunkProvider* diff_chunks = nullptr;
+  /// rows inside observe_chunk must read their chunk's slice through its
+  /// chunk_rows(m) — in fused mode `diff` is only complete by merge()
+  /// time. The kernel runs first within every chunk, so the slice is
+  /// complete when an analyzer observes the same rows. When it is null,
+  /// `diff` was joined through the spill layer and is final before the
+  /// scan. Merge-time readers use `diff` either way.
+  const DiffKernel* diff_chunks = nullptr;
   /// Non-null on every scanned week of a run in which an analyzer
   /// wants_first_seen(): the first-seen kernel is then in the scan.
   const FirstSeenProvider* first_seen = nullptr;

@@ -86,7 +86,7 @@ struct FacilityConfig {
   /// and deleted with probability churn_delete, and round(live *
   /// churn_create) files are created per project. Deterministic in `seed`,
   /// so two generators with the same config emit identical series — the
-  /// knob the incremental-study churn sweep and bench_incremental turn.
+  /// knob the incremental-study churn sweep turns.
   /// Setting all three to 0 produces byte-identical adjacent snapshots.
   double churn_create = -1;
   double churn_update = -1;

@@ -12,42 +12,10 @@ namespace spider {
 
 namespace {
 
-std::string errno_text() {
-  return std::strerror(errno);
-}
-
-/// open(2) with EINTR retry; returns -1 with errno preserved.
-int open_retry(const char* path, int flags, mode_t mode = 0) {
-  for (;;) {
-    const int fd = ::open(path, flags, mode);
-    if (fd >= 0 || errno != EINTR) return fd;
-  }
-}
-
 /// close(2), ignoring EINTR per POSIX (the fd state is unspecified after
 /// an interrupted close; retrying risks closing a recycled descriptor).
 void close_quietly(int fd) {
   ::close(fd);
-}
-
-Status write_all(int fd, const std::uint8_t* data, std::size_t count,
-                 IoStats* stats) {
-  std::size_t done = 0;
-  while (done < count) {
-    const ::ssize_t n = ::write(fd, data + done, count - done);
-    if (n < 0) {
-      if (errno == EINTR) {
-        if (stats) ++stats->eintr_retries;
-        continue;
-      }
-      return Status::io_error("write: " + errno_text());
-    }
-    if (static_cast<std::size_t>(n) < count - done && stats) {
-      ++stats->short_writes;
-    }
-    done += static_cast<std::size_t>(n);
-  }
-  return Status();
 }
 
 /// RAII for the temp file of an atomic write: unlinks unless disarmed.
@@ -92,6 +60,35 @@ Status fsync_parent_dir(const std::string& path) {
 }
 
 }  // namespace
+
+std::string errno_text() { return std::strerror(errno); }
+
+int open_retry(const char* path, int flags, mode_t mode) {
+  for (;;) {
+    const int fd = ::open(path, flags, mode);
+    if (fd >= 0 || errno != EINTR) return fd;
+  }
+}
+
+Status write_all(int fd, const std::uint8_t* data, std::size_t count,
+                 IoStats* stats) {
+  std::size_t done = 0;
+  while (done < count) {
+    const ::ssize_t n = ::write(fd, data + done, count - done);
+    if (n < 0) {
+      if (errno == EINTR) {
+        if (stats) ++stats->eintr_retries;
+        continue;
+      }
+      return Status::io_error("write: " + errno_text());
+    }
+    if (static_cast<std::size_t>(n) < count - done && stats) {
+      ++stats->short_writes;
+    }
+    done += static_cast<std::size_t>(n);
+  }
+  return Status();
+}
 
 std::string_view write_op_name(WriteOp op) {
   switch (op) {

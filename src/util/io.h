@@ -20,6 +20,8 @@
 // kill-point sweep of the checkpoint layer (DESIGN.md §14) is built on it.
 #pragma once
 
+#include <sys/types.h>
+
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -40,6 +42,18 @@ struct IoStats {
   std::uint64_t short_reads = 0;   // reads that returned less than asked
   std::uint64_t short_writes = 0;  // writes that accepted less than offered
 };
+
+/// strerror(errno) as a string, for Status messages.
+std::string errno_text();
+
+/// open(2) that retries EINTR; returns -1 with errno preserved.
+int open_retry(const char* path, int flags, mode_t mode = 0);
+
+/// Writes all `count` bytes to `fd`, looping over short writes and
+/// retrying EINTR. A failure is kIoError "write: <errno text>"; callers add
+/// the file name with with_context().
+Status write_all(int fd, const std::uint8_t* data, std::size_t count,
+                 IoStats* stats = nullptr);
 
 /// Reads exactly `count` bytes via `read_fn`, looping over short reads and
 /// retrying EINTR. Fails kTruncated if EOF arrives first.

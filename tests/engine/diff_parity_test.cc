@@ -1,8 +1,8 @@
-// Join parity: the hash and partitioned diff joins must produce
-// byte-identical DiffResults on the same snapshot pair, at
+// Join parity: the partitioned diff (DiffKernel run over the current
+// week) must match the serial path-keyed reference (reference_diff.h) at
 // every thread count, including the degenerate weeks (empty, all-new,
-// all-deleted, dirs-only) and pairs engineered so many paths share the
-// top 16 bits of their hash — the partition selector AND the shard
+// all-deleted, dirs-only) and pairs engineered so many paths share the top
+// 16 bits of their hash — the partition selector AND the shard
 // fingerprint's neighborhood, the worst case for the partitioned probe.
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "engine/diff.h"
+#include "reference_diff.h"
 #include "snapshot/table.h"
 #include "util/hash.h"
 #include "util/parallel.h"
@@ -46,8 +47,9 @@ struct SnapshotPair {
 };
 
 /// A realistic pair: prev has files and directories; cur deletes ~10%,
-/// touches ~15% (readonly), rewrites ~10% (updated), keeps the rest
-/// untouched, and adds ~15% new paths.
+/// touches ~15% (readonly), rewrites ~10% (updated), changes only the
+/// ctime of ~5% (updated too: a chmod or chown), keeps the rest untouched,
+/// and adds ~15% new paths.
 SnapshotPair random_pair(std::uint64_t seed, std::size_t n) {
   Rng rng(seed);
   SnapshotPair pair;
@@ -75,6 +77,8 @@ SnapshotPair random_pair(std::uint64_t seed, std::size_t n) {
       pair.cur.add(file_record(path, atime + 777, ctime, mtime));
     } else if (roll < 0.35) {   // updated
       pair.cur.add(file_record(path, atime + 5, ctime + 5, mtime + 5));
+    } else if (roll < 0.40) {   // updated: only ctime moves
+      pair.cur.add(file_record(path, atime, ctime + 5, mtime));
     } else {                    // untouched
       pair.cur.add(file_record(path, atime, ctime, mtime));
     }
@@ -176,26 +180,6 @@ SnapshotPair make_profile(const std::string& profile, std::uint64_t seed) {
   return pair;
 }
 
-void expect_equal(const DiffResult& got, const DiffResult& want,
-                  const std::string& label) {
-  EXPECT_EQ(got.new_rows, want.new_rows) << label;
-  EXPECT_EQ(got.readonly_rows, want.readonly_rows) << label;
-  EXPECT_EQ(got.updated_rows, want.updated_rows) << label;
-  EXPECT_EQ(got.untouched_rows, want.untouched_rows) << label;
-  EXPECT_EQ(got.deleted_rows, want.deleted_rows) << label;
-  EXPECT_EQ(got.prev_files, want.prev_files) << label;
-  EXPECT_EQ(got.cur_files, want.cur_files) << label;
-  EXPECT_EQ(got.has_prev_rows, want.has_prev_rows) << label;
-  EXPECT_EQ(got.readonly_prev_rows, want.readonly_prev_rows) << label;
-  EXPECT_EQ(got.updated_prev_rows, want.updated_prev_rows) << label;
-  EXPECT_EQ(got.untouched_prev_rows, want.untouched_prev_rows) << label;
-  EXPECT_EQ(got.has_dir_diff, want.has_dir_diff) << label;
-  EXPECT_EQ(got.new_dir_rows, want.new_dir_rows) << label;
-  EXPECT_EQ(got.changed_dir_rows, want.changed_dir_rows) << label;
-  EXPECT_EQ(got.changed_dir_prev_rows, want.changed_dir_prev_rows) << label;
-  EXPECT_EQ(got.deleted_dir_rows, want.deleted_dir_rows) << label;
-}
-
 /// Semantic checks of the prev-row mapping: index-parallel lengths, path
 /// agreement row by row (the real guarantee the incremental study leans
 /// on), and class membership re-derived from the two tables' timestamps.
@@ -285,18 +269,14 @@ TEST_P(DiffParityTest, StrategiesAgreeAtEveryThreadCount) {
   const std::string profile = GetParam();
   for (const std::uint64_t seed : {11ull, 23ull}) {
     const SnapshotPair pair = make_profile(profile, seed);
-    ThreadPool reference_pool(1);
-    const DiffResult reference =
-        diff_snapshots(pair.prev, pair.cur, &reference_pool);
+    const DiffResult reference = reference_diff(pair.prev, pair.cur);
 
     for (const unsigned threads : {1u, 2u, 7u, 0u}) {  // 0 = hardware
       ThreadPool pool(threads);
       const std::string label = profile + " seed=" + std::to_string(seed) +
                                 " threads=" + std::to_string(threads);
-      expect_equal(diff_snapshots(pair.prev, pair.cur, &pool), reference,
-                   "hash " + label);
-      expect_equal(diff_snapshots_partitioned(pair.prev, pair.cur, &pool),
-                   reference, "partitioned " + label);
+      expect_same_diff(diff_snapshots_partitioned(pair.prev, pair.cur, &pool),
+                       reference, "partitioned " + label);
     }
   }
 }
@@ -306,10 +286,7 @@ TEST_P(DiffParityTest, PrevRowMappingAndDirDiffAgree) {
   const DiffOptions options{.prev_rows = true, .dirs = true};
   for (const std::uint64_t seed : {11ull, 23ull}) {
     const SnapshotPair pair = make_profile(profile, seed);
-    ThreadPool reference_pool(1);
-    const DiffResult reference = diff_snapshots(pair.prev, pair.cur,
-                                                &reference_pool,
-                                                /*breakdown=*/nullptr, options);
+    const DiffResult reference = reference_diff(pair.prev, pair.cur, options);
     const std::string base = profile + " seed=" + std::to_string(seed);
     expect_mapping_semantics(pair, reference, base + "/reference");
     expect_dir_semantics(pair, reference, base + "/reference");
@@ -317,26 +294,20 @@ TEST_P(DiffParityTest, PrevRowMappingAndDirDiffAgree) {
     for (const unsigned threads : {1u, 2u, 7u, 0u}) {  // 0 = hardware
       ThreadPool pool(threads);
       const std::string label = base + " threads=" + std::to_string(threads);
-      expect_equal(
-          diff_snapshots(pair.prev, pair.cur, &pool, nullptr, options),
-          reference, "hash " + label);
-      expect_equal(diff_snapshots_partitioned(pair.prev, pair.cur, &pool,
-                                              nullptr, options),
-                   reference, "partitioned " + label);
+      expect_same_diff(diff_snapshots_partitioned(pair.prev, pair.cur, &pool,
+                                                  nullptr, options),
+                       reference, "partitioned " + label);
     }
   }
 
   // Default options must leave the optional outputs untouched.
   const SnapshotPair pair = make_profile(profile, 11);
-  for (const DiffResult& plain :
-       {diff_snapshots(pair.prev, pair.cur),
-        diff_snapshots_partitioned(pair.prev, pair.cur)}) {
-    EXPECT_FALSE(plain.has_prev_rows) << profile;
-    EXPECT_FALSE(plain.has_dir_diff) << profile;
-    EXPECT_TRUE(plain.readonly_prev_rows.empty()) << profile;
-    EXPECT_TRUE(plain.new_dir_rows.empty()) << profile;
-    EXPECT_TRUE(plain.deleted_dir_rows.empty()) << profile;
-  }
+  const DiffResult plain = diff_snapshots_partitioned(pair.prev, pair.cur);
+  EXPECT_FALSE(plain.has_prev_rows) << profile;
+  EXPECT_FALSE(plain.has_dir_diff) << profile;
+  EXPECT_TRUE(plain.readonly_prev_rows.empty()) << profile;
+  EXPECT_TRUE(plain.new_dir_rows.empty()) << profile;
+  EXPECT_TRUE(plain.deleted_dir_rows.empty()) << profile;
 }
 
 INSTANTIATE_TEST_SUITE_P(Profiles, DiffParityTest,
@@ -350,18 +321,15 @@ INSTANTIATE_TEST_SUITE_P(Profiles, DiffParityTest,
 TEST(DiffBreakdownTest, PhasesAreRecordedForEveryStrategy) {
   const SnapshotPair pair = random_pair(9, 2000);
   ThreadPool pool(2);
-  for (const bool partitioned : {false, true}) {
-    DiffBreakdown breakdown;
-    const DiffResult result =
-        partitioned ? diff_snapshots_partitioned(pair.prev, pair.cur, &pool,
-                                                 &breakdown)
-                    : diff_snapshots(pair.prev, pair.cur, &pool, &breakdown);
-    EXPECT_GT(result.prev_files, 0u);
-    EXPECT_GE(breakdown.build_s, 0.0);
-    EXPECT_GE(breakdown.probe_s, 0.0);
-    EXPECT_GE(breakdown.sweep_s, 0.0);
-    EXPECT_GT(breakdown.build_s + breakdown.probe_s + breakdown.sweep_s, 0.0);
-  }
+  DiffBreakdown breakdown;
+  const DiffResult result =
+      diff_snapshots_partitioned(pair.prev, pair.cur, &pool, &breakdown);
+  EXPECT_GT(result.prev_files, 0u);
+  // The build, the probe (the scan less the kernel's merge) and the sweep
+  // (the merge) are each timed.
+  EXPECT_GT(breakdown.build_s, 0.0);
+  EXPECT_GT(breakdown.probe_s, 0.0);
+  EXPECT_GT(breakdown.sweep_s, 0.0);
 }
 
 }  // namespace

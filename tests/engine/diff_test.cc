@@ -5,6 +5,8 @@
 #include <algorithm>
 
 #include "engine/hash_index.h"
+#include "reference_diff.h"
+#include "util/hash.h"
 #include "util/prng.h"
 
 namespace spider {
@@ -29,34 +31,56 @@ RawRecord dir_record(const std::string& path) {
   return rec;
 }
 
+/// Indexes the rows of `t` that `keep` selects, by position = row, through
+/// PathIndex::insert with a path compare.
+template <typename Keep>
+PathIndex index_rows(const SnapshotTable& t, Keep keep) {
+  PathIndex index(t.size());
+  for (std::size_t row = 0; row < t.size(); ++row) {
+    if (!keep(row)) continue;
+    const std::string_view path = t.path(row);
+    index.insert(static_cast<std::uint32_t>(row), t.path_hash(row),
+                 [&t, path](std::uint32_t other) {
+                   return t.path(other) == path;
+                 });
+  }
+  return index;
+}
+
+/// The row find() confirms for `path`, or kNotFound.
+std::uint32_t find_path(const PathIndex& index, const SnapshotTable& t,
+                        std::string_view path) {
+  return index.find(hash_path(path), [&t, path](std::uint32_t row) {
+    return t.path(row) == path;
+  });
+}
+
 TEST(PathIndexTest, LookupHitsAndMisses) {
   SnapshotTable t;
   t.add(file_record("/lustre/atlas2/p/u/a", 1, 1, 1));
   t.add(dir_record("/lustre/atlas2/p/u"));
   t.add(file_record("/lustre/atlas2/p/u/b", 2, 2, 2));
+  t.add(file_record("/lustre/atlas2/p/u/a", 3, 3, 3));  // repeats row 0
 
-  const PathIndex all(t, /*files_only=*/false);
-  EXPECT_EQ(all.size(), 3u);
-  EXPECT_EQ(all.lookup(hash_path("/lustre/atlas2/p/u/a"),
-                       "/lustre/atlas2/p/u/a"),
-            0u);
-  EXPECT_EQ(all.lookup(hash_path("/lustre/atlas2/p/u"),
-                       "/lustre/atlas2/p/u"),
-            1u);
-  EXPECT_EQ(all.lookup(hash_path("/nope"), "/nope"), PathIndex::kNotFound);
+  const PathIndex all = index_rows(t, [](std::size_t) { return true; });
+  EXPECT_EQ(all.size(), 3u);  // the repeated path keeps its first row
+  EXPECT_EQ(find_path(all, t, "/lustre/atlas2/p/u/a"), 0u);
+  EXPECT_EQ(find_path(all, t, "/lustre/atlas2/p/u"), 1u);
+  EXPECT_EQ(find_path(all, t, "/lustre/atlas2/p/u/b"), 2u);
+  EXPECT_EQ(find_path(all, t, "/nope"), PathIndex::kNotFound);
 
-  const PathIndex files(t, /*files_only=*/true);
+  const PathIndex files =
+      index_rows(t, [&t](std::size_t row) { return !t.is_dir(row); });
   EXPECT_EQ(files.size(), 2u);
-  EXPECT_EQ(files.lookup(hash_path("/lustre/atlas2/p/u"),
-                         "/lustre/atlas2/p/u"),
-            PathIndex::kNotFound);
+  EXPECT_EQ(find_path(files, t, "/lustre/atlas2/p/u"), PathIndex::kNotFound);
 }
 
 TEST(PathIndexTest, EmptyTable) {
   SnapshotTable t;
-  const PathIndex index(t);
+  const PathIndex index = index_rows(t, [](std::size_t) { return true; });
   EXPECT_EQ(index.size(), 0u);
-  EXPECT_EQ(index.lookup(123, "/x"), PathIndex::kNotFound);
+  EXPECT_EQ(index.find(123, [](std::uint32_t) { return true; }),
+            PathIndex::kNotFound);
 }
 
 TEST(PathIndexTest, ManyRows) {
@@ -64,11 +88,12 @@ TEST(PathIndexTest, ManyRows) {
   for (int i = 0; i < 20000; ++i) {
     t.add(file_record("/lustre/atlas2/p/u/f" + std::to_string(i), i, i, i));
   }
-  const PathIndex index(t);
+  const PathIndex index = index_rows(t, [](std::size_t) { return true; });
+  EXPECT_EQ(index.size(), t.size());
   for (int i = 0; i < 20000; i += 97) {
     const std::string path = "/lustre/atlas2/p/u/f" + std::to_string(i);
-    ASSERT_EQ(index.lookup(hash_path(path), path),
-              static_cast<std::uint32_t>(i));
+    ASSERT_EQ(find_path(index, t, path), static_cast<std::uint32_t>(i));
+    ASSERT_EQ(find_path(index, t, path + "x"), PathIndex::kNotFound);
   }
 }
 
@@ -91,7 +116,7 @@ TEST_F(DiffTest, ClassifiesAllCategories) {
   cur_.add(file_record("/lustre/atlas2/p/u/new", 50, 50, 50));
   cur_.add(dir_record("/lustre/atlas2/p/u"));
 
-  const DiffResult diff = diff_snapshots(prev_, cur_);
+  const DiffResult diff = diff_snapshots_partitioned(prev_, cur_);
   ASSERT_EQ(diff.untouched_rows.size(), 1u);
   ASSERT_EQ(diff.readonly_rows.size(), 1u);
   ASSERT_EQ(diff.updated_rows.size(), 1u);
@@ -112,7 +137,7 @@ TEST_F(DiffTest, ClassifiesAllCategories) {
 TEST_F(DiffTest, MtimeOnlyChangeIsUpdated) {
   prev_.add(file_record("/lustre/atlas2/p/u/f", 10, 10, 10));
   cur_.add(file_record("/lustre/atlas2/p/u/f", 10, 10, 99));
-  const DiffResult diff = diff_snapshots(prev_, cur_);
+  const DiffResult diff = diff_snapshots_partitioned(prev_, cur_);
   EXPECT_EQ(diff.updated_rows.size(), 1u);
   EXPECT_TRUE(diff.readonly_rows.empty());
 }
@@ -120,14 +145,14 @@ TEST_F(DiffTest, MtimeOnlyChangeIsUpdated) {
 TEST_F(DiffTest, CtimeOnlyChangeIsUpdated) {
   prev_.add(file_record("/lustre/atlas2/p/u/f", 10, 10, 10));
   cur_.add(file_record("/lustre/atlas2/p/u/f", 10, 99, 10));
-  const DiffResult diff = diff_snapshots(prev_, cur_);
+  const DiffResult diff = diff_snapshots_partitioned(prev_, cur_);
   EXPECT_EQ(diff.updated_rows.size(), 1u);
 }
 
 TEST_F(DiffTest, DirectoriesAreIgnored) {
   prev_.add(dir_record("/lustre/atlas2/p/gone"));
   cur_.add(dir_record("/lustre/atlas2/p/fresh"));
-  const DiffResult diff = diff_snapshots(prev_, cur_);
+  const DiffResult diff = diff_snapshots_partitioned(prev_, cur_);
   EXPECT_TRUE(diff.new_rows.empty());
   EXPECT_TRUE(diff.deleted_rows.empty());
   EXPECT_EQ(diff.prev_files, 0u);
@@ -135,7 +160,7 @@ TEST_F(DiffTest, DirectoriesAreIgnored) {
 }
 
 TEST_F(DiffTest, EmptySnapshots) {
-  const DiffResult diff = diff_snapshots(prev_, cur_);
+  const DiffResult diff = diff_snapshots_partitioned(prev_, cur_);
   EXPECT_EQ(diff.new_rows.size() + diff.deleted_rows.size() +
                 diff.readonly_rows.size() + diff.updated_rows.size() +
                 diff.untouched_rows.size(),
@@ -165,7 +190,8 @@ TEST_P(DiffPropertyTest, PartitionInvariant) {
       cur.add(file_record(path, a, c, m));
     }
   }
-  const DiffResult diff = diff_snapshots(prev, cur);
+  const DiffResult diff = diff_snapshots_partitioned(prev, cur);
+  expect_same_diff(diff, reference_diff(prev, cur));
   EXPECT_EQ(diff.new_rows.size() + diff.readonly_rows.size() +
                 diff.updated_rows.size() + diff.untouched_rows.size(),
             diff.cur_files);

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "engine/hash_index.h"
+#include "reference_diff.h"
 #include "util/hash.h"
 #include "util/prng.h"
 
@@ -222,28 +223,34 @@ TEST(PartitionedPathIndexTest, MatchesPathIndexOnLargeTable) {
   const SnapshotTable t = mixed_table(40'000, 13);
   ThreadPool pool(4);
   const PartitionedPathIndex partitioned(t, &pool);
-  const PathIndex flat(t, /*files_only=*/true);
+  // The reference: path -> first file row, keyed by the path string.
+  const auto files = reference_rows(t, /*dirs=*/false);
   EXPECT_EQ(partitioned.size(), t.file_count());
   EXPECT_GT(partitioned.partition_count(), 1u);
   Rng rng(7);
+  std::size_t hits = 0;
   for (int probe = 0; probe < 5000; ++probe) {
     const std::size_t i = rng.uniform_u64(t.size() + 100);
     const std::string path = i < t.size()
                                  ? std::string(t.path(i))
                                  : "/lustre/ghost/f" + std::to_string(i);
-    const std::uint64_t h = hash_path(path);
-    const std::uint32_t ordinal = partitioned.lookup(t, h, path);
-    const std::uint32_t row = flat.lookup(h, path);
-    if (row == PathIndex::kNotFound) {
+    const std::uint32_t ordinal =
+        partitioned.lookup(t, hash_path(path), path);
+    const auto want = files.find(path);
+    if (want == files.end()) {
       EXPECT_EQ(ordinal, PartitionedPathIndex::kNotFound) << path;
-    } else {
-      ASSERT_NE(ordinal, PartitionedPathIndex::kNotFound) << path;
-      EXPECT_EQ(partitioned.row_of(ordinal), row) << path;
-      EXPECT_EQ(partitioned.payload(ordinal).atime, t.atime(row));
-      EXPECT_EQ(partitioned.payload(ordinal).mtime, t.mtime(row));
-      EXPECT_EQ(partitioned.payload(ordinal).ctime, t.ctime(row));
+      continue;
     }
+    ++hits;
+    ASSERT_NE(ordinal, PartitionedPathIndex::kNotFound) << path;
+    const std::uint32_t row = want->second;
+    EXPECT_EQ(partitioned.row_of(ordinal), row) << path;
+    EXPECT_EQ(partitioned.payload(ordinal).atime, t.atime(row));
+    EXPECT_EQ(partitioned.payload(ordinal).mtime, t.mtime(row));
+    EXPECT_EQ(partitioned.payload(ordinal).ctime, t.ctime(row));
   }
+  // Most probes name a file of the table, so most must hit.
+  EXPECT_GT(hits, 2500u);
 }
 
 }  // namespace

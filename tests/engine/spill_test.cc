@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "engine/diff.h"
+#include "reference_diff.h"
 #include "util/hash.h"
 #include "util/io.h"
 #include "util/parallel.h"
@@ -102,25 +103,6 @@ SpilledSide spill_table(const SnapshotTable& table, const std::string& dir,
   EXPECT_TRUE(writer.add_table(table).ok());
   EXPECT_TRUE(writer.finish().ok());
   return writer.side();
-}
-
-void expect_diff_equal(const DiffResult& want, const DiffResult& got) {
-  EXPECT_EQ(want.new_rows, got.new_rows);
-  EXPECT_EQ(want.deleted_rows, got.deleted_rows);
-  EXPECT_EQ(want.readonly_rows, got.readonly_rows);
-  EXPECT_EQ(want.updated_rows, got.updated_rows);
-  EXPECT_EQ(want.untouched_rows, got.untouched_rows);
-  EXPECT_EQ(want.has_prev_rows, got.has_prev_rows);
-  EXPECT_EQ(want.readonly_prev_rows, got.readonly_prev_rows);
-  EXPECT_EQ(want.updated_prev_rows, got.updated_prev_rows);
-  EXPECT_EQ(want.untouched_prev_rows, got.untouched_prev_rows);
-  EXPECT_EQ(want.has_dir_diff, got.has_dir_diff);
-  EXPECT_EQ(want.new_dir_rows, got.new_dir_rows);
-  EXPECT_EQ(want.changed_dir_rows, got.changed_dir_rows);
-  EXPECT_EQ(want.changed_dir_prev_rows, got.changed_dir_prev_rows);
-  EXPECT_EQ(want.deleted_dir_rows, got.deleted_dir_rows);
-  EXPECT_EQ(want.prev_files, got.prev_files);
-  EXPECT_EQ(want.cur_files, got.cur_files);
 }
 
 /// Spills `table` through SpillPartitionWriter::add, storing
@@ -225,8 +207,7 @@ TEST_P(SpillJoinParity, MatchesInMemoryDiffAtEveryFanOut) {
         DiffOptions options;
         options.prev_rows = prev_rows;
         options.dirs = dirs;
-        const DiffResult want = diff_snapshots(
-            prev, cur, /*pool=*/nullptr, /*breakdown=*/nullptr, options);
+        const DiffResult want = reference_diff(prev, cur, options);
         for (ThreadPool* pool : {&one, &two, &seven, &hw}) {
           SCOPED_TRACE("bits=" + tag + " prev_rows=" +
                        std::to_string(prev_rows) + " dirs=" +
@@ -235,7 +216,7 @@ TEST_P(SpillJoinParity, MatchesInMemoryDiffAtEveryFanOut) {
           DiffResult got;
           ASSERT_TRUE(
               spill_diff_join(prev_side, cur_side, options, &got, pool).ok());
-          expect_diff_equal(want, got);
+          expect_same_diff(got, want);
         }
       }
     }
@@ -245,14 +226,14 @@ TEST_P(SpillJoinParity, MatchesInMemoryDiffAtEveryFanOut) {
 TEST_P(SpillJoinParity, MatchesWithoutExtras) {
   SnapshotTable prev, cur;
   make_week_pair(GetParam() + 100, &prev, &cur);
-  const DiffResult want = diff_snapshots(prev, cur);
+  const DiffResult want = reference_diff(prev, cur);
 
   TempDir dir("spider_spill_noextras_" + std::to_string(GetParam()));
   const SpilledSide prev_side = spill_table(prev, dir.path(), "prev", 2);
   const SpilledSide cur_side = spill_table(cur, dir.path(), "cur", 2);
   DiffResult got;
   ASSERT_TRUE(spill_diff_join(prev_side, cur_side, DiffOptions{}, &got).ok());
-  expect_diff_equal(want, got);
+  expect_same_diff(got, want);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SpillJoinParity,
@@ -316,14 +297,13 @@ TEST(SpillJoinTest, LastPartitionLargestOnBothSidesSizesColumnsOnce) {
   DiffOptions options;
   options.prev_rows = true;
   options.dirs = true;
-  const DiffResult want = diff_snapshots(prev, cur, /*pool=*/nullptr,
-                                         /*breakdown=*/nullptr, options);
+  const DiffResult want = reference_diff(prev, cur, options);
   ThreadPool one(1), hw(0);
   for (ThreadPool* pool : {&one, &hw}) {
     DiffResult got;
     ASSERT_TRUE(
         spill_diff_join(prev_side, cur_side, options, &got, pool).ok());
-    expect_diff_equal(want, got);
+    expect_same_diff(got, want);
   }
 
   // A regenerated side is a fresh spill of the same rows: it reports the
@@ -340,7 +320,7 @@ TEST(SpillJoinTest, LastPartitionLargestOnBothSidesSizesColumnsOnce) {
   DiffResult got;
   ASSERT_TRUE(spill_diff_join(prev_side, cur_side, options, &got).ok());
   EXPECT_EQ(regenerated, 1u);
-  expect_diff_equal(want, got);
+  expect_same_diff(got, want);
   expect_last_partition_largest(rewritten, "regenerated prev");
   EXPECT_EQ(rewritten.largest_records, prev_side.largest_records);
   EXPECT_EQ(rewritten.largest_path_bytes, prev_side.largest_path_bytes);
@@ -358,8 +338,7 @@ TEST(SpillJoinTest, ForcedTinyBudgetSpillsEveryPartition) {
   DiffOptions options;
   options.prev_rows = true;
   options.dirs = true;
-  const DiffResult want = diff_snapshots(prev, cur, /*pool=*/nullptr,
-                                         /*breakdown=*/nullptr, options);
+  const DiffResult want = reference_diff(prev, cur, options);
 
   TempDir dir("spider_spill_tiny_budget");
   const SpilledSide prev_side = spill_table(prev, dir.path(), "prev", bits);
@@ -375,7 +354,7 @@ TEST(SpillJoinTest, ForcedTinyBudgetSpillsEveryPartition) {
 
   DiffResult got;
   ASSERT_TRUE(spill_diff_join(prev_side, cur_side, options, &got).ok());
-  expect_diff_equal(want, got);
+  expect_same_diff(got, want);
 }
 
 TEST(SpillJoinTest, FullHashCollisionsResolveByPath) {
@@ -398,12 +377,11 @@ TEST(SpillJoinTest, FullHashCollisionsResolveByPath) {
     DiffOptions options;
     options.prev_rows = extras;
     options.dirs = extras;
-    const DiffResult want = diff_snapshots(prev, cur, /*pool=*/nullptr,
-                                           /*breakdown=*/nullptr, options);
+    const DiffResult want = reference_diff(prev, cur, options);
     DiffResult got;
     ASSERT_TRUE(
         spill_diff_join(prev_side, cur_side, options, &got, &pool).ok());
-    expect_diff_equal(want, got);
+    expect_same_diff(got, want);
   }
 }
 
@@ -557,8 +535,7 @@ TEST(SpillFaultTest, ChecksumMismatchRegeneratesOnceAndJoins) {
   DiffOptions options;
   options.prev_rows = true;
   options.dirs = true;
-  const DiffResult want = diff_snapshots(prev, cur, /*pool=*/nullptr,
-                                         /*breakdown=*/nullptr, options);
+  const DiffResult want = reference_diff(prev, cur, options);
 
   TempDir dir("spider_spill_fault_recover");
   SpilledSide prev_side = spill_table(prev, dir.path(), "prev", 3);
@@ -581,7 +558,7 @@ TEST(SpillFaultTest, ChecksumMismatchRegeneratesOnceAndJoins) {
   DiffResult got;
   ASSERT_TRUE(spill_diff_join(prev_side, cur_side, options, &got).ok());
   EXPECT_EQ(regenerated, 1u);
-  expect_diff_equal(want, got);
+  expect_same_diff(got, want);
 }
 
 TEST(SpillFaultTest, CorruptionWithoutRegenerateFails) {
@@ -642,7 +619,7 @@ void expect_damage_heals(const std::string& victim,
       s = spill_diff_join(prev_side, cur_side, options, &got, &pool));
   ASSERT_TRUE(s.ok()) << s.to_string();
   EXPECT_EQ(regenerated, 1u);
-  expect_diff_equal(want, got);
+  expect_same_diff(got, want);
 }
 
 TEST(SpillFaultTest, TrailerBitFlipsFailThePartitionAndRegenerate) {
@@ -658,8 +635,7 @@ TEST(SpillFaultTest, TrailerBitFlipsFailThePartitionAndRegenerate) {
   DiffOptions options;
   options.prev_rows = true;
   options.dirs = true;
-  const DiffResult want = diff_snapshots(prev, cur, /*pool=*/nullptr,
-                                         /*breakdown=*/nullptr, options);
+  const DiffResult want = reference_diff(prev, cur, options);
 
   TempDir dir("spider_spill_trailer_flips");
   SpilledSide prev_side = spill_table(prev, dir.path(), "prev", 1);
@@ -716,8 +692,7 @@ TEST(SpillFaultTest, BlockDamageAndBlockBoundaryCutsRegenerate) {
   DiffOptions options;
   options.prev_rows = true;
   options.dirs = true;
-  const DiffResult want = diff_snapshots(prev, cur, /*pool=*/nullptr,
-                                         /*breakdown=*/nullptr, options);
+  const DiffResult want = reference_diff(prev, cur, options);
 
   TempDir dir("spider_spill_block_sweep");
   SpilledSide prev_side = spill_table(prev, dir.path(), "prev", 0);

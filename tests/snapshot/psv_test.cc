@@ -207,7 +207,7 @@ TEST(PsvFileTest, WriteReadFile) {
   original.add(sample_record());
   const std::string file =
       testing::TempDir() + "/spider_psv_test_snapshot.psv";
-  const Status written = write_psv_file(original, file, PsvOptions{});
+  const Status written = write_psv_file(original, file);
   ASSERT_TRUE(written.ok()) << written.to_string();
   SnapshotTable loaded;
   const Status read = read_psv_file(file, &loaded, PsvOptions{});

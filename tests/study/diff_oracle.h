@@ -1,10 +1,11 @@
 // Test-side reference for the study runner's weekly diff: a recording
-// analyzer that recomputes each week's classification with the standalone
-// hash join (diff_snapshots) and compares it, field by field, with the
-// DiffResult the runner handed out — the fused scan kernel's on resident
-// weeks. On scan weeks it also checks that the per-chunk slices the fused
-// kernel exposes through WeekObservation::diff_chunks (what burstiness
-// reads inside observe_chunk) concatenate to the final lists.
+// analyzer that recomputes each week's classification with the serial
+// path-keyed reference (tests/engine/reference_diff.h) and compares it,
+// field by field, with the DiffResult the runner handed out — the fused
+// scan kernel's on resident weeks. On scan weeks it also checks that the
+// per-chunk slices the fused kernel exposes through
+// WeekObservation::diff_chunks (what burstiness reads inside
+// observe_chunk) concatenate to the final lists.
 //
 // Resident runs only: a streamed week's table is an empty shell, so there
 // is nothing to recompute the diff from.
@@ -17,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "../engine/reference_diff.h"
 #include "engine/diff.h"
 #include "study/runner.h"
 
@@ -81,24 +83,7 @@ class DiffOracleAnalyzer : public StudyAnalyzer {
              const DiffOptions& options) {
     ++checked_weeks;
     const std::string at = label_ + " week=" + std::to_string(week);
-    const DiffResult want =
-        diff_snapshots(prev, cur, /*pool=*/nullptr, nullptr, options);
-    EXPECT_EQ(got.new_rows, want.new_rows) << at;
-    EXPECT_EQ(got.readonly_rows, want.readonly_rows) << at;
-    EXPECT_EQ(got.updated_rows, want.updated_rows) << at;
-    EXPECT_EQ(got.untouched_rows, want.untouched_rows) << at;
-    EXPECT_EQ(got.deleted_rows, want.deleted_rows) << at;
-    EXPECT_EQ(got.has_prev_rows, want.has_prev_rows) << at;
-    EXPECT_EQ(got.readonly_prev_rows, want.readonly_prev_rows) << at;
-    EXPECT_EQ(got.updated_prev_rows, want.updated_prev_rows) << at;
-    EXPECT_EQ(got.untouched_prev_rows, want.untouched_prev_rows) << at;
-    EXPECT_EQ(got.has_dir_diff, want.has_dir_diff) << at;
-    EXPECT_EQ(got.new_dir_rows, want.new_dir_rows) << at;
-    EXPECT_EQ(got.changed_dir_rows, want.changed_dir_rows) << at;
-    EXPECT_EQ(got.changed_dir_prev_rows, want.changed_dir_prev_rows) << at;
-    EXPECT_EQ(got.deleted_dir_rows, want.deleted_dir_rows) << at;
-    EXPECT_EQ(got.prev_files, want.prev_files) << at;
-    EXPECT_EQ(got.cur_files, want.cur_files) << at;
+    expect_same_diff(got, reference_diff(prev, cur, options), at);
   }
 
   void check_chunks(std::size_t week, const DiffResult& diff,
