@@ -24,7 +24,10 @@
 # The sanitizer passes are scoped rather than suite-wide to keep the gate
 # fast: ASan+UBSan covers the ingest/robustness, aggregation, thread-pool,
 # single-analyzer and facility-inference tests, TSan covers the parallel
-# scan/prefetch/runner/aggregation-merge tests. Both run the .scol decode
+# scan/prefetch/runner/aggregation-merge tests and setup's concurrent
+# traversal (snapshot_series_test and synth_infer_test: infer_facility
+# scans the weeks on pool threads and merges them in slot order, at pool
+# widths 1, 2, 7 and hardware). Both run the .scol decode
 # parity test, because a row group's paths and columns decode on pool
 # threads, the spill join test, because partition loads and the join's
 # probe run on pool threads, and the diff parity test, because the diff
@@ -32,7 +35,9 @@
 # by each morsel's chunk. Both run all of study_runner_test: the
 # analyzers index the first-seen verdicts by candidate position and read
 # each candidate's row through the morsel, so a chunk lookup that names
-# the wrong chunk (the misaligned-group case) reads past a staging table. SPIDER_SANITIZE=ON (address) or
+# the wrong chunk (the misaligned-group case) reads past a staging table,
+# and an exception on either side of the prefetch pipeline must reach the
+# caller after the analyst thread is joined. SPIDER_SANITIZE=ON (address) or
 # SPIDER_SANITIZE=thread works on any target if a full sanitized run is
 # wanted.
 set -euo pipefail
@@ -107,15 +112,20 @@ cmake --build build-tsan -j"${JOBS}" --target \
     util_parallel_test snapshot_decode_parity_test \
     engine_scan_test engine_stream_test engine_spill_test \
     engine_partition_test engine_diff_parity_test engine_flat_map_test \
+    snapshot_series_test synth_infer_test \
     study_runner_test study_scan_determinism_test study_incremental_test \
     study_streaming_test study_checkpoint_test
 # snapshot_decode_parity_test: a row group's path stretches and its other
 # columns decode concurrently on pools of 2, 7 and hardware width.
 # engine_spill_test: the join checks and decodes each partition's blocks
 # and probes its records on pools of 1, 2, 7 and hardware width.
+# snapshot_series_test and synth_infer_test: setup's traversal runs each
+# week's visitor on a pool worker and folds the gaps and retry counts in
+# slot order afterwards; a visitor's exception crosses back to the caller.
 for t in util_parallel_test snapshot_decode_parity_test \
          engine_scan_test engine_stream_test engine_spill_test \
          engine_partition_test engine_diff_parity_test engine_flat_map_test \
+         snapshot_series_test synth_infer_test \
          study_runner_test; do
   echo "--> ${t} (tsan)"
   ./build-tsan/tests/"${t}"

@@ -460,41 +460,78 @@ Status decode_i64(const ColumnBlock& block, std::size_t rows,
   return Status();
 }
 
-Status decode_u32(const ColumnBlock& block, std::size_t rows,
-                  std::vector<std::uint32_t>* out) {
+/// Reads a u32 column of `rows` rows as runs of equal values, calling
+/// emit(value, count) for each run (count 1 for plain varints). The one
+/// reading of the encoding's verdict: decode_u32 appends the runs, and
+/// scan_owners validates with it before its U32Cursor reads the values.
+template <typename Emit>
+Status walk_u32(const ColumnBlock& block, std::size_t rows, Emit&& emit) {
   std::size_t pos = 0;
   if (block.enc == kEncPlainVarint) {
     // Every value costs at least one byte.
     if (rows > block.payload.size()) {
       return Status::truncated("u32 column truncated");
     }
-    out->resize(out->size() + rows);
-    std::uint32_t* dst = out->data() + out->size() - rows;
     for (std::size_t i = 0; i < rows; ++i) {
       std::uint64_t v = 0;
       if (!get_varint(block.payload, pos, v)) {
         return Status::truncated("u32 column truncated");
       }
-      dst[i] = static_cast<std::uint32_t>(v);
+      emit(static_cast<std::uint32_t>(v), std::size_t{1});
     }
     return Status();
   }
   if (block.enc != kEncRle) return Status::corruption("bad u32 encoding");
-  // Runs are inserted as they are read: an RLE payload bounds no row count.
-  const std::size_t end = out->size() + rows;
-  while (out->size() < end) {
+  // An RLE payload bounds no row count: runs are emitted as they are read.
+  std::size_t left = rows;
+  while (left > 0) {
     std::uint64_t run = 0, value = 0;
     if (!get_varint(block.payload, pos, run) ||
         !get_varint(block.payload, pos, value)) {
       return Status::truncated("rle column truncated");
     }
-    if (run == 0 || run > end - out->size()) {
+    if (run == 0 || run > left) {
       return Status::corruption("rle run overflows row count");
     }
-    out->insert(out->end(), run, static_cast<std::uint32_t>(value));
+    emit(static_cast<std::uint32_t>(value), static_cast<std::size_t>(run));
+    left -= run;
   }
   return Status();
 }
+
+Status decode_u32(const ColumnBlock& block, std::size_t rows,
+                  std::vector<std::uint32_t>* out) {
+  return walk_u32(block, rows, [out](std::uint32_t value, std::size_t run) {
+    out->insert(out->end(), run, value);
+  });
+}
+
+/// Reads a u32 column that walk_u32 has accepted, one row at a time.
+class U32Cursor {
+ public:
+  explicit U32Cursor(const ColumnBlock& block) : block_(block) {}
+
+  std::uint32_t next() {
+    std::uint64_t v = 0;
+    if (block_.enc != kEncRle) {
+      get_varint(block_.payload, pos_, v);
+      return static_cast<std::uint32_t>(v);
+    }
+    if (left_ == 0) {
+      get_varint(block_.payload, pos_, left_);
+      get_varint(block_.payload, pos_, v);
+      value_ = static_cast<std::uint32_t>(v);
+    }
+    --left_;
+    return value_;
+  }
+
+ private:
+  const ColumnBlock& block_;
+  std::size_t pos_ = 0;
+  std::uint64_t left_ = 0;  // rows left in the current run
+  std::uint32_t value_ = 0;
+};
 
 Status decode_inodes(const ColumnBlock& block, std::size_t rows,
                      std::vector<std::uint64_t>* out) {
@@ -1021,23 +1058,22 @@ Status ScolGroupReader::scan_owners(std::size_t g,
   Status s = impl_->parse_group(g, &set);
   if (!s.ok()) return s;
   // Validate first, through the same path walk (without decode_group's
-  // stretch cuts) and decoders as decode_group, so a group that fails
-  // reaches fn with no row at all.
+  // stretch cuts) and column walks as decode_group, so a group that fails
+  // reaches fn with no row at all. Then uid and gid are read one value at
+  // a time beside the walk that emits each row, so nothing sized by the
+  // group's rows is allocated.
   const std::size_t rows = impl_->layout.group_rows[g];
-  s = walk_paths(set[kColPaths], rows, [](std::string_view, std::size_t) {});
-  if (!s.ok()) return s;
-  std::vector<std::uint32_t> uids, gids;
-  uids.reserve(rows);  // the path walk bounded `rows` by the image
-  gids.reserve(rows);
-  ColumnSinks owners;
-  owners.uid = &uids;
-  owners.gid = &gids;
-  if (!(s = decode_columns(set, rows, owners)).ok()) return s;
-  std::size_t i = 0;
+  const auto no_row = [](std::string_view, std::size_t) {};
+  const auto no_run = [](std::uint32_t, std::size_t) {};
+  if (!(s = walk_paths(set[kColPaths], rows, no_row)).ok() ||
+      !(s = walk_u32(set[kColUid], rows, no_run)).ok() ||
+      !(s = walk_u32(set[kColGid], rows, no_run)).ok()) {
+    return s;
+  }
+  U32Cursor uids(set[kColUid]), gids(set[kColGid]);
   return walk_paths(set[kColPaths], rows,
                     [&](std::string_view path, std::size_t) {
-                      fn(path, uids[i], gids[i]);
-                      ++i;
+                      fn(path, uids.next(), gids.next());
                     });
 }
 

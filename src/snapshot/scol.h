@@ -264,12 +264,15 @@ class ScolGroupReader {
 
   /// Reads group `g`'s paths, uid and gid without building a table,
   /// calling fn once per row in row order. Paths are rebuilt in one reused
-  /// buffer, so a row costs no allocation. Every block is still
-  /// checksummed, and the paths pass decode_group's own validating walk,
-  /// so the verdict equals decode_group's under a paths|uid|gid
-  /// projection; fn runs only when that verdict is ok, so
-  /// the rows of a damaged group never reach it. Facility inference
-  /// (synth/infer.h) reads every streamed week this way.
+  /// buffer, and uid and gid are read one value at a time beside them, so
+  /// nothing sized by the group's rows is allocated: a scan on a pool
+  /// worker leaves no column buffer in that worker's malloc arena. Every
+  /// block is still checksummed, and the paths, uid and gid pass
+  /// decode_group's own validating walks first, so the verdict equals
+  /// decode_group's under a paths|uid|gid projection; fn runs only when
+  /// that verdict is ok, so the rows of a damaged group never reach it.
+  /// Facility inference (synth/infer.h) reads every streamed week this
+  /// way.
   Status scan_owners(std::size_t g, const OwnerRowFn& fn) const;
 
   /// A report pre-filled with groups_total / rows_total.

@@ -5,6 +5,7 @@
 
 #include "snapshot/scol.h"
 #include "util/io.h"
+#include "util/parallel.h"
 #include "util/timeutil.h"
 
 namespace spider {
@@ -37,6 +38,20 @@ bool parse_snapshot_name(const std::string& name, std::int64_t* taken_at) {
   }
   *taken_at = epoch_from_civil(date);
   return true;
+}
+
+void sort_gaps(std::vector<SeriesGap>* gaps) {
+  std::sort(gaps->begin(), gaps->end(),
+            [](const SeriesGap& a, const SeriesGap& b) {
+              return a.week < b.week;
+            });
+}
+
+void add_retries(const RetryStats& from, RetryStats* into) {
+  into->attempts += from.attempts;
+  into->retries += from.retries;
+  into->exhausted += from.exhausted;
+  into->slept_us += from.slept_us;
 }
 
 }  // namespace
@@ -139,10 +154,7 @@ Status DirectorySeries::open(const std::string& directory) {
                                 std::move(found[i].status)});
     }
   }
-  std::sort(gaps_.begin(), gaps_.end(),
-            [](const SeriesGap& a, const SeriesGap& b) {
-              return a.week < b.week;
-            });
+  sort_gaps(&gaps_);
   open_gaps_ = gaps_;
   if (files_.empty()) {
     return Status::failed_precondition("no readable snapshots in: " +
@@ -184,6 +196,14 @@ void DirectorySeries::visit_move(const SnapshotMoveVisitor& visitor) {
   visit_streaming(0, nullptr, visitor, nullptr);
 }
 
+void SnapshotSource::visit_concurrent(
+    const StreamChooser& chooser, const SnapshotMoveVisitor& move_visitor,
+    const SnapshotStreamVisitor& stream_visitor, ThreadPool*) {
+  // Ordered is one valid order: sources whose weeks cannot be read apart
+  // (a generator's, an adapter's) need nothing more.
+  visit_streaming(0, chooser, move_visitor, stream_visitor);
+}
+
 void DirectorySeries::visit_streaming(
     std::size_t first_slot, const StreamChooser& chooser,
     const SnapshotMoveVisitor& move_visitor,
@@ -196,65 +216,106 @@ void DirectorySeries::visit_streaming(
   gaps_ = open_gaps_;
   for (std::size_t i = 0; i < files_.size(); ++i) {
     if (slots_[i] < first_slot) continue;
-    // A scripted read_fn_ cannot feed the mapped reader, so its presence
-    // (tests exercising transient-fault retries) forces the eager path —
-    // the seam keeps seeing every read either way.
-    if (chooser && stream_visitor && !read_fn_) {
-      ScolGroupReader reader;
-      // Maps the file and parses header + directory only — a failure here
-      // is NOT recorded as a gap; the eager fallback below re-discovers
-      // the damage through the canonical path so the gap carries the
-      // byte-identical eager status (and retry accounting).
-      const Status opened = reader.open(files_[i], scol_options_);
-      if (opened.ok() && chooser(slots_[i], taken_at_[i], reader.rows())) {
-        WeekGroupStream stream;
-        stream.week = slots_[i];
-        stream.taken_at = taken_at_[i];
-        stream.file = files_[i];
-        stream.reader = &reader;
-        const Status s = stream_visitor(stream);
-        if (!s.ok()) {
-          // The visitor reports the raw decode verdict; the file context
-          // is prepended here, mirroring the eager decode_scol call below.
-          gaps_.push_back(SeriesGap{slots_[i], taken_at_[i], files_[i],
-                                    s.with_context(files_[i])});
-        }
-        continue;
-      }
+    if (std::optional<SeriesGap> gap = visit_file(
+            i, chooser, move_visitor, stream_visitor, &retry_stats_)) {
+      gaps_.push_back(std::move(*gap));
     }
-    // Eager: read bytes (with retry for transient faults), then decode.
-    // Matches read_scol_file's error shape: the Status carries the file
-    // context.
-    Snapshot snap;
-    snap.taken_at = taken_at_[i];
-    SalvageReport report;
-    std::vector<std::uint8_t> bytes;
-    const auto read_once = [&]() {
-      bytes.clear();
-      return read_fn_ ? read_fn_(files_[i], &bytes)
-                      : read_file(files_[i], &bytes);
-    };
-    Status s = retry_policy_.enabled()
-                   ? retry_with_backoff(retry_policy_, &retry_stats_, read_once)
-                   : read_once();
-    if (s.ok()) {
-      s = decode_scol(bytes, &snap.table, scol_options_, &report, pool_)
-              .with_context(files_[i]);
-    }
-    // The image is dead once decoded; free it before the visitor, which
-    // may hold the week a while (a prefetching study waits to hand it on).
-    std::vector<std::uint8_t>().swap(bytes);
-    if (!s.ok()) {
-      gaps_.push_back(SeriesGap{slots_[i], taken_at_[i], files_[i], s});
-      continue;
-    }
-    snap.degraded = !report.clean();
-    move_visitor(slots_[i], std::move(snap));
   }
-  std::sort(gaps_.begin(), gaps_.end(),
-            [](const SeriesGap& a, const SeriesGap& b) {
-              return a.week < b.week;
-            });
+  sort_gaps(&gaps_);
+}
+
+void DirectorySeries::visit_concurrent(
+    const StreamChooser& chooser, const SnapshotMoveVisitor& move_visitor,
+    const SnapshotStreamVisitor& stream_visitor, ThreadPool* pool) {
+  if (read_fn_) {
+    // The seam is a test's script, written for one thread.
+    visit_streaming(0, chooser, move_visitor, stream_visitor);
+    return;
+  }
+  std::vector<std::uint64_t> bytes(files_.size(), 0);
+  std::vector<std::size_t> order(files_.size());
+  for (std::size_t i = 0; i < files_.size(); ++i) {
+    std::error_code ec;
+    const std::uintmax_t size = fs::file_size(files_[i], ec);
+    bytes[i] = ec ? 0 : static_cast<std::uint64_t>(size);
+    order[i] = i;
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [&bytes](std::size_t a, std::size_t b) {
+                     return bytes[a] > bytes[b];
+                   });
+  gaps_ = open_gaps_;
+  std::vector<std::optional<SeriesGap>> week_gaps(files_.size());
+  std::vector<RetryStats> retries(files_.size());
+  parallel_for(
+      order.size(),
+      [&](std::size_t k) {
+        const std::size_t i = order[k];
+        week_gaps[i] = visit_file(i, chooser, move_visitor, stream_visitor,
+                                  &retries[i]);
+      },
+      pool, /*grain=*/1);
+  for (std::size_t i = 0; i < files_.size(); ++i) {
+    add_retries(retries[i], &retry_stats_);
+    if (week_gaps[i]) gaps_.push_back(std::move(*week_gaps[i]));
+  }
+  sort_gaps(&gaps_);
+}
+
+std::optional<SeriesGap> DirectorySeries::visit_file(
+    std::size_t i, const StreamChooser& chooser,
+    const SnapshotMoveVisitor& move_visitor,
+    const SnapshotStreamVisitor& stream_visitor, RetryStats* retries) const {
+  // A scripted read_fn_ cannot feed the mapped reader, so its presence
+  // (tests exercising transient-fault retries) forces the eager path —
+  // the seam keeps seeing every read either way.
+  if (chooser && stream_visitor && !read_fn_) {
+    ScolGroupReader reader;
+    // Maps the file and parses header + directory only — a failure here
+    // is NOT recorded as a gap; the eager fallback below re-discovers
+    // the damage through the canonical path so the gap carries the
+    // byte-identical eager status (and retry accounting).
+    const Status opened = reader.open(files_[i], scol_options_);
+    if (opened.ok() && chooser(slots_[i], taken_at_[i], reader.rows())) {
+      WeekGroupStream stream;
+      stream.week = slots_[i];
+      stream.taken_at = taken_at_[i];
+      stream.file = files_[i];
+      stream.reader = &reader;
+      const Status s = stream_visitor(stream);
+      if (s.ok()) return std::nullopt;
+      // The visitor reports the raw decode verdict; the file context is
+      // prepended here, mirroring the eager decode_scol call below.
+      return SeriesGap{slots_[i], taken_at_[i], files_[i],
+                       s.with_context(files_[i])};
+    }
+  }
+  // Eager: read bytes (with retry for transient faults), then decode.
+  // Matches read_scol_file's error shape: the Status carries the file
+  // context.
+  Snapshot snap;
+  snap.taken_at = taken_at_[i];
+  SalvageReport report;
+  std::vector<std::uint8_t> bytes;
+  const auto read_once = [&]() {
+    bytes.clear();
+    return read_fn_ ? read_fn_(files_[i], &bytes)
+                    : read_file(files_[i], &bytes);
+  };
+  Status s = retry_policy_.enabled()
+                 ? retry_with_backoff(retry_policy_, retries, read_once)
+                 : read_once();
+  if (s.ok()) {
+    s = decode_scol(bytes, &snap.table, scol_options_, &report, pool_)
+            .with_context(files_[i]);
+  }
+  // The image is dead once decoded; free it before the visitor, which
+  // may hold the week a while (a prefetching study waits to hand it on).
+  std::vector<std::uint8_t>().swap(bytes);
+  if (!s.ok()) return SeriesGap{slots_[i], taken_at_[i], files_[i], s};
+  snap.degraded = !report.clean();
+  move_visitor(slots_[i], std::move(snap));
+  return std::nullopt;
 }
 
 Status save_series(SnapshotSource& source, const std::string& directory) {

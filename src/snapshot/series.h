@@ -4,7 +4,9 @@
 //
 // Analyses consume a SnapshotSource; the visitor contract guarantees weeks
 // arrive in chronological order, which the diff-based analyses (Fig 13/17)
-// rely on to keep only the previous week resident.
+// rely on to keep only the previous week resident. The one exception is
+// setup's visit_concurrent, whose weeks arrive in any order on a pool, for
+// consumers that fold per-week results in slot order themselves.
 //
 // Degradation model (see DESIGN.md §9): an operational series is rarely
 // perfect — collection skips a maintenance week, a file is torn by a
@@ -17,6 +19,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -108,13 +111,12 @@ class SnapshotSource {
   /// a deep copy, so overriding is a pure optimization.
   virtual void visit_move(const SnapshotMoveVisitor& visitor);
 
-  /// The entry point of the study runner and of infer_facility for
-  /// sources that hand snapshots over: like visit_move(), but delivers
-  /// only the weeks whose slot index is >= `first_slot` (a checkpointed
-  /// study resuming mid-series), and the weeks a non-null `chooser`
-  /// accepts arrive as open group readers through `stream_visitor`
-  /// instead of resident through `move_visitor` (out-of-core weeks in the
-  /// study, every week in inference). The default filters visit_move()
+  /// The study runner's entry point for sources that hand snapshots
+  /// over: like visit_move(), but delivers only the weeks whose slot
+  /// index is >= `first_slot` (a checkpointed study resuming mid-series),
+  /// and the weeks a non-null `chooser` accepts arrive as open group
+  /// readers through `stream_visitor` instead of resident through
+  /// `move_visitor` (out-of-core weeks). The default filters visit_move()
   /// and ignores the chooser — only sources that actually hold
   /// group-structured bytes (DirectorySeries over .scol files) can stream,
   /// so callers must not assume streaming happened. gaps() still
@@ -123,6 +125,21 @@ class SnapshotSource {
                                const StreamChooser& chooser,
                                const SnapshotMoveVisitor& move_visitor,
                                const SnapshotStreamVisitor& stream_visitor);
+
+  /// Setup's entry point (infer_facility): visit_streaming() from slot 0,
+  /// except that the chooser and both visitors may run concurrently, on
+  /// `pool` (null = the process-global pool), and the weeks arrive in no
+  /// set order. Callers that need slot order key what they collect by the
+  /// week and fold it afterwards. Whatever the order, gaps() afterwards
+  /// lists the same gaps in slot order as after an ordered traversal. A
+  /// visitor's exception reaches the caller once no visitor still runs.
+  /// The default is the ordered traversal, so sources that cannot read
+  /// their weeks independently (generators, adapters, in-memory series)
+  /// need no override.
+  virtual void visit_concurrent(const StreamChooser& chooser,
+                                const SnapshotMoveVisitor& move_visitor,
+                                const SnapshotStreamVisitor& stream_visitor,
+                                ThreadPool* pool);
 
   /// True when the Snapshot references passed to visit() stay valid for
   /// the source's whole lifetime (fully materialized series). Consumers
@@ -237,6 +254,17 @@ class DirectorySeries : public SnapshotSource {
   void visit_streaming(std::size_t first_slot, const StreamChooser& chooser,
                        const SnapshotMoveVisitor& move_visitor,
                        const SnapshotStreamVisitor& stream_visitor) override;
+  /// One week per pool task, the largest file first: a long week that
+  /// started last would leave the other workers idle at the end. Each
+  /// week's gap and retry counts are kept per file and folded in slot
+  /// order after the loop, so gaps(), their describe() text and
+  /// retry_stats() read exactly as after visit_streaming(0, ...). A
+  /// configured read seam (set_read_fn) keeps its calls on one thread:
+  /// the traversal is then the ordered one.
+  void visit_concurrent(const StreamChooser& chooser,
+                        const SnapshotMoveVisitor& move_visitor,
+                        const SnapshotStreamVisitor& stream_visitor,
+                        ThreadPool* pool) override;
   /// Pushes the projection into the .scol decoder: unrequested column
   /// blocks are checksum-verified but not materialized.
   void set_columns(ColumnMask columns) override {
@@ -248,6 +276,16 @@ class DirectorySeries : public SnapshotSource {
   const std::vector<std::string>& files() const { return files_; }
 
  private:
+  /// One week of a traversal, file `i`: maps its reader and asks the
+  /// chooser, then streams the week, or reads it (with retry, counted in
+  /// `retries`) and decodes it for the move visitor. Returns the week's
+  /// gap when it is unusable. It changes no member, so files may be
+  /// visited concurrently.
+  std::optional<SeriesGap> visit_file(
+      std::size_t i, const StreamChooser& chooser,
+      const SnapshotMoveVisitor& move_visitor,
+      const SnapshotStreamVisitor& stream_visitor, RetryStats* retries) const;
+
   std::vector<std::string> files_;      // absolute paths, sorted by date
   std::vector<std::int64_t> taken_at_;  // parallel to files_
   std::vector<std::size_t> slots_;      // parallel to files_; has holes

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 
 namespace spider {
 
@@ -163,11 +164,30 @@ std::size_t SnapshotTable::memory_bytes() const {
 
 SnapshotTable SnapshotTable::clone() const {
   SnapshotTable copy;
-  copy.reserve(size());
-  for (std::size_t i = 0; i < size(); ++i) {
-    copy.add(path(i), atime(i), ctime(i), mtime(i), uid(i), gid(i), mode(i),
-             inode(i), osts(i));
+  copy.path_hash_ = path_hash_;
+  copy.depth_ = depth_;
+  copy.atime_ = atime_;
+  copy.ctime_ = ctime_;
+  copy.mtime_ = mtime_;
+  copy.uid_ = uid_;
+  copy.gid_ = gid_;
+  copy.mode_ = mode_;
+  copy.inode_ = inode_;
+  copy.ost_offsets_ = ost_offsets_;
+  copy.ost_values_ = ost_values_;
+  copy.file_count_ = file_count_;
+  // Every path's bytes, back to back in one block the copy's arena adopts.
+  std::size_t bytes = 0;
+  for (const std::string_view path : paths_) bytes += path.size();
+  auto block = std::make_unique_for_overwrite<char[]>(bytes);
+  char* dst = block.get();
+  copy.paths_.reserve(paths_.size());
+  for (const std::string_view path : paths_) {
+    std::char_traits<char>::copy(dst, path.data(), path.size());
+    copy.paths_.emplace_back(dst, path.size());
+    dst += path.size();
   }
+  copy.arena_.adopt(std::move(block), bytes);
   return copy;
 }
 

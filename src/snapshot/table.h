@@ -174,9 +174,11 @@ class SnapshotTable {
   std::size_t memory_bytes() const;
 
   /// Deep copy (tables are move-only; the copy constructor is deleted so
-  /// accidental O(n) copies never hide in pass-by-value). Only fallback
-  /// paths pay this — the study runner retains snapshots by move or by
-  /// stable pointer.
+  /// accidental O(n) copies never hide in pass-by-value). Column by column:
+  /// the path bytes go into one block of the copy's own arena, and hashes,
+  /// depths and file count are copied, not recomputed. Only fallback paths
+  /// pay this — the study runner retains snapshots by move or by stable
+  /// pointer.
   SnapshotTable clone() const;
 
   /// Empties the table for reuse as a staging buffer. Column vectors keep

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cassert>
 #include <condition_variable>
+#include <exception>
 #include <filesystem>
 #include <future>
 #include <initializer_list>
@@ -477,24 +478,39 @@ class StudyRun {
   /// identical either way. Out-of-core runs stay synchronous:
   /// a streamed week must run while its visit keeps the reader open, and a
   /// prefetched resident week would put a third week inside the budget.
+  ///
+  /// A failure on either side ends the pass, prefetching or not: the
+  /// analyst catches its own and hands it to the next delivery, which
+  /// rethrows it to stop the visit; a visit that throws stops the analyst
+  /// and waits for it. The first failure reaches the caller.
   void run_pass(std::size_t first_slot) {
     const bool pipelined = options_.prefetch && !out_of_core_;
     std::mutex mu;
     std::condition_variable slot_free, slot_filled;
     std::optional<PendingWeek> slot;
     bool done = false;
+    std::exception_ptr failure;  // the first, of either thread
+    const auto fail = [&](std::exception_ptr e) {
+      const std::lock_guard<std::mutex> lock(mu);
+      if (!failure) failure = std::move(e);
+      slot_free.notify_one();
+    };
     std::thread analyst;
     if (pipelined) {
       analyst = std::thread([&] {
-        for (;;) {
-          std::unique_lock<std::mutex> lock(mu);
-          slot_filled.wait(lock, [&] { return slot.has_value() || done; });
-          if (!slot.has_value()) return;
-          PendingWeek cur = std::move(*slot);
-          slot.reset();
-          slot_free.notify_one();
-          lock.unlock();
-          (void)run_week(std::move(cur));  // resident weeks cannot fail
+        try {
+          for (;;) {
+            std::unique_lock<std::mutex> lock(mu);
+            slot_filled.wait(lock, [&] { return slot.has_value() || done; });
+            if (!slot.has_value()) return;
+            PendingWeek cur = std::move(*slot);
+            slot.reset();
+            slot_free.notify_one();
+            lock.unlock();
+            (void)run_week(std::move(cur));  // resident weeks cannot fail
+          }
+        } catch (...) {
+          fail(std::current_exception());
         }
       });
     }
@@ -504,38 +520,47 @@ class StudyRun {
         return;
       }
       std::unique_lock<std::mutex> lock(mu);
-      slot = std::move(week);
-      slot_filled.notify_one();
-      // Return only once the pipeline thread has taken the week: the visit
-      // then decodes week N+1 while week N is analyzed, and never a second
-      // week ahead into memory while the first waits in the slot.
-      slot_free.wait(lock, [&] { return !slot.has_value(); });
+      if (!failure) {
+        slot = std::move(week);
+        slot_filled.notify_one();
+        // Return only once the pipeline thread has taken the week: the
+        // visit then decodes week N+1 while week N is analyzed, and never
+        // a second week ahead into memory while the first waits in the
+        // slot.
+        slot_free.wait(lock, [&] { return !slot.has_value() || failure; });
+      }
+      if (failure) std::rethrow_exception(failure);
     };
 
-    if (stable_) {
-      source_.visit([&](std::size_t week, const Snapshot& snap) {
-        if (week >= first_slot) deliver(arrive(week, &snap, Snapshot{}));
-      });
-    } else {
-      // Streams any week whose predicted footprint overflows its slice of
-      // the budget (half for the current week, half for the retained
-      // previous one).
-      const StreamChooser chooser = [this](std::size_t, std::int64_t,
-                                           std::uint64_t rows_hint) {
-        return rows_hint > options_.memory_budget / 2 / kResidentBytesPerRow;
-      };
-      source_.visit_streaming(
-          first_slot, out_of_core_ ? chooser : StreamChooser(),
-          [&](std::size_t week, Snapshot&& snap) {
-            deliver(arrive(week, nullptr, std::move(snap)));
-          },
-          [this](const WeekGroupStream& stream) {
-            PendingWeek cur;
-            const Status s = decode_streamed(stream, &cur);
-            return s.ok() ? run_week(std::move(cur)) : s;
-          });
+    try {
+      if (stable_) {
+        source_.visit([&](std::size_t week, const Snapshot& snap) {
+          if (week >= first_slot) deliver(arrive(week, &snap, Snapshot{}));
+        });
+      } else {
+        // Streams any week whose predicted footprint overflows its slice
+        // of the budget (half for the current week, half for the retained
+        // previous one).
+        const StreamChooser chooser = [this](std::size_t, std::int64_t,
+                                             std::uint64_t rows_hint) {
+          return rows_hint > options_.memory_budget / 2 / kResidentBytesPerRow;
+        };
+        source_.visit_streaming(
+            first_slot, out_of_core_ ? chooser : StreamChooser(),
+            [&](std::size_t week, Snapshot&& snap) {
+              deliver(arrive(week, nullptr, std::move(snap)));
+            },
+            [this](const WeekGroupStream& stream) {
+              PendingWeek cur;
+              const Status s = decode_streamed(stream, &cur);
+              return s.ok() ? run_week(std::move(cur)) : s;
+            });
+      }
+    } catch (...) {
+      fail(std::current_exception());
     }
 
+    // Every exit, failed or not, waits for the analyst: it reads this frame.
     if (pipelined) {
       {
         std::lock_guard<std::mutex> lock(mu);
@@ -544,6 +569,7 @@ class StudyRun {
       }
       analyst.join();
     }
+    if (failure) std::rethrow_exception(failure);
   }
 
   /// Readies a resident week on the visiting thread. Its index (the NEXT

@@ -339,7 +339,10 @@ struct StudyOptions {
 };
 
 /// Streams `source` through all analyzers. The diff (when any analyzer
-/// wants it) is computed once per week and shared.
+/// wants it) is computed once per week and shared. An exception from an
+/// analyzer or from the source's traversal ends the run and reaches the
+/// caller, with prefetch on or off; analyzers then hold a partial run and
+/// finish() is not called.
 void run_study(SnapshotSource& source,
                std::span<StudyAnalyzer* const> analyzers,
                const StudyOptions& options = {});

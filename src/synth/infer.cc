@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 
@@ -184,52 +186,75 @@ class Facts {
   std::uint64_t run_rows_ = 0;
 };
 
+/// One week's facts: its rows read straight out of `reader`'s mapped
+/// groups when it is set, with no table built, and out of `table`
+/// otherwise. Groups fold through the reader's salvage policy in directory
+/// order, so strict damage fails the week with the raw verdict a decode
+/// would give (the source makes it the week's gap), and salvage drops only
+/// the damaged groups.
+Status read_week(const ScolGroupReader* reader, const SnapshotTable* table,
+                 Facts* week) {
+  if (reader == nullptr) {
+    for (std::size_t i = 0; i < table->size(); ++i) {
+      week->add(table->path(i), table->uid(i), table->gid(i));
+    }
+    return Status();
+  }
+  const ScolGroupReader::OwnerRowFn add =
+      [week](std::string_view path, std::uint32_t uid, std::uint32_t gid) {
+        week->add(path, uid, gid);
+      };
+  SalvageReport report = reader->make_report();
+  for (std::size_t g = 0; g < reader->group_count(); ++g) {
+    Status s = reader->scan_owners(g, add);
+    if (s.ok()) {
+      reader->note_success(g, &report);
+    } else if (!(s = reader->dispose_failure(g, std::move(s), &report))
+                    .ok()) {
+      return s;
+    }
+  }
+  return Status();
+}
+
 }  // namespace
 
-FacilityPlan infer_facility(SnapshotSource& source, InferenceStats* stats) {
-  Facts series;
-  // Resident weeks: in-memory sources, and the weeks a directory cannot
-  // stream (its read seam, images the mapped reader cannot open).
-  const auto merge_table = [&series](const SnapshotTable& table) {
+FacilityPlan infer_facility(SnapshotSource& source, InferenceStats* stats,
+                            ThreadPool* pool) {
+  // Weeks are read in any order, on any thread; each keeps its own facts
+  // under its slot, and the slots merge in order below.
+  std::mutex mu;
+  std::map<std::size_t, Facts> weeks;
+  const auto keep = [&](std::size_t slot, const ScolGroupReader* reader,
+                        const SnapshotTable* table) {
     Facts week;
-    for (std::size_t i = 0; i < table.size(); ++i) {
-      week.add(table.path(i), table.uid(i), table.gid(i));
+    const Status s = read_week(reader, table, &week);
+    if (s.ok()) {
+      const std::lock_guard<std::mutex> lock(mu);
+      weeks.emplace(slot, std::move(week));
     }
-    series.merge(week);
+    return s;
   };
-
   if (source.stable_snapshots()) {
-    source.visit([&](std::size_t, const Snapshot& snap) {
-      merge_table(snap.table);
+    source.visit([&](std::size_t slot, const Snapshot& snap) {
+      (void)keep(slot, nullptr, &snap.table);
     });
   } else {
-    // Every week that can stream does: its paths, uid and gid are read
-    // straight out of the mapped groups, and no table is built. Groups
-    // fold through the reader's salvage policy in order, so strict damage
-    // makes the week a gap and salvage drops only the damaged groups.
-    source.visit_streaming(
-        0, [](std::size_t, std::int64_t, std::uint64_t) { return true; },
-        [&](std::size_t, Snapshot&& snap) { merge_table(snap.table); },
+    // Every week that can stream does. The rest (a directory's read seam,
+    // images the mapped reader cannot open, sources without group
+    // storage) arrive as tables.
+    source.visit_concurrent(
+        [](std::size_t, std::int64_t, std::uint64_t) { return true; },
+        [&](std::size_t slot, Snapshot&& snap) {
+          (void)keep(slot, nullptr, &snap.table);
+        },
         [&](const WeekGroupStream& stream) {
-          const ScolGroupReader& reader = *stream.reader;
-          Facts week;
-          const ScolGroupReader::OwnerRowFn add =
-              [&week](std::string_view path, std::uint32_t uid,
-                      std::uint32_t gid) { week.add(path, uid, gid); };
-          SalvageReport report = reader.make_report();
-          for (std::size_t g = 0; g < reader.group_count(); ++g) {
-            Status s = reader.scan_owners(g, add);
-            if (s.ok()) {
-              reader.note_success(g, &report);
-            } else if (!(s = reader.dispose_failure(g, std::move(s), &report))
-                            .ok()) {
-              return s;
-            }
-          }
-          series.merge(week);
-          return Status();
-        });
+          return keep(stream.week, stream.reader, nullptr);
+        },
+        pool);
   }
+  Facts series;
+  for (auto& [slot, week] : weeks) series.merge(week);
   return series.plan(stats);
 }
 

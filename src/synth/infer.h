@@ -21,11 +21,18 @@ struct InferenceStats {
   std::size_t unmatched_projects = 0;
 };
 
-/// One serial pass over `source`; returns a plan suitable for
-/// Resolver/FullStudy. Users and projects are ordered by first appearance
-/// (weeks in slot order, rows in row order); a project's gid is its first
-/// row's. A user's primary domain is the domain where they own the most
-/// entries; a tie goes to the highest domain index.
+/// Reads every week of `source` and returns a plan suitable for
+/// Resolver/FullStudy: the weeks on the pool, merged in slot order. Each
+/// week collects its own first appearances and entry counts, on whichever
+/// thread reads it, and the weeks then merge in slot order, so the plan is
+/// the same at any pool width and in any completion order. `pool` (null =
+/// the process-global pool) reads the weeks of a source that can read
+/// them apart (DirectorySeries::visit_concurrent), one week per task;
+/// other sources are read in order on the calling thread. Users and
+/// projects are ordered by first appearance (weeks in slot order, rows in
+/// row order); a project's gid is its first row's. A user's primary domain
+/// is the domain where they own the most entries; a tie goes to the
+/// highest domain index.
 ///
 /// Only paths, uid and gid are read. A week a DirectorySeries can stream is
 /// scanned straight out of its mapped row groups, with no table built
@@ -33,8 +40,9 @@ struct InferenceStats {
 /// and strict damage makes the week a gap, as a decode would. Other weeks
 /// — in-memory series, a configured read seam, images the mapped reader
 /// cannot open — are read from their decoded tables. Stable sources are
-/// visited in place. The source is left without a projection.
+/// visited in place, in order. The source is left without a projection.
 FacilityPlan infer_facility(SnapshotSource& source,
-                            InferenceStats* stats = nullptr);
+                            InferenceStats* stats = nullptr,
+                            ThreadPool* pool = nullptr);
 
 }  // namespace spider

@@ -4,17 +4,28 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
+#include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "snapshot/scol.h"
+#include "util/parallel.h"
 #include "util/timeutil.h"
 
 namespace spider {
 namespace {
 
 namespace fs = std::filesystem;
+
+/// Pool widths the concurrent traversal runs at: 0 is the hardware's.
+constexpr unsigned kWidths[] = {1, 2, 7, 0};
 
 Snapshot make_snapshot(int week, std::size_t rows) {
   Snapshot snap;
@@ -29,6 +40,13 @@ Snapshot make_snapshot(int week, std::size_t rows) {
     snap.table.add(rec);
   }
   return snap;
+}
+
+/// Every gap of `series`, one describe() line each, in gaps() order.
+std::vector<std::string> gap_lines(const SnapshotSource& series) {
+  std::vector<std::string> lines;
+  for (const SeriesGap& gap : series.gaps()) lines.push_back(gap.describe());
+  return lines;
 }
 
 TEST(SnapshotSeriesTest, VisitInOrder) {
@@ -217,6 +235,23 @@ TEST_F(DirectorySeriesTest, StreamVisitorErrorBecomesEagerShapedGap) {
                                         ": group 0: synthetic damage"),
             std::string::npos)
       << gap.status.to_string();
+
+  // The concurrent traversal records the same gap.
+  for (const unsigned width : kWidths) {
+    ThreadPool pool(width);
+    DirectorySeries concurrent;
+    ASSERT_TRUE(concurrent.open(dir_str()).ok());
+    std::atomic<std::size_t> delivered{0};
+    concurrent.visit_concurrent(
+        [](std::size_t week, std::int64_t, std::uint64_t) { return week == 1; },
+        [&](std::size_t, Snapshot&&) { ++delivered; },
+        [&](const WeekGroupStream&) {
+          return Status::corruption("group 0: synthetic damage");
+        },
+        &pool);
+    EXPECT_EQ(delivered.load(), 1u) << width;
+    EXPECT_EQ(gap_lines(concurrent), gap_lines(loaded)) << width;
+  }
 }
 
 TEST_F(DirectorySeriesTest, StreamingFallsBackToEagerOnUnopenableImage) {
@@ -255,6 +290,152 @@ TEST_F(DirectorySeriesTest, StreamingFallsBackToEagerOnUnopenableImage) {
   ASSERT_EQ(streaming.gaps().size(), 1u);
   EXPECT_EQ(streaming.gaps()[0].describe(), eager.gaps()[0].describe())
       << "fallback must reproduce the eager gap byte-for-byte";
+
+  for (const unsigned width : kWidths) {
+    ThreadPool pool(width);
+    DirectorySeries concurrent;
+    ASSERT_TRUE(concurrent.open(dir_str()).ok());
+    std::atomic<std::size_t> concurrent_resident{0}, concurrent_streamed{0};
+    concurrent.visit_concurrent(
+        [](std::size_t, std::int64_t, std::uint64_t) { return true; },
+        [&](std::size_t, Snapshot&&) { ++concurrent_resident; },
+        [&](const WeekGroupStream&) {
+          ++concurrent_streamed;
+          return Status();
+        },
+        &pool);
+    EXPECT_EQ(concurrent_resident.load(), 0u) << width;
+    EXPECT_EQ(concurrent_streamed.load(), 1u) << width;
+    EXPECT_EQ(gap_lines(concurrent), gap_lines(eager)) << width;
+  }
+}
+
+/// Decodes every group of a streamed week under its reader's salvage
+/// policy, returning the week's raw verdict as a decode would.
+Status decode_every_group(const WeekGroupStream& stream) {
+  const ScolGroupReader& reader = *stream.reader;
+  SalvageReport report = reader.make_report();
+  for (std::size_t g = 0; g < reader.group_count(); ++g) {
+    SnapshotTable table;
+    Status s = reader.decode_group(g, &table);
+    if (s.ok()) {
+      reader.note_success(g, &report);
+    } else if (!(s = reader.dispose_failure(g, std::move(s), &report)).ok()) {
+      return s;
+    }
+  }
+  return Status();
+}
+
+TEST_F(DirectorySeriesTest, ConcurrentTraversalGapsMatchTheOrderedOnes) {
+  // Ten weekly slots: week 4 was never collected (a cadence hole), week 6
+  // is a directory with a snapshot's name, weeks 2 and 8 are torn in the
+  // middle of a group, and week 1's header is gone. Later weeks are
+  // larger, so largest-first runs them out of slot order.
+  std::vector<std::string> files;
+  for (int w = 0; w < 10; ++w) {
+    if (w == 4) continue;
+    const Snapshot snap = make_snapshot(w, 200 + 150 * w);
+    const std::string file =
+        (dir_ / ("snap_" + date_tag(snap.taken_at) + ".scol")).string();
+    if (w == 6) {
+      fs::create_directories(file);
+      continue;
+    }
+    ScolOptions options;
+    options.group_size = 128;
+    ASSERT_TRUE(write_scol_file(snap.table, file, options).ok());
+    files.push_back(file);
+  }
+  const auto damage = [](const std::string& file, std::size_t at_from_end) {
+    std::fstream f(file, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(-static_cast<std::streamoff>(at_from_end), std::ios::end);
+    f.put('\x5a');
+  };
+  damage(files[2], 300);  // week 2
+  damage(files[6], 900);  // week 8
+  {
+    std::fstream f(files[1], std::ios::in | std::ios::out | std::ios::binary);
+    f.write("XXXXXXXX", 8);  // week 1: unopenable, the eager fallback
+  }
+
+  DirectorySeries ordered;
+  ASSERT_TRUE(ordered.open(dir_str()).ok());
+  std::vector<std::size_t> ordered_weeks;
+  ordered.visit_streaming(
+      0, [](std::size_t, std::int64_t, std::uint64_t) { return true; },
+      [&](std::size_t week, Snapshot&&) { ordered_weeks.push_back(week); },
+      [&](const WeekGroupStream& stream) {
+        const Status s = decode_every_group(stream);
+        if (s.ok()) ordered_weeks.push_back(stream.week);
+        return s;
+      });
+  const std::vector<std::string> want = gap_lines(ordered);
+  ASSERT_EQ(want.size(), 5u);  // weeks 1, 2, 4, 6 and 8
+  ASSERT_EQ(ordered_weeks, (std::vector<std::size_t>{0, 3, 5, 7, 9}));
+
+  for (const unsigned width : kWidths) {
+    ThreadPool pool(width);
+    DirectorySeries concurrent;
+    ASSERT_TRUE(concurrent.open(dir_str()).ok());
+    std::mutex mu;
+    std::vector<std::size_t> weeks;
+    concurrent.visit_concurrent(
+        [](std::size_t, std::int64_t, std::uint64_t) { return true; },
+        [&](std::size_t week, Snapshot&&) {
+          const std::lock_guard<std::mutex> lock(mu);
+          weeks.push_back(week);
+        },
+        [&](const WeekGroupStream& stream) {
+          const Status s = decode_every_group(stream);
+          if (s.ok()) {
+            const std::lock_guard<std::mutex> lock(mu);
+            weeks.push_back(stream.week);
+          }
+          return s;
+        },
+        &pool);
+    std::sort(weeks.begin(), weeks.end());
+    EXPECT_EQ(weeks, ordered_weeks) << width;
+    EXPECT_EQ(gap_lines(concurrent), want) << width;
+    // A second traversal starts again from open()'s gaps.
+    concurrent.visit_concurrent(
+        [](std::size_t, std::int64_t, std::uint64_t) { return true; },
+        [](std::size_t, Snapshot&&) {}, decode_every_group, &pool);
+    EXPECT_EQ(gap_lines(concurrent), want) << width;
+  }
+}
+
+TEST_F(DirectorySeriesTest, ConcurrentVisitorExceptionReachesTheCaller) {
+  SnapshotSeries series;
+  for (int w = 0; w < 6; ++w) series.add(make_snapshot(w, 20));
+  ASSERT_TRUE(save_series(series, dir_str()).ok());
+  DirectorySeries loaded;
+  ASSERT_TRUE(loaded.open(dir_str()).ok());
+
+  // Weeks on a worker throw. The caller's own week waits (a few seconds
+  // at most) until a worker has thrown, so the failure always comes from
+  // a worker thread.
+  ThreadPool pool(2);
+  std::atomic<bool> thrown{false};
+  const auto visit = [&] {
+    loaded.visit_concurrent(
+        [](std::size_t, std::int64_t, std::uint64_t) { return true; },
+        [](std::size_t, Snapshot&&) {},
+        [&](const WeekGroupStream&) -> Status {
+          if (pool.on_worker_thread()) {
+            thrown = true;
+            throw std::runtime_error("worker visitor failed");
+          }
+          for (int i = 0; i < 5000 && !thrown; ++i) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+          return Status();
+        },
+        &pool);
+  };
+  EXPECT_THROW(visit(), std::runtime_error);
+  EXPECT_TRUE(thrown.load());
 }
 
 TEST(SnapshotSeriesStreamingTest, InMemorySeriesDeliversEverythingResident) {

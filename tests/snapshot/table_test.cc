@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "util/hash.h"
 
 namespace spider {
@@ -167,6 +171,73 @@ TEST(SnapshotTableTest, ColumnSpansMatchRowAccessors) {
   for (std::size_t i = 0; i < 10; ++i) {
     EXPECT_EQ(mtimes[i], t.mtime(i));
   }
+}
+
+TEST(SnapshotTableTest, CloneCopiesEveryColumnAndOutlivesItsSource) {
+  auto source = std::make_unique<SnapshotTable>();
+  source->add(make_record("/lustre/atlas2/p1", 50, true));
+  for (int i = 0; i < 300; ++i) {
+    RawRecord rec = make_record(
+        "/lustre/atlas2/p1/u" + std::to_string(i % 7) + "/f" +
+            std::to_string(i) + std::string(static_cast<std::size_t>(i), 'x'),
+        1000 + i * 3, i % 11 == 0);
+    rec.uid = 1000 + static_cast<std::uint32_t>(i % 5);
+    rec.gid = 2000 + static_cast<std::uint32_t>(i % 3);
+    rec.inode = 7'000'000 + static_cast<std::uint64_t>(i);
+    rec.osts.resize(static_cast<std::size_t>(i % 4));
+    source->add(rec);
+  }
+  source->add(make_record("", 60));  // an empty path
+
+  std::vector<RawRecord> rows;
+  for (std::size_t i = 0; i < source->size(); ++i) {
+    rows.push_back(source->row(i));
+  }
+  const std::vector<std::uint64_t> hashes(source->path_hashes().begin(),
+                                          source->path_hashes().end());
+  const std::vector<std::uint16_t> depths(source->depths().begin(),
+                                          source->depths().end());
+  const std::size_t files = source->file_count();
+
+  SnapshotTable copy = source->clone();
+  source.reset();  // the copy owns its own bytes
+
+  ASSERT_EQ(copy.size(), rows.size());
+  EXPECT_EQ(copy.file_count(), files);
+  EXPECT_EQ(copy.dir_count(), rows.size() - files);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(copy.path(i), rows[i].path) << i;
+    EXPECT_EQ(copy.path_hash(i), hashes[i]) << i;
+    EXPECT_EQ(copy.path_hash(i), hash_path(rows[i].path)) << i;
+    EXPECT_EQ(copy.depth(i), depths[i]) << i;
+    EXPECT_EQ(copy.atime(i), rows[i].atime) << i;
+    EXPECT_EQ(copy.ctime(i), rows[i].ctime) << i;
+    EXPECT_EQ(copy.mtime(i), rows[i].mtime) << i;
+    EXPECT_EQ(copy.uid(i), rows[i].uid) << i;
+    EXPECT_EQ(copy.gid(i), rows[i].gid) << i;
+    EXPECT_EQ(copy.mode(i), rows[i].mode) << i;
+    EXPECT_EQ(copy.inode(i), rows[i].inode) << i;
+    const auto osts = copy.osts(i);
+    EXPECT_EQ(std::vector<std::uint32_t>(osts.begin(), osts.end()),
+              rows[i].osts)
+        << i;
+  }
+
+  // The copy keeps growing like any table, without disturbing its rows.
+  const std::uint32_t added =
+      copy.add(make_record("/lustre/atlas2/p2/u/new.dat", 900));
+  EXPECT_EQ(added, rows.size());
+  EXPECT_EQ(copy.path(added), "/lustre/atlas2/p2/u/new.dat");
+  EXPECT_EQ(copy.path_hash(added), hash_path("/lustre/atlas2/p2/u/new.dat"));
+  EXPECT_EQ(copy.osts(added).size(), 4u);
+  EXPECT_EQ(copy.file_count(), files + 1);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_EQ(copy.path(i), rows[i].path) << i;
+  }
+
+  const SnapshotTable empty_copy = SnapshotTable().clone();
+  EXPECT_TRUE(empty_copy.empty());
+  EXPECT_EQ(empty_copy.file_count(), 0u);
 }
 
 }  // namespace

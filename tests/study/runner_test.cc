@@ -6,8 +6,10 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -106,6 +108,105 @@ TEST(StudyRunnerTest, EmptySeries) {
   run_study(series, plain);
   EXPECT_TRUE(plain.weeks.empty());
   EXPECT_TRUE(plain.finished);
+}
+
+// --- Failures reach the caller --------------------------------------------
+
+/// Throws from merge() at one week, after recording the weeks before it.
+class ThrowingAnalyzer : public StudyAnalyzer {
+ public:
+  explicit ThrowingAnalyzer(std::size_t week) : week_(week) {}
+  void merge(const WeekObservation& obs, ScanStateList) override {
+    if (obs.week == week_) throw std::runtime_error("merge failed");
+    weeks.push_back(obs.week);
+  }
+  void finish() override { finished = true; }
+
+  std::vector<std::size_t> weeks;
+  bool finished = false;
+
+ private:
+  std::size_t week_;
+};
+
+/// Hands a series' weeks over as a source that owns none of them (so the
+/// runner takes them through visit_streaming), and throws from visit() on
+/// reaching week `fail_at`.
+class ThrowingSource : public SnapshotSource {
+ public:
+  ThrowingSource(SnapshotSeries& base, std::size_t fail_at)
+      : base_(base), fail_at_(fail_at) {}
+  std::size_t count() const override { return base_.count(); }
+  void visit(const SnapshotVisitor& visitor) override {
+    base_.visit([&](std::size_t week, const Snapshot& snap) {
+      if (week == fail_at_) throw std::runtime_error("visit failed");
+      visitor(week, snap);
+    });
+  }
+
+ private:
+  SnapshotSeries& base_;
+  std::size_t fail_at_;
+};
+
+SnapshotSeries five_weeks() {
+  SnapshotSeries series;
+  for (int w = 0; w < 5; ++w) {
+    series.add(make_snapshot(
+        w, {"/lustre/atlas2/p/u/a", "/lustre/atlas2/p/u/b"}, 100 + w));
+  }
+  return series;
+}
+
+/// The message of the runtime_error `run` throws; empty when it returns.
+std::string failure_of(const std::function<void()>& run) {
+  try {
+    run();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(StudyRunnerTest, AnalyzerExceptionReachesTheCaller) {
+  for (const bool prefetch : {false, true}) {
+    for (const bool stable : {true, false}) {
+      SnapshotSeries series = five_weeks();
+      ThrowingSource handed_over(series, /*fail_at=*/99);
+      SnapshotSource& source =
+          stable ? static_cast<SnapshotSource&>(series) : handed_over;
+      ThrowingAnalyzer failing(/*week=*/2);
+      RecordingAnalyzer differ(true);
+      StudyAnalyzer* roster[] = {&differ, &failing};
+      ThreadPool pool(2);
+      StudyOptions options;
+      options.pool = &pool;
+      options.prefetch = prefetch;
+      EXPECT_EQ(failure_of([&] { run_study(source, roster, options); }),
+                "merge failed")
+          << "prefetch " << prefetch << ", stable " << stable;
+      EXPECT_EQ(failing.weeks, (std::vector<std::size_t>{0, 1}));
+      EXPECT_FALSE(failing.finished);
+    }
+  }
+}
+
+TEST(StudyRunnerTest, SourceExceptionReachesTheCaller) {
+  for (const bool prefetch : {false, true}) {
+    SnapshotSeries series = five_weeks();
+    ThrowingSource source(series, /*fail_at=*/3);
+    RecordingAnalyzer differ(true);
+    ThreadPool pool(2);
+    StudyOptions options;
+    options.pool = &pool;
+    options.prefetch = prefetch;
+    EXPECT_EQ(failure_of([&] { run_study(source, differ, options); }),
+              "visit failed")
+        << "prefetch " << prefetch;
+    // Every week delivered before the failure was analyzed.
+    EXPECT_EQ(differ.weeks, (std::vector<std::size_t>{0, 1, 2}));
+    EXPECT_FALSE(differ.finished);
+  }
 }
 
 // --- First-seen verdicts -------------------------------------------------

@@ -9,14 +9,18 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "snapshot/record.h"
 #include "snapshot/scol.h"
 #include "synth/generator.h"
 #include "util/io.h"
+#include "util/parallel.h"
 #include "util/timeutil.h"
 
 namespace spider {
@@ -249,28 +253,93 @@ void expect_same_plan(const FacilityPlan& a, const FacilityPlan& b) {
   }
 }
 
-/// Infers the plan of `scanned` (a directory: its weeks stream through the
-/// row scan unless its read seam is set) and of the same weeks decoded by
-/// an eager DirectorySeries into a SnapshotSeries (the table path), and
-/// checks that the plans and the week gaps are the same.
-void expect_scan_matches_tables(DirectorySeries& scanned,
-                                const std::string& dir,
-                                const ScolOptions& options) {
-  const FacilityPlan from_scan = infer_facility(scanned);
+/// Pool widths setup runs at: 0 is the hardware's.
+constexpr unsigned kWidths[] = {1, 2, 7, 0};
 
-  DirectorySeries eager;
-  ASSERT_TRUE(eager.open(dir).ok());
-  eager.set_scol_options(options);
+/// Sets a directory series up: salvage options, a read seam, a retry
+/// policy. Called once per series, so each gets state of its own.
+using Configure = std::function<void(DirectorySeries&)>;
+
+/// The same weeks read two ways. The reference decodes them in order with
+/// an eager DirectorySeries (`ordered`, configured by `configure`) into a
+/// SnapshotSeries, the table path. Then, at every pool width, a directory
+/// configured the same way goes through infer_facility, its weeks
+/// streaming through the row scan on the pool unless its read seam is set.
+/// Each must infer the table path's plan and leave the ordered
+/// traversal's gap lines and retry counts.
+void expect_scan_matches_tables(const std::string& dir,
+                                const Configure& configure,
+                                DirectorySeries* ordered) {
+  ASSERT_TRUE(ordered->open(dir).ok());
+  configure(*ordered);
   SnapshotSeries tables;
-  eager.visit_move([&tables](std::size_t, Snapshot&& snap) {
+  ordered->visit_move([&tables](std::size_t, Snapshot&& snap) {
     tables.add(std::move(snap));
   });
   ASSERT_GT(tables.count(), 2u);
-  expect_same_plan(from_scan, infer_facility(tables));
+  const FacilityPlan expected = infer_facility(tables);
 
-  ASSERT_EQ(scanned.gaps().size(), eager.gaps().size());
-  for (std::size_t i = 0; i < eager.gaps().size(); ++i) {
-    EXPECT_EQ(scanned.gaps()[i].describe(), eager.gaps()[i].describe());
+  for (const unsigned width : kWidths) {
+    SCOPED_TRACE("pool width " + std::to_string(width));
+    ThreadPool pool(width);
+    DirectorySeries scanned;
+    ASSERT_TRUE(scanned.open(dir).ok());
+    configure(scanned);
+    expect_same_plan(infer_facility(scanned, nullptr, &pool), expected);
+    ASSERT_EQ(scanned.gaps().size(), ordered->gaps().size());
+    for (std::size_t i = 0; i < ordered->gaps().size(); ++i) {
+      EXPECT_EQ(scanned.gaps()[i].describe(), ordered->gaps()[i].describe());
+    }
+    EXPECT_EQ(scanned.retry_stats().attempts,
+              ordered->retry_stats().attempts);
+    EXPECT_EQ(scanned.retry_stats().retries, ordered->retry_stats().retries);
+    EXPECT_EQ(scanned.retry_stats().exhausted,
+              ordered->retry_stats().exhausted);
+  }
+}
+
+TEST(InferFacilityMergeTest, WeeksMergeInSlotOrderAtEveryWidth) {
+  // Each week lists the projects in its own order, under gids of its own,
+  // and brings users of its own; later weeks are larger, so the largest-
+  // first schedule reads them out of slot order. Merged in any order but
+  // the slots', the users, the projects or their gids would change.
+  const TempDir dir("merge_order");
+  const std::vector<std::string> projects = {"cli100", "nph200", "bip300",
+                                             "chm400", "ast500"};
+  SnapshotSeries tables;
+  for (std::uint32_t w = 0; w < 6; ++w) {
+    Snapshot snap;
+    snap.taken_at = epoch_from_civil({2015, 1, 5}) +
+                    static_cast<std::int64_t>(w) * kSecondsPerWeek;
+    for (std::uint32_t k = 0; k < projects.size(); ++k) {
+      const std::uint32_t p = (k + w) % projects.size();
+      for (std::uint32_t f = 0; f < 10 + 40 * w; ++f) {
+        RawRecord rec;
+        rec.path = "/lustre/atlas2/" + projects[p] + "/u/f" + std::to_string(f);
+        rec.uid = 1000 + 10 * w + k;
+        rec.gid = 500 + 100 * w + p;
+        rec.mode = kModeRegular | 0644;
+        snap.table.add(rec);
+      }
+    }
+    const fs::path file =
+        fs::path(dir.path()) / ("snap_" + date_tag(snap.taken_at) + ".scol");
+    ASSERT_TRUE(write_scol_file(snap.table, file.string(), ScolOptions{}).ok());
+    tables.add(std::move(snap));
+  }
+  const FacilityPlan expected = infer_facility(tables);
+  ASSERT_EQ(expected.projects.size(), projects.size());
+  EXPECT_EQ(expected.projects[1].name, "nph200");  // week 0's order
+  EXPECT_EQ(expected.projects[1].gid, 501u);       // week 0's gid
+  EXPECT_EQ(expected.users.size(), 30u);
+  EXPECT_EQ(expected.users[5].uid, 1010u);  // week 1's first user
+
+  for (const unsigned width : kWidths) {
+    SCOPED_TRACE("pool width " + std::to_string(width));
+    ThreadPool pool(width);
+    DirectorySeries series;
+    ASSERT_TRUE(series.open(dir.path()).ok());
+    expect_same_plan(infer_facility(series, nullptr, &pool), expected);
   }
 }
 
@@ -326,63 +395,99 @@ FacilityPlan recount(SnapshotSource& source) {
 }
 
 TEST_F(InferFacilityScanTest, MatchesRowAtATimeRecount) {
-  DirectorySeries scanned;
-  ASSERT_TRUE(scanned.open(dir()).ok());
-  const FacilityPlan plan = infer_facility(scanned);
-  EXPECT_GT(plan.users.size(), 100u);
   DirectorySeries eager;
   ASSERT_TRUE(eager.open(dir()).ok());
-  expect_same_plan(plan, recount(eager));
+  const FacilityPlan expected = recount(eager);
+  EXPECT_GT(expected.users.size(), 100u);
+  for (const unsigned width : kWidths) {
+    SCOPED_TRACE("pool width " + std::to_string(width));
+    ThreadPool pool(width);
+    DirectorySeries scanned;
+    ASSERT_TRUE(scanned.open(dir()).ok());
+    expect_same_plan(infer_facility(scanned, nullptr, &pool), expected);
+    EXPECT_TRUE(scanned.gaps().empty());
+  }
 }
 
 TEST_F(InferFacilityScanTest, GappedSeriesMatchesTablePath) {
   fs::remove(files_[2]);
-  DirectorySeries scanned;
-  ASSERT_TRUE(scanned.open(dir()).ok());
-  ASSERT_EQ(scanned.gaps().size(), 1u);
-  expect_scan_matches_tables(scanned, dir(), ScolOptions{});
+  DirectorySeries ordered;
+  expect_scan_matches_tables(dir(), [](DirectorySeries&) {}, &ordered);
+  ASSERT_EQ(ordered.gaps().size(), 1u);
 }
 
 TEST_F(InferFacilityScanTest, StrictCorruptWeekMatchesTablePath) {
   corrupt_group(files_[3], 1);
-  DirectorySeries scanned;
-  ASSERT_TRUE(scanned.open(dir()).ok());
-  expect_scan_matches_tables(scanned, dir(), ScolOptions{});
-  ASSERT_EQ(scanned.gaps().size(), 1u);  // the whole week is dropped
-  EXPECT_EQ(scanned.gaps()[0].file, files_[3]);
+  DirectorySeries ordered;
+  expect_scan_matches_tables(dir(), [](DirectorySeries&) {}, &ordered);
+  ASSERT_EQ(ordered.gaps().size(), 1u);  // the whole week is dropped
+  EXPECT_EQ(ordered.gaps()[0].file, files_[3]);
 }
 
 TEST_F(InferFacilityScanTest, SkippedGroupMatchesTablePath) {
   corrupt_group(files_[2], 2);
-  ScolOptions salvage;
-  salvage.on_corrupt_group = CorruptGroupPolicy::kSkip;
-  DirectorySeries scanned;
-  ASSERT_TRUE(scanned.open(dir()).ok());
-  scanned.set_scol_options(salvage);
-  expect_scan_matches_tables(scanned, dir(), salvage);
-  EXPECT_TRUE(scanned.gaps().empty());  // only the group is dropped
+  DirectorySeries ordered;
+  expect_scan_matches_tables(
+      dir(),
+      [](DirectorySeries& series) {
+        ScolOptions salvage;
+        salvage.on_corrupt_group = CorruptGroupPolicy::kSkip;
+        series.set_scol_options(salvage);
+      },
+      &ordered);
+  EXPECT_TRUE(ordered.gaps().empty());  // only the group is dropped
 }
 
 TEST_F(InferFacilityScanTest, RetriedReadSeamMatchesTablePath) {
   // Every file's first read fails transiently; the retry reads it.
-  std::set<std::string> failed_once;
-  DirectorySeries scanned;
-  ASSERT_TRUE(scanned.open(dir()).ok());
-  scanned.set_read_fn(
-      [&failed_once](const std::string& file,
-                     std::vector<std::uint8_t>* bytes) {
-        if (failed_once.insert(file).second) {
-          return Status::io_error("transient read failure");
-        }
-        return read_file(file, bytes);
-      });
-  RetryPolicy retry;
-  retry.max_attempts = 3;
-  retry.sleep_fn = [](std::uint64_t) {};
-  scanned.set_retry_policy(retry);
-  expect_scan_matches_tables(scanned, dir(), ScolOptions{});
-  EXPECT_EQ(scanned.retry_stats().retries, files_.size());
-  EXPECT_TRUE(scanned.gaps().empty());
+  DirectorySeries ordered;
+  expect_scan_matches_tables(
+      dir(),
+      [](DirectorySeries& series) {
+        auto failed_once = std::make_shared<std::set<std::string>>();
+        series.set_read_fn([failed_once](const std::string& file,
+                                         std::vector<std::uint8_t>* bytes) {
+          if (failed_once->insert(file).second) {
+            return Status::io_error("transient read failure");
+          }
+          return read_file(file, bytes);
+        });
+        RetryPolicy retry;
+        retry.max_attempts = 3;
+        retry.sleep_fn = [](std::uint64_t) {};
+        series.set_retry_policy(retry);
+      },
+      &ordered);
+  EXPECT_EQ(ordered.retry_stats().retries, files_.size());
+  EXPECT_TRUE(ordered.gaps().empty());
+}
+
+/// Fails the mapping of the named files, as if they could not be opened
+/// for streaming.
+class UnmappableFiles : public MapInterceptor {
+ public:
+  explicit UnmappableFiles(std::set<std::string> files)
+      : files_(std::move(files)) {
+    set_map_interceptor(this);
+  }
+  ~UnmappableFiles() override { set_map_interceptor(nullptr); }
+  Decision on_op(MapOp op, const std::string& path) override {
+    Decision d;
+    d.fail = op == MapOp::kMap && files_.count(path) > 0;
+    return d;
+  }
+
+ private:
+  const std::set<std::string> files_;
+};
+
+TEST_F(InferFacilityScanTest, UnmappableWeeksMatchTablePath) {
+  // Two weeks fall back to the eager read, so their tables reach the move
+  // visitor while the other weeks stream, concurrently.
+  const UnmappableFiles unmappable({files_[1], files_[4]});
+  DirectorySeries ordered;
+  expect_scan_matches_tables(dir(), [](DirectorySeries&) {}, &ordered);
+  EXPECT_TRUE(ordered.gaps().empty());
 }
 
 TEST_F(InferFacilityScanTest, LeavesNoProjectionOnTheSource) {
